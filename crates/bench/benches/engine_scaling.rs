@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_arch::MachineSpec;
 use gpu_kernels::sad::Sad;
 use gpu_kernels::App;
-use optspace::engine::{EngineConfig, EvalEngine};
+use optspace::engine::EvalEngine;
 use optspace::tuner::{ExhaustiveSearch, SearchStrategy};
 use std::hint::black_box;
 
@@ -34,32 +34,5 @@ fn bench_engine_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Whole-search wall clock of the decoded arena engine against the
-/// pre-decode seed engine (`--engine legacy`), sequential, over the
-/// full SAD space. Same dedup, same memo cache — the only difference
-/// is the per-simulation execution model, so the gap is the tentpole
-/// speedup as a tuning run actually experiences it.
-fn bench_engine_decoded_vs_legacy(c: &mut Criterion) {
-    let spec = MachineSpec::geforce_8800_gtx();
-    let cands = Sad::paper_problem().candidates();
-
-    let decoded = EvalEngine::new(EngineConfig::default());
-    let legacy = EvalEngine::new(EngineConfig { legacy_sim: true, ..EngineConfig::default() });
-
-    // The engines must be observationally identical before we time them.
-    let a = ExhaustiveSearch.run_with(&decoded, &cands, &spec);
-    let b = ExhaustiveSearch.run_with(&legacy, &cands, &spec);
-    assert_eq!(a.best, b.best, "legacy and decoded engines disagree on the best config");
-
-    let mut g = c.benchmark_group("engine-decoded-vs-legacy");
-    g.sample_size(2);
-    for (name, engine) in [("decoded", &decoded), ("legacy", &legacy)] {
-        g.bench_with_input(BenchmarkId::new("exhaustive sad", name), engine, |b, engine| {
-            b.iter(|| black_box(ExhaustiveSearch.run_with(engine, black_box(&cands), &spec)))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_engine_scaling, bench_engine_decoded_vs_legacy);
+criterion_group!(benches, bench_engine_scaling);
 criterion_main!(benches);

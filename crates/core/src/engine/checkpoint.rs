@@ -1,12 +1,11 @@
 //! Crash-safe search checkpointing and deterministic resume.
 //!
 //! A checkpoint is a snapshot of everything a search has *paid for*:
-//! the successful timing results keyed by their exact content hash,
-//! plus — for branch-and-bound — the frontier's canonical subspace
-//! bindings, the incumbent, and the completed full-grid ranks. Because
-//! candidate enumeration, memo-cache discovery order, and the bnb
-//! frontier order are all deterministic, that map is sufficient to
-//! resume: a resumed run **replays the search from the start**, with
+//! the run's identity, the work units completed, and the successful
+//! timing results keyed by their exact content hash. Because candidate
+//! enumeration, every strategy's proposals, and memo-cache discovery
+//! order are all deterministic, that map is sufficient to resume: a
+//! resumed run **replays the search from the start**, with
 //! [`ReplayEval`] serving checkpointed results instantly in place of
 //! fresh simulations. Every counter, event, and report therefore comes
 //! out byte-identical to an uninterrupted run at any `--jobs` — the
@@ -28,7 +27,7 @@
 //! SIGINT/SIGTERM set a process-global flag (see
 //! [`install_signal_handler`] — a hand-rolled `signal(2)` binding; the
 //! workspace is offline and vendors no libc crate). The engine polls it
-//! between dispatch chunks and between bnb frontier batches, stops
+//! between dispatch chunks and between search rounds, stops
 //! scheduling new work, and the CLI writes a final checkpoint and exits
 //! with status 130. SIGKILL needs no cooperation: the last published
 //! checkpoint is already consistent. [`Checkpointer::with_stop_after`]
@@ -103,7 +102,9 @@ pub fn install_signal_handler() {}
 pub struct CheckpointMeta {
     /// Application name (`sad`, `matmul`, ...).
     pub app: String,
-    /// Strategy name (`exhaustive`, `pruned`, `bnb`, ...).
+    /// The search's identity as its report names it, including every
+    /// setting that changes what it proposes (`random-10-s1`,
+    /// `hill-12-s1`, `bnb`, ...).
     pub strategy: String,
     /// Grid variant (`--grid fine`), if any.
     pub grid: Option<String>,
@@ -180,103 +181,6 @@ impl CheckpointMeta {
     }
 }
 
-/// One frontier node snapshot: its admissible bound and the canonical
-/// per-axis bindings (`None` = axis still unbound).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierSnapshot {
-    /// Lower bound carried by the node, in milliseconds.
-    pub bound_ms: f64,
-    /// Value-index binding per axis.
-    pub bindings: Vec<Option<usize>>,
-}
-
-/// Where the search stood when the checkpoint was taken. Replay does
-/// not *need* this — the results map alone reproduces the run — but it
-/// makes checkpoints self-describing and lets `store verify`-style
-/// tooling (and humans) see how far a run got.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SearchState {
-    /// Full-grid rank of the current incumbent, if any.
-    pub incumbent_rank: Option<usize>,
-    /// Incumbent's scaled time in milliseconds.
-    pub incumbent_ms: Option<f64>,
-    /// Outstanding bnb frontier, in heap-drain (canonical) order.
-    pub frontier: Vec<FrontierSnapshot>,
-    /// Full-grid ranks whose candidates have completed evaluation.
-    pub completed_ranks: Vec<usize>,
-}
-
-impl SearchState {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("incumbent_rank", self.incumbent_rank.map(Json::from).unwrap_or(Json::Null)),
-            ("incumbent_ms", self.incumbent_ms.map(Json::from).unwrap_or(Json::Null)),
-            (
-                "frontier",
-                Json::Arr(
-                    self.frontier
-                        .iter()
-                        .map(|f| {
-                            Json::obj([
-                                ("bound_ms", Json::from(f.bound_ms)),
-                                (
-                                    "bindings",
-                                    Json::Arr(
-                                        f.bindings
-                                            .iter()
-                                            .map(|b| b.map(Json::from).unwrap_or(Json::Null))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "completed_ranks",
-                Json::Arr(self.completed_ranks.iter().copied().map(Json::from).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Option<Self> {
-        let opt_usize = |key: &str| match j.get(key) {
-            None | Some(Json::Null) => Some(None),
-            Some(v) => v.as_u64().map(|u| Some(u as usize)),
-        };
-        let opt_f64 = |key: &str| match j.get(key) {
-            None | Some(Json::Null) => Some(None),
-            Some(v) => v.as_f64().map(Some),
-        };
-        let mut frontier = Vec::new();
-        for node in j.get("frontier")?.as_arr()? {
-            let bindings = node
-                .get("bindings")?
-                .as_arr()?
-                .iter()
-                .map(|b| match b {
-                    Json::Null => Some(None),
-                    v => v.as_u64().map(|u| Some(u as usize)),
-                })
-                .collect::<Option<Vec<_>>>()?;
-            frontier.push(FrontierSnapshot { bound_ms: node.get("bound_ms")?.as_f64()?, bindings });
-        }
-        let completed_ranks = j
-            .get("completed_ranks")?
-            .as_arr()?
-            .iter()
-            .map(|r| r.as_u64().map(|u| u as usize))
-            .collect::<Option<Vec<_>>>()?;
-        Some(Self {
-            incumbent_rank: opt_usize("incumbent_rank")?,
-            incumbent_ms: opt_f64("incumbent_ms")?,
-            frontier,
-            completed_ranks,
-        })
-    }
-}
-
 /// A checkpoint file parsed back into memory.
 #[derive(Debug, Clone, Default)]
 pub struct LoadedCheckpoint {
@@ -284,8 +188,6 @@ pub struct LoadedCheckpoint {
     pub meta: CheckpointMeta,
     /// Work units completed when it was written.
     pub units_done: usize,
-    /// Search progress snapshot.
-    pub state: SearchState,
     /// Successful timing results by exact content key.
     pub results: HashMap<u64, TimingReport>,
 }
@@ -315,7 +217,6 @@ pub fn load(path: impl AsRef<Path>) -> Result<LoadedCheckpoint, String> {
     let meta = doc.get("meta").and_then(CheckpointMeta::from_json).ok_or_else(|| bad("meta"))?;
     let units_done =
         doc.get("units_done").and_then(Json::as_u64).ok_or_else(|| bad("units_done"))? as usize;
-    let state = doc.get("state").and_then(SearchState::from_json).ok_or_else(|| bad("state"))?;
     let mut results = HashMap::new();
     for entry in doc.get("results").and_then(Json::as_arr).ok_or_else(|| bad("results"))? {
         let key = entry.get("key").and_then(Json::as_u64).ok_or_else(|| bad("result key"))?;
@@ -323,14 +224,13 @@ pub fn load(path: impl AsRef<Path>) -> Result<LoadedCheckpoint, String> {
             entry.get("report").and_then(report_from_json).ok_or_else(|| bad("result report"))?;
         results.insert(key, report);
     }
-    Ok(LoadedCheckpoint { meta, units_done, state, results })
+    Ok(LoadedCheckpoint { meta, units_done, results })
 }
 
 /// Interior state of a [`Checkpointer`].
 #[derive(Debug, Default)]
 struct Progress {
     results: HashMap<u64, TimingReport>,
-    state: SearchState,
     units_done: usize,
     units_since_write: usize,
     stopped: bool,
@@ -400,12 +300,6 @@ impl Checkpointer {
         p.results.entry(key).or_insert_with(|| report.clone());
     }
 
-    /// Replace the search-progress snapshot (bnb updates this after
-    /// each frontier batch).
-    pub fn set_search_state(&self, state: SearchState) {
-        self.progress.lock().expect("checkpoint progress poisoned").state = state;
-    }
-
     /// Count `n` completed work units, publishing a snapshot when the
     /// periodic threshold is crossed.
     ///
@@ -464,7 +358,6 @@ impl Checkpointer {
                 ("schema", Json::from(CHECKPOINT_SCHEMA)),
                 ("meta", self.meta.to_json()),
                 ("units_done", Json::from(p.units_done)),
-                ("state", p.state.to_json()),
                 ("results", Json::Arr(results)),
             ])
         };
@@ -578,12 +471,6 @@ mod tests {
         let ck = Checkpointer::new(&path, 8, meta());
         ck.record(42, &report(1));
         ck.record(7, &report(2));
-        ck.set_search_state(SearchState {
-            incumbent_rank: Some(3),
-            incumbent_ms: Some(1.5),
-            frontier: vec![FrontierSnapshot { bound_ms: 0.75, bindings: vec![Some(1), None] }],
-            completed_ranks: vec![0, 3, 9],
-        });
         ck.units_finished(2).unwrap();
         ck.write_now().unwrap();
 
@@ -593,10 +480,31 @@ mod tests {
         assert_eq!(loaded.results.len(), 2);
         assert_eq!(loaded.results[&42], report(1));
         assert_eq!(loaded.results[&7], report(2));
-        assert_eq!(loaded.state.incumbent_rank, Some(3));
-        assert_eq!(loaded.state.frontier.len(), 1);
-        assert_eq!(loaded.state.frontier[0].bindings, vec![Some(1), None]);
-        assert_eq!(loaded.state.completed_ranks, vec![0, 3, 9]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_search_state_section_still_loads() {
+        // Earlier builds wrote a `state` section (a bnb frontier
+        // snapshot) into every checkpoint; resume never needed it.
+        let path =
+            std::env::temp_dir().join(format!("optspace-ck-state-{}.json", std::process::id()));
+        let ck = Checkpointer::new(&path, 8, meta());
+        ck.record(42, &report(1));
+        ck.write_now().unwrap();
+        let mut doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let Json::Obj(fields) = &mut doc else { panic!("a checkpoint is an object") };
+        fields.push((
+            "state".into(),
+            json::parse(
+                r#"{"incumbent_rank":3,"incumbent_ms":1.5,"frontier":[],"completed_ranks":[0]}"#,
+            )
+            .unwrap(),
+        ));
+        std::fs::write(&path, doc.to_string_compact()).unwrap();
+        let loaded = load(&path).unwrap();
+        assert_eq!(loaded.meta, meta());
+        assert_eq!(loaded.results[&42], report(1));
         std::fs::remove_file(&path).unwrap();
     }
 

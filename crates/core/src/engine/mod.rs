@@ -67,8 +67,8 @@ use crate::space::CandidateSource;
 
 pub use budget::EvalBudget;
 pub use checkpoint::{
-    install_signal_handler, interrupted, CheckpointMeta, Checkpointer, FrontierSnapshot,
-    LoadedCheckpoint, ReplayEval, SearchState, CHECKPOINT_SCHEMA, DEFAULT_CHECKPOINT_EVERY,
+    install_signal_handler, interrupted, CheckpointMeta, Checkpointer, LoadedCheckpoint,
+    ReplayEval, CHECKPOINT_SCHEMA, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use error::{EvalError, EvalErrorKind, Quarantine};
 pub use fault::{FaultPlan, InjectedFault};
@@ -137,7 +137,7 @@ impl StaticEval for MetricsEval {
 /// phase, so evaluators receive the arena-backed form directly; the
 /// original linear program stays reachable as
 /// [`DecodedProgram::source`](gpu_sim::decode::DecodedProgram) for
-/// evaluators that need it (content keys, the legacy engine).
+/// evaluators that need it (content keys).
 pub trait TimingEval: Sync {
     /// Simulate one program.
     fn simulate(
@@ -165,28 +165,24 @@ pub trait TimingEval: Sync {
     }
 }
 
-/// The standard timing evaluator: the warp-level G80 simulator, with an
-/// optional fuel watchdog bounding every event loop. Runs the decoded
-/// arena engine by default; `legacy` switches to the pre-decode
-/// reference engine (`gpu_sim::legacy`), which the differential test
-/// suite holds bit-identical.
+/// The standard timing evaluator: the warp-level G80 simulator over the
+/// decoded arena, with an optional fuel watchdog bounding every event
+/// loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimulatorEval {
     /// Scheduler-step limit per simulation; `None` is unbounded.
     pub fuel: Option<u64>,
-    /// Use the pre-decode reference engine instead of the decoded one.
-    pub legacy: bool,
 }
 
 impl SimulatorEval {
-    /// Evaluator with the given fuel limit (decoded engine).
+    /// Evaluator with the given fuel limit.
     pub fn with_fuel(fuel: Option<u64>) -> Self {
-        Self { fuel, legacy: false }
+        Self { fuel }
     }
 
-    /// Evaluator matching an engine configuration (fuel + engine kind).
+    /// Evaluator matching an engine configuration.
     pub fn from_config(config: &EngineConfig) -> Self {
-        Self { fuel: config.sim_fuel, legacy: config.legacy_sim }
+        Self::with_fuel(config.sim_fuel)
     }
 }
 
@@ -198,13 +194,8 @@ impl TimingEval for SimulatorEval {
         usage: &ResourceUsage,
         spec: &MachineSpec,
     ) -> Result<TimingReport, EvalError> {
-        if self.legacy {
-            gpu_sim::legacy::timing::simulate_fueled(&prog.source, launch, usage, spec, self.fuel)
-                .map_err(Into::into)
-        } else {
-            gpu_sim::timing::simulate_decoded_fueled(prog, launch, usage, spec, self.fuel)
-                .map_err(Into::into)
-        }
+        gpu_sim::timing::simulate_decoded_fueled(prog, launch, usage, spec, self.fuel)
+            .map_err(Into::into)
     }
 
     fn simulate_family(
@@ -214,19 +205,7 @@ impl TimingEval for SimulatorEval {
         usage: &ResourceUsage,
         spec: &MachineSpec,
     ) -> Option<Vec<TimingReport>> {
-        if self.legacy {
-            // The reference engine only forks single-axis families; a
-            // wider family errors here and degrades to singles.
-            let sources: Vec<&gpu_ir::linear::LinearProgram> =
-                progs.iter().map(|p| &p.source).collect();
-            gpu_sim::legacy::timing::simulate_family_fueled(
-                &sources, launch, usage, spec, self.fuel,
-            )
-            .ok()
-        } else {
-            gpu_sim::timing::simulate_family_decoded_fueled(progs, launch, usage, spec, self.fuel)
-                .ok()
-        }
+        gpu_sim::timing::simulate_family_decoded_fueled(progs, launch, usage, spec, self.fuel).ok()
     }
 }
 
@@ -269,12 +248,6 @@ pub struct EngineConfig {
     /// flowing into selection. Off by default (the `--check-races` CLI
     /// flag turns it on).
     pub check_races: bool,
-    /// Time with the pre-decode reference engine (`gpu_sim::legacy`)
-    /// instead of the decoded arena engine. Off by default (the
-    /// `--engine legacy` CLI flag turns it on); reports are
-    /// bit-identical either way — the switch exists for differential
-    /// validation.
-    pub legacy_sim: bool,
 }
 
 impl Default for EngineConfig {
@@ -286,7 +259,6 @@ impl Default for EngineConfig {
             sim_fuel: None,
             fault_plan: None,
             check_races: false,
-            legacy_sim: false,
         }
     }
 }
@@ -1135,140 +1107,6 @@ impl EvalEngine {
         );
         if let Some(sink) = &self.sink {
             sink.add_phase_wall_us(Phase::Timing, phase_started.elapsed().as_micros() as u64);
-        }
-        simulated
-    }
-}
-
-/// The outcome of one candidate an iterative strategy proposed, fed
-/// back before its next batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Observation {
-    /// Candidate index (dense enumeration ordinal of the source).
-    pub candidate: usize,
-    /// Scaled simulated time; `None` means the candidate failed
-    /// permanently (it was quarantined) — the driver will never
-    /// dispatch it again, so the strategy must write it off too.
-    pub time_ms: Option<f64>,
-}
-
-/// The engine-facing half of the iterative-search protocol: something
-/// that turns the previous round's observations into the next batch of
-/// candidate indices. `optspace::tuner::IterativeStrategy` adapts onto
-/// this; the engine only needs the proposal loop.
-pub trait Proposer {
-    /// Next batch of candidate indices to evaluate. `observed` holds
-    /// the decided outcomes of the previous batch (empty on the first
-    /// call). Returning an empty batch ends the search.
-    fn propose(&mut self, observed: &[Observation]) -> Vec<usize>;
-}
-
-impl EvalEngine {
-    /// Round-based driver for iterative strategies: alternate proposer
-    /// batches with the parallel timing phase until the proposer
-    /// returns an empty batch, the budget trips, or a stop is
-    /// requested.
-    ///
-    /// Each round runs through [`EvalEngine::simulate_selected`] on a
-    /// per-round engine clone holding exactly the budget the search has
-    /// left (the pattern batched branch-and-bound uses), so the memo
-    /// cache accounting, the result store, fault injection, and the
-    /// shared [`ConvergenceRecorder`] all thread through unchanged and
-    /// the assembled results are byte-identical at any `jobs`.
-    ///
-    /// The driver enforces the protocol's safety rules regardless of
-    /// proposer behavior: a batch is deduplicated in proposal order,
-    /// and a candidate that already has a verdict — timed, statically
-    /// invalid, or quarantined — is never dispatched again (a
-    /// quarantined candidate is observed exactly once, as a failure).
-    /// Checkpointing is not supported here: iterative strategy state is
-    /// not snapshotted, and callers are expected to reject the
-    /// combination up front.
-    #[allow(clippy::too_many_arguments)]
-    pub fn drive_iterative(
-        &self,
-        eval: &dyn TimingEval,
-        source: &dyn CandidateSource,
-        statics: &[Option<Evaluated>],
-        proposer: &mut dyn Proposer,
-        spec: &MachineSpec,
-        stats: &mut EngineStats,
-        quarantine: &mut Vec<Quarantine>,
-    ) -> Vec<Option<TimingReport>> {
-        let mut simulated: Vec<Option<TimingReport>> = vec![None; source.len()];
-        // Invalid candidates already have their verdict (the statics
-        // rejected them); proposing one is a no-op, not a re-dispatch.
-        let mut decided: Vec<bool> = statics.iter().map(Option::is_none).collect();
-        let mut observed: Vec<Observation> = Vec::new();
-        let mut spent_ms = 0.0f64;
-        let mut round = 0usize;
-        loop {
-            let raw = proposer.propose(&observed);
-            if raw.is_empty() {
-                break;
-            }
-            let mut batch: Vec<usize> = Vec::new();
-            for i in raw {
-                if i < source.len() && !decided[i] && !batch.contains(&i) {
-                    batch.push(i);
-                }
-            }
-            self.emit(
-                EventKind::Point,
-                "search.round",
-                vec![("round", Json::from(round)), ("batch", Json::from(batch.len()))],
-            );
-            if batch.is_empty() {
-                // Everything proposed this round already had a verdict:
-                // a confused proposer would spin forever, so end the
-                // search instead.
-                break;
-            }
-            // Budgets are enforced per engine call; hand each round only
-            // what the whole search has left.
-            let mut round_engine = self.clone();
-            if let Some(cap) = self.config.budget.max_sims {
-                round_engine.config.budget.max_sims = Some(cap.saturating_sub(stats.unique_sims));
-            }
-            if let Some(deadline) = self.config.budget.deadline_ms {
-                round_engine.config.budget.deadline_ms = Some(deadline - spent_ms);
-            }
-            let mut round_quar: Vec<Quarantine> = Vec::new();
-            let sims = round_engine.simulate_selected(
-                eval,
-                source,
-                statics,
-                &batch,
-                spec,
-                stats,
-                &mut round_quar,
-            );
-            observed.clear();
-            for &i in &batch {
-                match &sims[i] {
-                    Some(t) => {
-                        spent_ms += t.time_ms;
-                        decided[i] = true;
-                        observed.push(Observation { candidate: i, time_ms: Some(t.time_ms) });
-                        simulated[i] = sims[i].clone();
-                    }
-                    None => {
-                        // No result: either quarantined (a permanent
-                        // verdict, observed as a failure) or
-                        // budget-truncated (no verdict — but the loop
-                        // is about to stop anyway).
-                        if round_quar.iter().any(|q| q.candidate == i) {
-                            decided[i] = true;
-                            observed.push(Observation { candidate: i, time_ms: None });
-                        }
-                    }
-                }
-            }
-            quarantine.extend(round_quar);
-            round += 1;
-            if stats.budget_truncated || self.stop_requested() {
-                break;
-            }
         }
         simulated
     }

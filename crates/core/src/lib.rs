@@ -24,8 +24,9 @@
 //!   engine instantiate candidates lazily inside the worker pool.
 //! * [`tuner`] — the three search strategies compared in the paper and
 //!   its future work: exhaustive evaluation (ground truth), the pruned
-//!   Pareto search, and random sampling — plus the iterative-strategy
-//!   protocol ([`tuner::IterativeStrategy`]/[`tuner::run_iterative`]).
+//!   Pareto search, and random sampling — plus branch-and-bound, and the
+//!   one search loop every strategy runs through
+//!   ([`tuner::IterativeStrategy`]/[`tuner::run_iterative`]).
 //! * [`zoo`] — the iterative optimizers themselves: hill climbing,
 //!   simulated annealing, a genetic strategy, and a surrogate search
 //!   over the static cost model.
@@ -86,7 +87,7 @@ pub use space::{
     Axis, CandidateSource, Filter, Sample, Selection, SelectionError, SelectionRecord, Space, Value,
 };
 pub use tuner::{
-    run_iterative, ExhaustiveSearch, IterationContext, IterativeStrategy, Observation, Proposer,
+    run_iterative, ExhaustiveSearch, IterationContext, IterativeStrategy, Observation,
     PrunedSearch, RandomSearch, SearchReport, SearchStrategy,
 };
 
@@ -107,7 +108,7 @@ pub mod prelude {
     };
     pub use crate::tuner::{
         run_iterative, ExhaustiveSearch, IterationContext, IterativeStrategy, Observation,
-        Proposer, PrunedSearch, RandomSearch, SearchReport, SearchStrategy,
+        PrunedSearch, RandomSearch, SearchReport, SearchStrategy,
     };
     pub use crate::zoo;
 }

@@ -9,6 +9,9 @@
 //!   only those.
 //! * [`RandomSearch`] — the baseline the paper's future work proposes
 //!   comparing against: simulate a random sample of equal budget.
+//! * [`BranchAndBound`] — best-first search over subspaces, discarding
+//!   whole subspaces an admissible bound proves slower than the
+//!   incumbent.
 //!
 //! A strategy is only a *selection policy*: it names itself, picks a
 //! metric variant, and chooses which candidate indices deserve timing
@@ -19,17 +22,22 @@
 //! (single-worker, unlimited) engine and reproduces the historical
 //! sequential behavior exactly.
 //!
-//! Strategies that need timing *feedback* — hill climbing, annealing,
-//! genetic, surrogate search (the zoo in [`crate::zoo`]) — cannot be
-//! one-shot `select()` policies. They implement [`IterativeStrategy`]
-//! instead: batches of proposals alternating with observed results,
-//! executed by [`run_iterative`] over the engine's round-based driver
-//! ([`EvalEngine::drive_iterative`]). Determinism contract: a
+//! Every search runs through one loop, [`run_iterative`], over one
+//! protocol, [`IterativeStrategy`]: the strategy proposes a batch of
+//! candidate indices, the loop evaluates and simulates it on the
+//! engine, and the timings come back as [`Observation`]s before the
+//! next batch. A one-shot [`SearchStrategy`] is a single-round proposer
+//! of its selection; the feedback-driven zoo ([`crate::zoo`]) proposes
+//! round after round; branch-and-bound proposes frontier leaves and is
+//! statically evaluated only on those. Determinism contract: a
 //! strategy's randomness per round must be a pure function of
 //! `(strategy seed, round)`, so reports, canonical traces, and
-//! convergence curves are byte-identical at any `--jobs`.
+//! convergence curves are byte-identical at any `--jobs`. Because a
+//! rerun proposes exactly what the original run proposed, resuming a
+//! checkpointed search is a replay of it.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::borrow::Cow;
+use std::collections::BinaryHeap;
 
 use gpu_arch::MachineSpec;
 use gpu_sim::timing::TimingReport;
@@ -37,17 +45,14 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::candidate::{Candidate, Evaluated};
-use crate::engine::{
-    EngineStats, EvalEngine, FrontierSnapshot, MetricsEval, Quarantine, SearchState, SimulatorEval,
-};
+use crate::engine::{EngineStats, EvalEngine, MetricsEval, Quarantine, SimulatorEval};
 use crate::metrics::MetricsOptions;
 use crate::model::{LowerBound, ProbeBound};
 use crate::obs::{EngineMetrics, EventKind, Json, RuntimeMetrics};
 use crate::pareto::pareto_indices;
-use crate::space::{CandidateSource, Instantiator, PointBatch, SelectionRecord, Space};
+use crate::space::{CandidateSource, Instantiator, PartialPoint, Point, SelectionRecord, Space};
 
 pub use crate::engine::LAUNCH_OVERHEAD_MS;
-pub use crate::engine::{Observation, Proposer};
 
 /// Outcome of one search over a candidate space.
 #[derive(Debug, Clone)]
@@ -145,8 +150,9 @@ impl SearchReport {
     }
 }
 
-/// A search strategy: a selection policy executed by the shared
-/// [`EvalEngine`].
+/// A one-shot search strategy: a selection policy that sees the whole
+/// space's static evaluations once and picks what to simulate. It runs
+/// as a single-round proposer of [`run_iterative`].
 pub trait SearchStrategy {
     /// Strategy name for report rows.
     fn name(&self) -> String;
@@ -179,52 +185,47 @@ pub trait SearchStrategy {
 
     /// Run on an explicit engine over any [`CandidateSource`] — an eager
     /// slice or a lazy point view instantiating candidates inside the
-    /// worker pool. This is the single simulate loop in the crate:
-    /// statics → select → memoized/parallel simulation. Reports are
-    /// byte-identical between eager and lazy sources of the same space.
+    /// worker pool: statics of the whole source, then one round
+    /// simulating the selection. Reports are byte-identical between
+    /// eager and lazy sources of the same space.
     fn run_source(
         &self,
         engine: &EvalEngine,
         source: &dyn CandidateSource,
         spec: &MachineSpec,
     ) -> SearchReport {
-        engine.emit(
-            EventKind::Begin,
-            "search",
-            vec![("strategy", Json::from(self.name())), ("space", Json::from(source.len()))],
-        );
-        engine.convergence().reset();
-        let mut stats = engine.stats_seed();
-        let mut quarantined: Vec<Quarantine> = Vec::new();
-        let statics = engine.evaluate_statics(
-            &MetricsEval {
-                options: self.metrics_options(),
-                verify: false,
-                check_races: engine.config.check_races,
-            },
-            source,
-            spec,
-            &mut stats,
-            &mut quarantined,
-        );
-        let selected = self.select(&statics);
-        let simulated = engine.simulate_selected(
-            &SimulatorEval::from_config(&engine.config),
-            source,
-            &statics,
-            &selected,
-            spec,
-            &mut stats,
-            &mut quarantined,
-        );
-        finish_report(engine, self.name(), source.len(), statics, simulated, quarantined, stats)
+        run_iterative(&mut OneShot { strategy: self, selection: Vec::new() }, engine, source, spec)
+    }
+}
+
+/// A [`SearchStrategy`] as a proposer: it selects from the whole
+/// source's statics in `begin` and proposes that selection once.
+struct OneShot<'a, S: ?Sized> {
+    strategy: &'a S,
+    selection: Vec<usize>,
+}
+
+impl<S: SearchStrategy + ?Sized> IterativeStrategy for OneShot<'_, S> {
+    fn name(&self) -> String {
+        self.strategy.name()
+    }
+
+    fn metrics_options(&self) -> MetricsOptions {
+        self.strategy.metrics_options()
+    }
+
+    fn begin(&mut self, ctx: &IterationContext) {
+        self.selection = self.strategy.select(ctx.statics);
+    }
+
+    fn propose(&mut self, _observed: &[Observation]) -> Vec<usize> {
+        std::mem::take(&mut self.selection)
     }
 }
 
 /// Close out a search: sort the quarantine section, pick the best
 /// result, finish the convergence curve, attach metrics, and emit the
-/// closing trace events. Shared by every search runner so the report
-/// shape and trace structure cannot drift between strategies.
+/// closing trace events.
 fn finish_report(
     engine: &EvalEngine,
     strategy: String,
@@ -271,12 +272,13 @@ fn finish_report(
     report
 }
 
-/// What an iterative strategy sees before its first proposal: the
-/// statically evaluated space it is about to search.
+/// What a strategy sees before its first proposal.
 pub struct IterationContext<'a> {
     /// Static evaluation per candidate in dense enumeration order;
-    /// `None` marks invalid candidates (the driver never dispatches
-    /// them, so strategies should not waste proposals there).
+    /// `None` marks invalid candidates (the loop never dispatches
+    /// them, so strategies should not waste proposals there) — and
+    /// every candidate when the strategy does not take its statics up
+    /// front.
     pub statics: &'a [Option<Evaluated>],
     /// The candidate source under search.
     pub source: &'a dyn CandidateSource,
@@ -284,11 +286,22 @@ pub struct IterationContext<'a> {
     pub spec: &'a MachineSpec,
 }
 
-/// A feedback-driven search strategy: batches of candidate proposals
-/// alternating with observed timing results, the protocol one-shot
-/// [`SearchStrategy::select`] cannot express.
+/// The outcome of one candidate a strategy proposed, fed back before
+/// its next batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Observation {
+    /// Candidate index (dense enumeration ordinal of the source).
+    pub candidate: usize,
+    /// Scaled simulated time; `None` means the candidate failed
+    /// permanently (it was quarantined) — the loop will never dispatch
+    /// it again, so the strategy must write it off too.
+    pub time_ms: Option<f64>,
+}
+
+/// The search protocol every strategy speaks: batches of candidate
+/// proposals alternating with observed timing results.
 ///
-/// Contract (enforced in part by [`EvalEngine::drive_iterative`]):
+/// Contract (enforced in part by [`run_iterative`]):
 ///
 /// * **Per-round seeding** — any randomness inside `propose` must be a
 ///   pure function of `(strategy seed, round index)`, never of wall
@@ -296,20 +309,30 @@ pub struct IterationContext<'a> {
 ///   worker count.
 /// * **No re-proposals** — every observation is final. A failed
 ///   (quarantined) candidate is observed with `time_ms: None` exactly
-///   once and must be written off; the driver silently drops any index
-///   that already has a verdict.
-/// * **Termination** — an empty batch ends the search. Budgeted
-///   strategies stop proposing once their budget is spent; the engine
-///   additionally cuts the loop when its own sim/deadline budget trips.
+///   once and must be written off; the loop silently drops any index
+///   it has already dispatched.
+/// * **Termination** — an empty batch ends the search (the first round
+///   always runs, so a one-shot search over an empty selection still
+///   has its timing phase). Budgeted strategies stop proposing once
+///   their budget is spent; the loop additionally ends when the
+///   engine's sim/deadline budget trips or a stop is requested.
 pub trait IterativeStrategy {
     /// Strategy name for report rows. Seeded strategies include their
     /// seed (`hill-64-s7`) so two runs differing only in seed stay
-    /// distinguishable in manifests and BENCH keys.
+    /// distinguishable in manifests, BENCH keys, and checkpoints.
     fn name(&self) -> String;
 
     /// Metric variant used for static evaluation.
     fn metrics_options(&self) -> MetricsOptions {
         MetricsOptions::default()
+    }
+
+    /// Whether the loop statically evaluates the whole source before
+    /// [`IterativeStrategy::begin`] (the default). A strategy answering
+    /// `false` starts from no statics and has only the candidates it
+    /// proposes evaluated, round by round.
+    fn statics_up_front(&self) -> bool {
+        true
     }
 
     /// Called once per search, before the first `propose`.
@@ -318,60 +341,170 @@ pub trait IterativeStrategy {
     /// Next batch of candidate indices given the previous batch's
     /// decided outcomes (empty slice on the first call).
     fn propose(&mut self, observed: &[Observation]) -> Vec<usize>;
+
+    /// Called once after the last round, before the report is
+    /// assembled: a strategy that discarded candidates without
+    /// proposing them accounts for them here.
+    fn end(&mut self, stats: &mut EngineStats) {
+        let _ = stats;
+    }
 }
 
-/// Run an iterative strategy end to end on an engine: statics, then
-/// proposal rounds through [`EvalEngine::drive_iterative`], then the
-/// standard report. The search loop mirrors
-/// [`SearchStrategy::run_source`] exactly, so iterative reports carry
-/// the same convergence curves, metrics, and trace structure as
-/// one-shot ones.
+/// The search loop. Statics (for the whole source, or per round for a
+/// strategy that takes them on demand), then rounds of: the strategy's
+/// proposal, sanitized; statics for proposed candidates that lack them;
+/// simulation of the statically valid ones on an engine clone holding
+/// the budget the search has left; and the outcomes fed back as
+/// [`Observation`]s. It stops on an empty batch, a budget truncation,
+/// or [`EvalEngine::stop_requested`], then assembles the report.
 ///
-/// Checkpointing is not supported for iterative strategies (their
-/// internal state is not snapshotted); callers must reject
-/// `--checkpoint`/`--resume` before getting here.
+/// The memo cache, result store, checkpointer, fault plan and
+/// convergence recorder are shared by the per-round engine clones, so
+/// accounting threads through every round unchanged, and the assembled
+/// report is byte-identical at any `jobs`. A stopped search leaves its
+/// completed results in the checkpoint; resuming reruns this loop from
+/// the start with those results served in place of simulations.
 pub fn run_iterative(
     strategy: &mut dyn IterativeStrategy,
     engine: &EvalEngine,
     source: &dyn CandidateSource,
     spec: &MachineSpec,
 ) -> SearchReport {
+    let n = source.len();
     engine.emit(
         EventKind::Begin,
         "search",
-        vec![("strategy", Json::from(strategy.name())), ("space", Json::from(source.len()))],
+        vec![("strategy", Json::from(strategy.name())), ("space", Json::from(n))],
     );
     engine.convergence().reset();
     let mut stats = engine.stats_seed();
     let mut quarantined: Vec<Quarantine> = Vec::new();
-    let statics = engine.evaluate_statics(
-        &MetricsEval {
-            options: strategy.metrics_options(),
-            verify: false,
-            check_races: engine.config.check_races,
-        },
-        source,
-        spec,
-        &mut stats,
-        &mut quarantined,
-    );
+    let static_eval = MetricsEval {
+        options: strategy.metrics_options(),
+        verify: false,
+        check_races: engine.config.check_races,
+    };
+    let statics_of =
+        |view: &dyn CandidateSource, stats: &mut EngineStats, quar: &mut Vec<Quarantine>| {
+            engine.evaluate_statics(&static_eval, view, spec, stats, quar)
+        };
+    let timing_eval = SimulatorEval::from_config(&engine.config);
+
+    let up_front = strategy.statics_up_front();
+    let mut statics =
+        if up_front { statics_of(source, &mut stats, &mut quarantined) } else { vec![None; n] };
     strategy.begin(&IterationContext { statics: &statics, source, spec });
-    struct Adapter<'a>(&'a mut dyn IterativeStrategy);
-    impl Proposer for Adapter<'_> {
-        fn propose(&mut self, observed: &[Observation]) -> Vec<usize> {
-            self.0.propose(observed)
+
+    // Invalid candidates already have their verdict; everything else
+    // gets one when it is first dispatched.
+    let mut decided: Vec<bool> = statics.iter().map(|s| up_front && s.is_none()).collect();
+    let mut simulated: Vec<Option<TimingReport>> = vec![None; n];
+    let mut observed: Vec<Observation> = Vec::new();
+    let mut spent_ms = 0.0f64;
+    for round in 0usize.. {
+        let batch = sanitize(strategy.propose(&observed), &mut decided);
+        if batch.is_empty() && round > 0 {
+            break;
+        }
+        engine.emit(
+            EventKind::Point,
+            "search.round",
+            vec![("round", Json::from(round)), ("batch", Json::from(batch.len()))],
+        );
+        // Budgets are enforced per engine call; hand each round only
+        // what the whole search has left.
+        let mut round_engine = engine.clone();
+        if let Some(cap) = engine.config.budget.max_sims {
+            round_engine.config.budget.max_sims = Some(cap.saturating_sub(stats.unique_sims));
+        }
+        if let Some(deadline) = engine.config.budget.deadline_ms {
+            round_engine.config.budget.deadline_ms = Some(deadline - spent_ms);
+        }
+
+        // The round's engine calls index the view its statics come
+        // from: the whole source, or — statics on demand — the batch
+        // itself, renumbered by position.
+        let subset = Subset { source, indices: &batch };
+        let mut round_quar: Vec<Quarantine> = Vec::new();
+        let fresh =
+            if up_front { Vec::new() } else { statics_of(&subset, &mut stats, &mut round_quar) };
+        let valid = valid_indices(&fresh);
+        let (view, view_statics, selected): (&dyn CandidateSource, &[Option<Evaluated>], &[usize]) =
+            if up_front { (source, &statics, &batch) } else { (&subset, &fresh, &valid) };
+        let mut sims = round_engine.simulate_selected(
+            &timing_eval,
+            view,
+            view_statics,
+            selected,
+            spec,
+            &mut stats,
+            &mut round_quar,
+        );
+        if !up_front {
+            for q in &mut round_quar {
+                q.candidate = batch[q.candidate];
+            }
+            for (&i, s) in batch.iter().zip(fresh) {
+                statics[i] = s;
+            }
+        }
+
+        let mut failed: Vec<usize> = round_quar.iter().map(|q| q.candidate).collect();
+        failed.sort_unstable();
+        observed.clear();
+        for (k, &i) in batch.iter().enumerate() {
+            let time_ms = match sims[if up_front { i } else { k }].take() {
+                Some(t) => {
+                    spent_ms += t.time_ms;
+                    let time_ms = t.time_ms;
+                    simulated[i] = Some(t);
+                    Some(time_ms)
+                }
+                // Quarantined: a final verdict, observed as a failure.
+                // Statically invalid and budget-truncated candidates
+                // have no outcome to observe.
+                None if failed.binary_search(&i).is_ok() => None,
+                None => continue,
+            };
+            observed.push(Observation { candidate: i, time_ms });
+        }
+        quarantined.extend(round_quar);
+        if stats.budget_truncated || engine.stop_requested() {
+            break;
         }
     }
-    let simulated = engine.drive_iterative(
-        &SimulatorEval::from_config(&engine.config),
-        source,
-        &statics,
-        &mut Adapter(strategy),
-        spec,
-        &mut stats,
-        &mut quarantined,
-    );
-    finish_report(engine, strategy.name(), source.len(), statics, simulated, quarantined, stats)
+    strategy.end(&mut stats);
+    finish_report(engine, strategy.name(), n, statics, simulated, quarantined, stats)
+}
+
+/// A proposed batch as the loop dispatches it: in-range, not yet
+/// decided indices, each once, in proposal order. Every kept index is
+/// marked decided as it is taken, so the pass is linear in the batch.
+fn sanitize(proposed: Vec<usize>, decided: &mut [bool]) -> Vec<usize> {
+    proposed
+        .into_iter()
+        .filter(|&i| i < decided.len() && !std::mem::replace(&mut decided[i], true))
+        .collect()
+}
+
+/// The candidates at `indices` of `source`, renumbered by position.
+struct Subset<'a> {
+    source: &'a dyn CandidateSource,
+    indices: &'a [usize],
+}
+
+impl CandidateSource for Subset<'_> {
+    fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    fn label(&self, index: usize) -> String {
+        self.source.label(self.indices[index])
+    }
+
+    fn get(&self, index: usize) -> Cow<'_, Candidate> {
+        self.source.get(self.indices[index])
+    }
 }
 
 /// All valid candidate indices, in order.
@@ -529,11 +662,16 @@ impl SearchStrategy for RandomSearch {
 }
 
 /// Best-first branch-and-bound over a structured [`Space`]: subspaces
-/// ([`crate::space::PartialPoint`]s) sit on a frontier keyed by an admissible
+/// ([`PartialPoint`]s) sit on a frontier keyed by an admissible
 /// [`LowerBound`], and a subspace whose bound exceeds the incumbent
 /// (best simulated time so far) is discarded *whole* — none of its
 /// interior points is ever instantiated. This is the refactor the
 /// Telamon line of work motivates: prune subspaces, not candidates.
+///
+/// The search is a proposer of [`run_iterative`] over partially
+/// specified points: each round it proposes the maximal run of ready
+/// frontier leaves, which the loop evaluates statically and simulates;
+/// the observed times lower the incumbent before the next round.
 ///
 /// Exactness: pruning is strictly `bound > incumbent`, so any point at
 /// least as fast as the final optimum has `floor ≤ optimum ≤ incumbent`
@@ -545,30 +683,192 @@ impl SearchStrategy for RandomSearch {
 /// `(bound, first_grid_rank)` — total on coexisting frontier nodes
 /// because splitting always binds the first unbound axis, so two
 /// coexisting subspaces differ somewhere in their common bound prefix
-/// and thus in their first grid rank. The main loop is sequential;
-/// worker parallelism lives entirely inside the engine's batch calls,
-/// which reassemble in deterministic order. Reports are therefore
-/// byte-identical at any `--jobs`.
+/// and thus in their first grid rank. The frontier is walked
+/// sequentially; worker parallelism lives entirely inside the engine's
+/// round calls, which reassemble in deterministic order. Reports are
+/// therefore byte-identical at any `--jobs`.
 ///
 /// A child's key is `max(parent key, child bound)`, which makes the
 /// popped-key sequence non-decreasing even if a bound implementation
 /// loses monotonicity to legalization; combined with a monotonically
 /// non-increasing incumbent, the *first* prune decision ends the
 /// search — everything still on the heap is pruned in one drain.
-///
-/// Used through [`BranchAndBound::run_space`]; the [`SearchStrategy`]
-/// impl exists so `bnb` slots into strategy tables, but over a plain
-/// candidate slice (no space structure to split) it degenerates to
-/// exhaustive selection.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BranchAndBound;
+
+impl BranchAndBound {
+    /// Run branch-and-bound over a structured space with the production
+    /// [`ProbeBound`]. Only frontier leaves that survive bounding reach
+    /// instantiation and simulation; everything else is accounted in
+    /// `stats.bound_pruned_subspaces` / `stats.bound_pruned_points`.
+    pub fn run_space(
+        &self,
+        engine: &EvalEngine,
+        space: &Space,
+        inst: &dyn Instantiator,
+        spec: &MachineSpec,
+    ) -> SearchReport {
+        let grid = SpaceGrid::new(space, inst);
+        let mut frontier = Frontier::new(engine, &grid, spec);
+        run_iterative(&mut frontier, engine, &grid, spec)
+    }
+}
+
+/// Every admitted point of a space as a lazy [`CandidateSource`] in
+/// dense enumeration order; a point is built from its grid rank only
+/// when a worker asks for its candidate.
+struct SpaceGrid<'a> {
+    space: &'a Space,
+    inst: &'a dyn Instantiator,
+    /// Full-grid rank per dense index (ascending) when constraints
+    /// exclude points; `None` when the two coincide.
+    ranks: Option<Vec<usize>>,
+}
+
+impl<'a> SpaceGrid<'a> {
+    fn new(space: &'a Space, inst: &'a dyn Instantiator) -> Self {
+        // Completions carry full-grid ranks; report vectors are indexed
+        // by the dense admitted ordering (`Space::points`).
+        let ranks = (space.len() != space.grid_len())
+            .then(|| space.partial().completions().map(|p| p.ordinal()).collect());
+        Self { space, inst, ranks }
+    }
+
+    fn dense_of(&self, grid_rank: usize) -> usize {
+        match &self.ranks {
+            Some(ranks) => ranks.binary_search(&grid_rank).expect("frontier leaves are admitted"),
+            None => grid_rank,
+        }
+    }
+
+    fn point(&self, dense: usize) -> Point {
+        let rank = self.ranks.as_ref().map_or(dense, |ranks| ranks[dense]);
+        self.space.point_at_grid_rank(rank).expect("dense index within the space")
+    }
+}
+
+impl CandidateSource for SpaceGrid<'_> {
+    fn len(&self) -> usize {
+        self.ranks.as_ref().map_or_else(|| self.space.grid_len(), Vec::len)
+    }
+
+    fn label(&self, index: usize) -> String {
+        self.point(index).to_string()
+    }
+
+    fn get(&self, index: usize) -> Cow<'_, Candidate> {
+        Cow::Owned(self.inst.instantiate(&self.point(index)))
+    }
+}
+
+/// Branch-and-bound's proposer state: the frontier heap, the incumbent
+/// and the subspaces pruned so far.
+struct Frontier<'a> {
+    engine: &'a EvalEngine,
+    grid: &'a SpaceGrid<'a>,
+    bound: ProbeBound<'a>,
+    heap: BinaryHeap<FrontierNode>,
+    incumbent: f64,
+    pruned: Vec<PartialPoint>,
+}
+
+impl<'a> Frontier<'a> {
+    fn new(engine: &'a EvalEngine, grid: &'a SpaceGrid<'a>, spec: &'a MachineSpec) -> Self {
+        let bound = ProbeBound::new(grid.space, grid.inst, spec);
+        let mut heap = BinaryHeap::new();
+        if grid.len() > 0 {
+            let root = grid.space.partial();
+            let key = bound.bound_ms(&root);
+            heap.push(FrontierNode { key, rank: root.first_grid_rank(), partial: root });
+        }
+        Self { engine, grid, bound, heap, incumbent: f64::INFINITY, pruned: Vec::new() }
+    }
+}
+
+impl IterativeStrategy for Frontier<'_> {
+    fn name(&self) -> String {
+        "bnb".into()
+    }
+
+    fn statics_up_front(&self) -> bool {
+        false
+    }
+
+    fn begin(&mut self, _ctx: &IterationContext) {}
+
+    fn propose(&mut self, observed: &[Observation]) -> Vec<usize> {
+        for time_ms in observed.iter().filter_map(|o| o.time_ms) {
+            if time_ms < self.incumbent {
+                self.incumbent = time_ms;
+            }
+        }
+        while let Some(node) = self.heap.pop() {
+            if node.key > self.incumbent {
+                // Popped keys are non-decreasing and the incumbent only
+                // improves, so the first prune decision is terminal:
+                // everything still on the heap is at least as bounded.
+                self.engine.emit(
+                    EventKind::Point,
+                    "bound.prune",
+                    vec![
+                        ("subspaces", Json::from(self.heap.len() + 1)),
+                        ("first", Json::from(node.partial.to_string())),
+                        ("bound_ms", Json::from(node.key)),
+                        ("incumbent_ms", Json::from(self.incumbent)),
+                    ],
+                );
+                self.pruned.push(node.partial);
+                self.pruned.extend(self.heap.drain().map(|rest| rest.partial));
+                break;
+            }
+            if node.partial.is_complete() {
+                // Propose the maximal run of ready leaves so the
+                // engine's per-call memoization and family forking see
+                // as many related points together as possible. A
+                // complete subspace's first grid rank is its point's.
+                let mut leaves = vec![self.grid.dense_of(node.rank)];
+                while let Some(top) = self.heap.peek() {
+                    if !(top.partial.is_complete() && top.key <= self.incumbent) {
+                        break;
+                    }
+                    let leaf = self.heap.pop().expect("peeked");
+                    leaves.push(self.grid.dense_of(leaf.rank));
+                }
+                return leaves;
+            }
+            for child in node.partial.split() {
+                if self.grid.ranks.is_some() && child.completions().next().is_none() {
+                    // Constraint-empty, exactly the configurations
+                    // exhaustive search never enumerates either.
+                    continue;
+                }
+                let key = self.bound.bound_ms(&child).max(node.key);
+                self.heap.push(FrontierNode { key, rank: child.first_grid_rank(), partial: child });
+            }
+        }
+        Vec::new()
+    }
+
+    fn end(&mut self, stats: &mut EngineStats) {
+        // Honest elimination accounting: of each pruned subspace's
+        // admitted completions, the corners the bound itself probed
+        // *were* instantiated — only the rest were eliminated sight
+        // unseen.
+        let probed = self.bound.instantiated_ranks();
+        stats.bound_pruned_subspaces = self.pruned.len();
+        for sub in &self.pruned {
+            let probed_inside = probed.iter().filter(|&&r| sub.contains_admitted_rank(r)).count();
+            stats.bound_pruned_points += sub.admitted_count().saturating_sub(probed_inside);
+        }
+    }
+}
 
 /// A frontier entry: a subspace and its heap key. Ordered as a
 /// *min*-heap element on `(key, first grid rank)`.
 struct FrontierNode {
     key: f64,
     rank: usize,
-    partial: crate::space::PartialPoint,
+    partial: PartialPoint,
 }
 
 impl PartialEq for FrontierNode {
@@ -587,235 +887,6 @@ impl Ord for FrontierNode {
         // Reversed: BinaryHeap is a max-heap, we want the smallest
         // (bound, rank) on top.
         other.key.total_cmp(&self.key).then_with(|| other.rank.cmp(&self.rank))
-    }
-}
-
-impl SearchStrategy for BranchAndBound {
-    fn name(&self) -> String {
-        "bnb".into()
-    }
-
-    /// Over a flat slice there is no subspace structure to bound, so
-    /// the fallback selection is exhaustive. The real entry point is
-    /// [`BranchAndBound::run_space`].
-    fn select(&self, statics: &[Option<Evaluated>]) -> Vec<usize> {
-        valid_indices(statics)
-    }
-}
-
-impl BranchAndBound {
-    /// Run branch-and-bound over a structured space with the production
-    /// [`ProbeBound`]. Only frontier leaves that survive bounding reach
-    /// instantiation and simulation; everything else is accounted in
-    /// `stats.bound_pruned_subspaces` / `stats.bound_pruned_points`.
-    pub fn run_space(
-        &self,
-        engine: &EvalEngine,
-        space: &Space,
-        inst: &dyn Instantiator,
-        spec: &MachineSpec,
-    ) -> SearchReport {
-        engine.emit(
-            EventKind::Begin,
-            "search",
-            vec![("strategy", Json::from(self.name())), ("space", Json::from(space.len()))],
-        );
-        engine.convergence().reset();
-        let bound = ProbeBound::new(space, inst, spec);
-        let mut stats = engine.stats_seed();
-        let mut quarantined: Vec<Quarantine> = Vec::new();
-
-        let n = space.len();
-        let mut statics: Vec<Option<Evaluated>> = vec![None; n];
-        let mut simulated: Vec<Option<TimingReport>> = vec![None; n];
-
-        // Completions carry full-grid ranks; report vectors are indexed
-        // by the dense admitted ordering (`Space::points`). When the
-        // constraints exclude nothing the two coincide.
-        let constrained = space.len() != space.grid_len();
-        let dense_of: HashMap<usize, usize> = if constrained {
-            space.partial().completions().enumerate().map(|(d, p)| (p.ordinal(), d)).collect()
-        } else {
-            HashMap::new()
-        };
-        let dense = |grid_rank: usize| -> usize {
-            if constrained {
-                dense_of[&grid_rank]
-            } else {
-                grid_rank
-            }
-        };
-
-        let mut heap: BinaryHeap<FrontierNode> = BinaryHeap::new();
-        if n > 0 {
-            let root = space.partial();
-            let key = bound.bound_ms(&root);
-            heap.push(FrontierNode { key, rank: root.first_grid_rank(), partial: root });
-        }
-
-        let mut incumbent = f64::INFINITY;
-        let mut incumbent_rank: Option<usize> = None;
-        let mut completed_ranks: Vec<usize> = Vec::new();
-        let mut spent_ms = 0.0f64;
-        let mut pruned: Vec<crate::space::PartialPoint> = Vec::new();
-
-        while let Some(node) = heap.pop() {
-            if node.key > incumbent {
-                // Popped keys are non-decreasing and the incumbent only
-                // improves, so the first prune decision is terminal:
-                // everything still on the heap is at least as bounded.
-                engine.emit(
-                    EventKind::Point,
-                    "bound.prune",
-                    vec![
-                        ("subspaces", Json::from(heap.len() + 1)),
-                        ("first", Json::from(node.partial.to_string())),
-                        ("bound_ms", Json::from(node.key)),
-                        ("incumbent_ms", Json::from(incumbent)),
-                    ],
-                );
-                pruned.push(node.partial);
-                while let Some(rest) = heap.pop() {
-                    pruned.push(rest.partial);
-                }
-                break;
-            }
-            if node.partial.is_complete() {
-                // Batch the maximal run of ready leaves so the engine's
-                // per-call memoization and family forking see as many
-                // related points together as possible.
-                let mut points = vec![node.partial.as_point().expect("complete")];
-                while let Some(top) = heap.peek() {
-                    if top.partial.is_complete() && top.key <= incumbent {
-                        let leaf = heap.pop().expect("peeked");
-                        points.push(leaf.partial.as_point().expect("complete"));
-                    } else {
-                        break;
-                    }
-                }
-                let ranks: Vec<usize> = points.iter().map(crate::space::Point::ordinal).collect();
-                let batch = PointBatch::new(points, inst);
-
-                // Budgets are enforced per engine call; hand each batch
-                // only what the whole search has left.
-                let mut batch_engine = engine.clone();
-                if let Some(cap) = engine.config.budget.max_sims {
-                    batch_engine.config.budget.max_sims =
-                        Some(cap.saturating_sub(stats.unique_sims));
-                }
-                if let Some(deadline) = engine.config.budget.deadline_ms {
-                    batch_engine.config.budget.deadline_ms = Some(deadline - spent_ms);
-                }
-
-                let mut batch_quar: Vec<Quarantine> = Vec::new();
-                let batch_statics = batch_engine.evaluate_statics(
-                    &MetricsEval {
-                        options: self.metrics_options(),
-                        verify: false,
-                        check_races: engine.config.check_races,
-                    },
-                    &batch,
-                    spec,
-                    &mut stats,
-                    &mut batch_quar,
-                );
-                let selected = valid_indices(&batch_statics);
-                let batch_sims = batch_engine.simulate_selected(
-                    &SimulatorEval::from_config(&engine.config),
-                    &batch,
-                    &batch_statics,
-                    &selected,
-                    spec,
-                    &mut stats,
-                    &mut batch_quar,
-                );
-                for (local, grid_rank) in ranks.iter().copied().enumerate() {
-                    let d = dense(grid_rank);
-                    statics[d] = batch_statics[local].clone();
-                    if let Some(t) = &batch_sims[local] {
-                        if t.time_ms < incumbent {
-                            incumbent = t.time_ms;
-                            incumbent_rank = Some(grid_rank);
-                        }
-                        spent_ms += t.time_ms;
-                    }
-                    simulated[d] = batch_sims[local].clone();
-                    // "Completed" means the leaf reached a verdict: it
-                    // simulated, or its statics rejected it. A leaf the
-                    // engine never dispatched (budget- or interrupt-
-                    // truncated) has statics but no timing and stays
-                    // out of the snapshot.
-                    if batch_sims[local].is_some() || batch_statics[local].is_none() {
-                        completed_ranks.push(grid_rank);
-                    }
-                }
-                for mut q in batch_quar {
-                    q.candidate = dense(ranks[q.candidate]);
-                    quarantined.push(q);
-                }
-                if let Some(ck) = engine.checkpoint() {
-                    // Snapshot the search state after every batch so a
-                    // checkpoint written mid-search carries a coherent
-                    // frontier. Resume replays the whole search from
-                    // the start (results served from the checkpoint),
-                    // so this snapshot is diagnostic, not load-bearing
-                    // for correctness — but it must stay deterministic.
-                    let mut frontier: Vec<FrontierSnapshot> = heap
-                        .iter()
-                        .map(|f| FrontierSnapshot {
-                            bound_ms: f.key,
-                            bindings: f.partial.bindings().to_vec(),
-                        })
-                        .collect();
-                    frontier.sort_by(|a, b| {
-                        a.bound_ms.total_cmp(&b.bound_ms).then_with(|| a.bindings.cmp(&b.bindings))
-                    });
-                    ck.set_search_state(SearchState {
-                        incumbent_rank,
-                        incumbent_ms: incumbent.is_finite().then_some(incumbent),
-                        frontier,
-                        completed_ranks: completed_ranks.clone(),
-                    });
-                }
-                if stats.budget_truncated {
-                    // The budget, not the bound, cut this search short;
-                    // the remaining frontier is abandoned, not pruned.
-                    break;
-                }
-                if engine.stop_requested() {
-                    // Interrupted (or a deterministic stop-after tripped):
-                    // abandon the frontier like a budget truncation. The
-                    // caller publishes the final checkpoint; resume
-                    // replays the search from the top and sails past
-                    // everything recorded so far.
-                    break;
-                }
-            } else {
-                for child in node.partial.split() {
-                    if constrained && child.completions().next().is_none() {
-                        // Constraint-empty, exactly the configurations
-                        // exhaustive search never enumerates either.
-                        continue;
-                    }
-                    let key = bound.bound_ms(&child).max(node.key);
-                    heap.push(FrontierNode { key, rank: child.first_grid_rank(), partial: child });
-                }
-            }
-        }
-
-        // Honest elimination accounting: of each pruned subspace's
-        // admitted completions, the corners the bound itself probed
-        // *were* instantiated — only the rest were eliminated sight
-        // unseen.
-        let probed = bound.instantiated_ranks();
-        stats.bound_pruned_subspaces = pruned.len();
-        for sub in &pruned {
-            let admitted = sub.admitted_count();
-            let probed_inside = probed.iter().filter(|&&r| sub.contains_admitted_rank(r)).count();
-            stats.bound_pruned_points += admitted.saturating_sub(probed_inside);
-        }
-
-        finish_report(engine, self.name(), n, statics, simulated, quarantined, stats)
     }
 }
 
@@ -1013,6 +1084,15 @@ pub(crate) mod tests {
         let r = BranchAndBound.run_space(&engine, &space, &inst, &spec);
         assert!(r.stats.unique_sims <= cap);
         assert!(r.stats.budget_truncated);
+    }
+
+    #[test]
+    fn sanitize_keeps_each_undecided_in_range_index_once_in_proposal_order() {
+        let mut decided = vec![false, true, false, false, false];
+        let batch = sanitize(vec![4, 1, 2, 4, 9, 0, 2, 3, 5], &mut decided);
+        assert_eq!(batch, vec![4, 2, 0, 3]);
+        assert!(decided.iter().all(|&d| d), "every kept index is now decided");
+        assert!(sanitize(vec![3, 0], &mut decided).is_empty(), "no index is dispatched twice");
     }
 
     /// The engine path with >1 worker must reproduce the sequential

@@ -5,7 +5,7 @@
 //! Each strategy is a pure *policy*: it proposes batches of dense
 //! candidate indices and digests the observed timing results; all
 //! evaluation mechanics (parallel simulation, memoization, budgets,
-//! fault handling) stay in the engine's round driver. This is the study
+//! fault handling) stay in the search loop. This is the study
 //! of *Benchmarking optimization algorithms for auto-tuning GPU
 //! kernels* (arXiv 2210.01465) with the simulator supplying ground
 //! truth:
@@ -19,7 +19,7 @@
 //! * [`Surrogate`] — rank every unvisited point by
 //!   [`model::predict_ms_static`] and evaluate in predicted order.
 //!
-//! Determinism contract (shared with the engine driver): all
+//! Determinism contract (shared with the search loop): all
 //! randomness inside a round is drawn from `round_rng(seed, round)`
 //! — a pure function of the strategy seed and the round index
 //! — and every other piece of state evolves only from observed times,

@@ -529,9 +529,13 @@ impl SimState {
                         self.warps.stall_until[wi] = self.warps.stall_until[wi].max(release);
                         if self.warps.blocked[wi] {
                             // Revived: replace the parked sentinel with
-                            // the warp's real issue time again.
+                            // the warp's real issue time again — unless
+                            // the barrier was its last op and it has
+                            // already retired.
                             self.warps.blocked[wi] = false;
-                            self.warps.refresh_ready(wi, arena);
+                            if !self.warps.done[wi] {
+                                self.warps.refresh_ready(wi, arena);
+                            }
                         }
                     }
                 } else {

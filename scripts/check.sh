@@ -161,7 +161,7 @@ diff -u "$tracedir/cold_best.txt" "$tracedir/damaged_best.txt" || {
     exit 1
 }
 
-echo "==> resume smoke (tune sad --checkpoint/--stop-after-units, --resume)"
+echo "==> resume smoke (tune sad/cp --checkpoint/--stop-after-units, --resume)"
 # An interrupted run (exit 130, no stdout report) resumed from its
 # checkpoint must print a report byte-identical to an uninterrupted run.
 cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
@@ -184,6 +184,29 @@ cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
     --resume "$tracedir/sad.ck" > "$tracedir/resumed.txt" 2> /dev/null
 diff -u "$tracedir/uninterrupted.txt" "$tracedir/resumed.txt" || {
     echo "resume smoke: resumed report differs from the uninterrupted run" >&2
+    exit 1
+}
+# The same holds for a feedback-driven strategy: resume replays its
+# proposals from the start.
+anneal=(tune cp --strategy anneal --budget 12 --seed 1 --jobs 2)
+cargo run --release -q -- "${anneal[@]}" > "$tracedir/anneal_uninterrupted.txt"
+set +e
+cargo run --release -q -- "${anneal[@]}" --checkpoint "$tracedir/anneal.ck" \
+    --checkpoint-every 1 --stop-after-units 4 > "$tracedir/anneal_interrupted.txt" 2> /dev/null
+status=$?
+set -e
+if [ "$status" -ne 130 ]; then
+    echo "resume smoke: expected exit 130 from the interrupted anneal run, got $status" >&2
+    exit 1
+fi
+if [ -s "$tracedir/anneal_interrupted.txt" ]; then
+    echo "resume smoke: interrupted anneal run must not print a stdout report" >&2
+    exit 1
+fi
+cargo run --release -q -- "${anneal[@]}" --resume "$tracedir/anneal.ck" \
+    > "$tracedir/anneal_resumed.txt" 2> /dev/null
+diff -u "$tracedir/anneal_uninterrupted.txt" "$tracedir/anneal_resumed.txt" || {
+    echo "resume smoke: resumed anneal report differs from the uninterrupted run" >&2
     exit 1
 }
 
@@ -214,19 +237,6 @@ for strategy in exhaustive pruned bnb hill anneal genetic surrogate; do
         exit 1
     }
 done
-
-echo "==> decoded-parity smoke (tune sad --engine legacy vs default)"
-# The decoded arena engine and the retained pre-decode reference must
-# print byte-identical search reports on a real application space — the
-# whole tentpole rests on the two being observationally equal.
-cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
-    > "$tracedir/engine_decoded.txt"
-cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 --engine legacy \
-    > "$tracedir/engine_legacy.txt"
-diff -u "$tracedir/engine_decoded.txt" "$tracedir/engine_legacy.txt" || {
-    echo "decoded-parity smoke: reports differ between engines" >&2
-    exit 1
-}
 
 echo "==> debug-assertion build (gpu-sim dev profile)"
 # The simulators carry their structural invariants as debug_assert!s

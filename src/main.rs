@@ -19,9 +19,6 @@
 //!     --deadline-ms X                       cap accumulated simulated time
 //!     --sim-fuel N                          per-simulation step budget (watchdog)
 //!     --check-races                         quarantine statically racy kernels
-//!     --engine decoded|legacy               timing engine: decoded arena (default)
-//!                                           or the pre-decode reference
-
 //!     --retries N                           attempts per candidate (default 3)
 //!     --inject-faults                       deterministic fault injection (dev)
 //!     --fault-seed N                        seed for --inject-faults
@@ -35,7 +32,7 @@
 //!     --metrics-out <path>                  write the run manifest as JSON
 //!     --profile                             print the profile summary table
 //!     --store-dir <dir>                     persistent result store (crash-safe)
-//!     --checkpoint <path>                   write resumable checkpoints
+//!     --checkpoint <path>                   write resumable checkpoints (any strategy)
 //!     --checkpoint-every N                  units between checkpoints (default 64)
 //!     --resume <path>                       resume an interrupted checkpointed run
 //!     --stop-after-units N                  deterministic stop for testing resume
@@ -86,7 +83,6 @@ commands:
              [--budget N] [--seed S]
              [--grid default|fine] [--device g80|gt200] [--no-screen] [--jobs N]
              [--max-sims N] [--deadline-ms X] [--sim-fuel N] [--check-races]
-             [--engine decoded|legacy]
              [--retries N] [--inject-faults] [--fault-seed N]
              [--filter axis=value]... [--sample N] [--sample-seed S] [--eager]
              [--trace-out <path>] [--trace-format jsonl|chrome]
@@ -308,7 +304,6 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     let mut eval_budget = EvalBudget::UNLIMITED;
     let mut sim_fuel: Option<u64> = None;
     let mut check_races = false;
-    let mut legacy_sim = false;
     let mut retry = RetryPolicy::default();
     let mut inject = false;
     let mut fault_seed: Option<u64> = None;
@@ -393,14 +388,6 @@ fn cmd_tune(args: &[String]) -> ExitCode {
                 }
             },
             "--check-races" => check_races = true,
-            "--engine" => match it.next().map(String::as_str) {
-                Some("legacy") => legacy_sim = true,
-                Some("decoded") => legacy_sim = false,
-                _ => {
-                    eprintln!("--engine needs legacy|decoded");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--retries" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => retry.max_attempts = n,
                 _ => {
@@ -514,19 +501,6 @@ fn cmd_tune(args: &[String]) -> ExitCode {
         eprintln!("--stop-after-units requires --checkpoint or --resume");
         return ExitCode::FAILURE;
     }
-    // Iterative strategies carry in-flight optimizer state (walks,
-    // populations, pending proposals) that the checkpoint format does
-    // not capture; fail fast rather than resume into a silently
-    // restarted search.
-    let iterative = zoo::NAMES.contains(&strategy.as_str());
-    if iterative && (checkpoint_path.is_some() || resume_path.is_some()) {
-        eprintln!(
-            "--strategy {strategy} is iterative and keeps optimizer state between rounds; \
-             checkpoint/resume is not supported for iterative strategies — drop \
-             --checkpoint/--resume"
-        );
-        return ExitCode::FAILURE;
-    }
     // A resumed run keeps checkpointing to the file it resumed from
     // unless an explicit --checkpoint redirects it.
     if checkpoint_path.is_none() {
@@ -552,6 +526,30 @@ fn cmd_tune(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let space = app.space();
+    let one_shot: Option<Box<dyn SearchStrategy>> = match strategy.as_str() {
+        "exhaustive" => Some(Box::new(ExhaustiveSearch)),
+        "pareto" => Some(Box::new(PrunedSearch { screen_bandwidth: screen, ..Default::default() })),
+        "random" => Some(Box::new(RandomSearch::new(budget, seed))),
+        _ => None,
+    };
+    let iterative = zoo::by_name(&strategy, &space, budget, seed);
+    // What a checkpoint must match to be resumed: the name the report
+    // prints (it carries budget and seed), plus pareto's screening
+    // choice, which that name does not show.
+    let identity = match (&one_shot, &iterative) {
+        (Some(s), _) if strategy == "pareto" && !screen => format!("{}-noscreen", s.name()),
+        (Some(s), _) => s.name(),
+        (None, Some(s)) => s.name(),
+        (None, None) if strategy == "bnb" => strategy.clone(),
+        (None, None) => {
+            eprintln!(
+                "unknown strategy `{strategy}` \
+                 (exhaustive|pareto|random|bnb|hill|anneal|genetic|surrogate)"
+            );
+            return ExitCode::FAILURE;
+        }
+    };
     let selection = Selection {
         filters,
         sample: sample.map(|count| Sample { count, seed: sample_seed.unwrap_or(0) }),
@@ -572,7 +570,6 @@ fn cmd_tune(args: &[String]) -> ExitCode {
         sim_fuel,
         fault_plan,
         check_races,
-        legacy_sim,
     });
     // Observation is opt-in: the sink only exists when some exporter
     // will consume it.
@@ -583,7 +580,6 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     } else {
         None
     };
-    let space = app.space();
 
     // Durable-tuning plumbing. All status chatter goes to stderr so a
     // resumed run's stdout stays byte-identical to an uninterrupted
@@ -610,7 +606,7 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     };
     let meta = CheckpointMeta::new(
         app_name,
-        &strategy,
+        &identity,
         (grid != "default").then_some(grid.as_str()),
         &space,
     );
@@ -631,7 +627,7 @@ fn cmd_tune(args: &[String]) -> ExitCode {
                 if loaded.meta != meta {
                     eprintln!(
                         "--resume {resume}: checkpoint belongs to a different run \
-                         (app/strategy/grid/space mismatch); refusing to replay it"
+                         (app/strategy/settings/grid/space mismatch); refusing to replay it"
                     );
                     return ExitCode::FAILURE;
                 }
@@ -679,7 +675,7 @@ fn cmd_tune(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         BranchAndBound.run_space(&engine, &space, &AppInstantiator(app.as_ref()), &device)
-    } else if iterative {
+    } else if let Some(mut searcher) = iterative {
         // Iterative zoo strategies walk the declared axis grid, so the
         // dense candidate indices they propose must line up with the
         // full space — no up-front narrowing.
@@ -687,8 +683,6 @@ fn cmd_tune(args: &[String]) -> ExitCode {
             eprintln!("--strategy {strategy} searches the full space; drop --filter/--sample");
             return ExitCode::FAILURE;
         }
-        let mut searcher =
-            zoo::by_name(&strategy, &space, budget, seed).expect("membership checked above");
         if eager {
             let cands: Vec<Candidate> =
                 source.points().iter().map(|p| app.instantiate(p)).collect();
@@ -697,18 +691,7 @@ fn cmd_tune(args: &[String]) -> ExitCode {
             run_iterative(searcher.as_mut(), &engine, &source, &device)
         }
     } else {
-        let searcher: Box<dyn SearchStrategy> = match strategy.as_str() {
-            "exhaustive" => Box::new(ExhaustiveSearch),
-            "pareto" => Box::new(PrunedSearch { screen_bandwidth: screen, ..Default::default() }),
-            "random" => Box::new(RandomSearch::new(budget, seed)),
-            other => {
-                eprintln!(
-                    "unknown strategy `{other}` \
-                     (exhaustive|pareto|random|bnb|hill|anneal|genetic|surrogate)"
-                );
-                return ExitCode::FAILURE;
-            }
-        };
+        let searcher = one_shot.expect("strategy resolved above");
         let mut report = if eager {
             // Materialize every candidate up front — the reference path
             // the lazy default is pinned against.

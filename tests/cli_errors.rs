@@ -83,14 +83,38 @@ fn iterative_strategies_reject_narrowing() {
     );
 }
 
+/// Run `tune` with `args`, stopping it deterministically after one
+/// work unit so that only its checkpoint at `ck` remains.
+fn interrupt(args: &[&str], ck: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_gpu-autotune"))
+        .args(args)
+        .args(["--checkpoint", ck, "--checkpoint-every", "1", "--stop-after-units", "1"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(130),
+        "`gpu-autotune {}` was not interrupted",
+        args.join(" ")
+    );
+}
+
 #[test]
-fn iterative_strategies_fail_fast_on_checkpointing() {
-    for flag in ["--checkpoint", "--resume"] {
-        assert_fails(
-            &["tune", "cp", "--strategy", "genetic", flag, "/tmp/ck.json"],
-            "checkpoint/resume is not supported for iterative strategies",
-        );
+fn resume_refuses_a_different_search() {
+    let path =
+        std::env::temp_dir().join(format!("gpu-autotune-cli-ck-{}.json", std::process::id()));
+    let ck = path.to_str().expect("temp path is UTF-8");
+    let refusal = "checkpoint belongs to a different run";
+    interrupt(&["tune", "cp", "--strategy", "random", "--seed", "1"], ck);
+    assert_fails(&["tune", "cp", "--strategy", "random", "--seed", "2", "--resume", ck], refusal);
+    let anneal = ["tune", "cp", "--strategy", "anneal"];
+    interrupt(&[&anneal[..], &["--budget", "12", "--seed", "1"]].concat(), ck);
+    for other in [["--budget", "13", "--seed", "1"], ["--budget", "12", "--seed", "2"]] {
+        assert_fails(&[&anneal[..], &other, &["--resume", ck]].concat(), refusal);
     }
+    interrupt(&["tune", "cp", "--strategy", "pareto"], ck);
+    assert_fails(&["tune", "cp", "--strategy", "pareto", "--no-screen", "--resume", ck], refusal);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Differential oracle for the decoded execution engine: on randomized
-//! configurations of all four paper applications, the decoded arena
-//! engines (`gpu_sim::interp`, `gpu_sim::timing`) must be bit-identical
-//! to the pre-decode reference engines retained in `gpu_sim::legacy` —
-//! functional results, cycle counts, fuel consumption, and stall-lane
-//! attribution alike.
+//! configurations of all four paper applications, and on fixed edge
+//! cases, the decoded arena engines (`gpu_sim::interp`,
+//! `gpu_sim::timing`) must be bit-identical to the pre-decode reference
+//! engines retained in `gpu_sim::legacy` — functional results, cycle
+//! counts, fuel consumption, and stall-lane attribution alike.
 
-use gpu_autotune::arch::MachineSpec;
+use gpu_autotune::arch::{MachineSpec, ResourceUsage};
+use gpu_autotune::ir::build::KernelBuilder;
 use gpu_autotune::ir::linear::linearize;
+use gpu_autotune::ir::{Dim, Launch};
 use gpu_autotune::kernels::cp::Cp;
 use gpu_autotune::kernels::matmul::MatMul;
 use gpu_autotune::kernels::mri_fhd::MriFhd;
@@ -104,4 +106,24 @@ proptest! {
         let (mem, params) = app.setup(seed);
         assert_parity(&cand, &mem, &params);
     }
+}
+
+/// Fixed edge case: a program whose last instruction is a barrier, so
+/// every warp retires while parked at it.
+#[test]
+fn kernel_ending_at_a_barrier_matches_legacy() {
+    let mut b = KernelBuilder::new("trailing-sync");
+    let p = b.param(0);
+    let acc = b.mov(0.0f32);
+    b.fmad_acc(1.0f32, 1.0f32, acc);
+    b.st_global(p, 0, acc);
+    b.sync();
+    let prog = linearize(&b.finish());
+    let spec = MachineSpec::geforce_8800_gtx();
+    let launch = Launch::new(Dim::new_1d(4), Dim::new_1d(64));
+    let usage = ResourceUsage::new(64, 10, 0);
+    let dec = timing::simulate_fueled(&prog, &launch, &usage, &spec, None);
+    let leg = legacy::timing::simulate_fueled(&prog, &launch, &usage, &spec, None);
+    assert!(dec.is_ok(), "the decoded engine runs the kernel: {dec:?}");
+    assert_eq!(format!("{dec:?}"), format!("{leg:?}"));
 }

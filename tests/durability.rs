@@ -7,7 +7,8 @@
 //! * **Kill-and-resume** — a search stopped mid-run (the deterministic
 //!   stand-in for SIGKILL) and resumed from its checkpoint produces a
 //!   final report, canonical trace, and deterministic metrics that are
-//!   byte-identical to an uninterrupted run, at `--jobs` 1, 2, and 8.
+//!   byte-identical to an uninterrupted run, for every strategy, at
+//!   `--jobs` 1, 2, and 8.
 //! * **Warm store** — a second run over the same space with the same
 //!   store completes with zero fresh simulations: every unique comes
 //!   back as a store hit and the report matches the cold run.
@@ -17,12 +18,16 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gpu_autotune::arch::{LimitingFactor, MachineSpec, Occupancy};
-use gpu_autotune::kernels::{sad::Sad, App};
+use gpu_autotune::kernels::{sad::Sad, App, AppInstantiator, SpaceSource};
 use gpu_autotune::optspace::engine::{
     checkpoint, CheckpointMeta, Checkpointer, EngineConfig, EvalEngine, ResultStore,
 };
 use gpu_autotune::optspace::obs::{EventSink, Trace};
-use gpu_autotune::optspace::tuner::{ExhaustiveSearch, SearchReport, SearchStrategy};
+use gpu_autotune::optspace::tuner::{
+    run_iterative, BranchAndBound, ExhaustiveSearch, PrunedSearch, RandomSearch, SearchReport,
+    SearchStrategy,
+};
+use gpu_autotune::optspace::zoo;
 use gpu_autotune::sim::TimingReport;
 use proptest::prelude::*;
 
@@ -167,51 +172,84 @@ fn assert_reports_match(resumed: &SearchReport, reference: &SearchReport) {
     assert_eq!(resumed.stats.sim_cycles, reference.stats.sim_cycles);
 }
 
+/// One search of the SAD test space by CLI strategy name; the budgeted
+/// strategies run with budget 20 and seed 1.
+fn search_sad(strategy: &str, engine: &EvalEngine) -> SearchReport {
+    let app = Sad::test_problem();
+    let source = SpaceSource::full(&app);
+    match strategy {
+        "exhaustive" => ExhaustiveSearch.run_source(engine, &source, &g80()),
+        "pareto" => PrunedSearch::default().run_source(engine, &source, &g80()),
+        "random" => RandomSearch::new(20, 1).run_source(engine, &source, &g80()),
+        "bnb" => BranchAndBound.run_space(engine, &app.space(), &AppInstantiator(&app), &g80()),
+        name => {
+            let mut zoo = zoo::by_name(name, &app.space(), 20, 1).expect("a zoo strategy");
+            run_iterative(zoo.as_mut(), engine, &source, &g80())
+        }
+    }
+}
+
 #[test]
 fn killed_and_resumed_runs_are_byte_identical_at_any_worker_count() {
     let dir = scratch("resume");
     let ck_path = dir.join("ck.json");
-    let meta = CheckpointMeta::new("sad", "exhaustive", None, &Sad::test_problem().space());
+    let strategies =
+        ["exhaustive", "pareto", "random", "bnb", "hill", "anneal", "genetic", "surrogate"];
+    for strategy in strategies {
+        let meta = CheckpointMeta::new("sad", strategy, None, &Sad::test_problem().space());
+        for jobs in [1usize, 2, 8] {
+            let run = |wrap: &dyn Fn(EvalEngine) -> EvalEngine| {
+                let sink = Arc::new(EventSink::new());
+                let engine = wrap(
+                    EvalEngine::new(EngineConfig { jobs, ..Default::default() })
+                        .with_sink(Arc::clone(&sink)),
+                );
+                (search_sad(strategy, &engine), sink.drain())
+            };
+            // The uninterrupted reference.
+            let (reference, ref_trace) = run(&|e| e);
 
-    // The uninterrupted reference, once per worker count.
-    for jobs in [1usize, 2, 8] {
-        let (reference, ref_trace) = run_sad(jobs, |e| e);
+            // Interrupt deterministically partway through (the
+            // in-process stand-in for SIGKILL: the partial report is
+            // discarded and only the checkpoint file survives).
+            let stop_at = 4usize;
+            let ck =
+                Arc::new(Checkpointer::new(&ck_path, 2, meta.clone()).with_stop_after(stop_at));
+            let (partial, _) = run(&|e| e.with_checkpoint(Arc::clone(&ck)));
+            assert!(ck.should_stop(), "{strategy}: the stop-after must have tripped");
+            assert!(
+                partial.evaluated_count() < reference.evaluated_count(),
+                "{strategy}: the stop must cut the search short"
+            );
+            ck.write_now().expect("publish the final checkpoint");
 
-        // Interrupt deterministically partway through (the in-process
-        // stand-in for SIGKILL: the partial report is discarded and
-        // only the checkpoint file survives).
-        let stop_at = 20usize;
-        let ck = Arc::new(Checkpointer::new(&ck_path, 8, meta.clone()).with_stop_after(stop_at));
-        let (_partial, _trace) = run_sad(jobs, |e| e.with_checkpoint(Arc::clone(&ck)));
-        assert!(ck.should_stop(), "the stop-after must have tripped");
-        ck.write_now().expect("publish the final checkpoint");
+            // Load and resume: replay serves the checkpointed results,
+            // the rest run live, and the final report must be
+            // indistinguishable from never having been interrupted.
+            let loaded = checkpoint::load(&ck_path).expect("checkpoint loads");
+            assert_eq!(loaded.meta, meta);
+            assert!(loaded.units_done >= stop_at);
+            assert!(!loaded.results.is_empty(), "{strategy}: some results were checkpointed");
+            let resume_ck = Arc::new(Checkpointer::new(&ck_path, 2, meta.clone()));
+            resume_ck.seed(&loaded.results);
+            let results = Arc::new(loaded.results);
+            let (resumed, res_trace) = run(&|e| {
+                e.with_replay(Arc::clone(&results)).with_checkpoint(Arc::clone(&resume_ck))
+            });
 
-        // Load and resume: replay serves the checkpointed results, the
-        // rest run live, and the final report must be indistinguishable
-        // from never having been interrupted.
-        let loaded = checkpoint::load(&ck_path).expect("checkpoint loads");
-        assert_eq!(loaded.meta, meta);
-        assert!(loaded.units_done >= stop_at);
-        assert!(!loaded.results.is_empty(), "some results were checkpointed");
-        let resume_ck = Arc::new(Checkpointer::new(&ck_path, 8, meta.clone()));
-        resume_ck.seed(&loaded.results);
-        let results = Arc::new(loaded.results);
-        let (resumed, res_trace) = run_sad(jobs, |e| {
-            e.with_replay(Arc::clone(&results)).with_checkpoint(Arc::clone(&resume_ck))
-        });
-
-        assert_reports_match(&resumed, &reference);
-        assert_eq!(
-            res_trace.canonical_text(),
-            ref_trace.canonical_text(),
-            "canonical trace differs after resume at {jobs} jobs"
-        );
-        assert_eq!(
-            resumed.metrics.deterministic_json().to_string_compact(),
-            reference.metrics.deterministic_json().to_string_compact(),
-            "deterministic metrics differ after resume at {jobs} jobs"
-        );
-        let _ = fs::remove_file(&ck_path);
+            assert_reports_match(&resumed, &reference);
+            assert_eq!(
+                res_trace.canonical_text(),
+                ref_trace.canonical_text(),
+                "{strategy}: canonical trace differs after resume at {jobs} jobs"
+            );
+            assert_eq!(
+                resumed.metrics.deterministic_json().to_string_compact(),
+                reference.metrics.deterministic_json().to_string_compact(),
+                "{strategy}: deterministic metrics differ after resume at {jobs} jobs"
+            );
+            let _ = fs::remove_file(&ck_path);
+        }
     }
 }
 
