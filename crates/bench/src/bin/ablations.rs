@@ -10,15 +10,15 @@
 //!   bandwidth screen.
 
 use gpu_arch::MachineSpec;
+use optspace::cli::{self, Args};
 use optspace::engine::EvalEngine;
 use optspace::metrics::MetricsOptions;
 use optspace::report::table;
 use optspace::tuner::{ExhaustiveSearch, PrunedSearch, RandomSearch, SearchStrategy};
-use optspace_bench::{jobs_from_args, suite};
+use optspace_bench::suite;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = EvalEngine::with_jobs(jobs_from_args(&args));
+    let engine = EvalEngine::with_jobs(cli::parse_env(Args::jobs));
     let spec = MachineSpec::geforce_8800_gtx();
     let mut rows = vec![vec![
         "Kernel".to_string(),

@@ -15,6 +15,7 @@ use optspace::tuner::{ExhaustiveSearch, SearchStrategy};
 use optspace_bench::suite;
 
 fn main() {
+    optspace::cli::no_flags();
     let spec = MachineSpec::geforce_8800_gtx();
     let mut rows = vec![vec![
         "Kernel".to_string(),

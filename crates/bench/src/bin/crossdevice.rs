@@ -14,6 +14,7 @@ use optspace::report::{fmt_ms, table};
 use optspace::tuner::{ExhaustiveSearch, PrunedSearch, SearchStrategy};
 
 fn main() {
+    optspace::cli::no_flags();
     let g80 = MachineSpec::geforce_8800_gtx();
     let next = MachineSpec::gtx_280_like();
     let mm = MatMul::reduced_problem();

@@ -12,6 +12,7 @@ use optspace::report::{fmt_ms, table};
 use optspace::tuner::{ExhaustiveSearch, SearchStrategy};
 
 fn main() {
+    optspace::cli::no_flags();
     let spec = MachineSpec::geforce_8800_gtx();
     let mm = MatMul::paper_problem();
     let cfgs = mm.figure3_space();

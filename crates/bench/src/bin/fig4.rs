@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 type LineKey = (u32, u32, u32, u32);
 
 fn main() {
+    optspace::cli::no_flags();
     let spec = MachineSpec::geforce_8800_gtx();
     let sad = Sad::paper_problem();
     let cfgs = sad.configs();

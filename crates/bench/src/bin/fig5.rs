@@ -12,6 +12,7 @@ use optspace::report::table;
 use optspace::tuner::{ExhaustiveSearch, SearchStrategy};
 
 fn main() {
+    optspace::cli::no_flags();
     println!("--- full slice (512x512, 128 atoms): occupancy stays high, time keeps improving ---");
     run_sweep(&Cp::paper_problem());
     println!();

@@ -6,14 +6,14 @@
 //! application (after screening bandwidth-bound points, section 5.3).
 
 use gpu_arch::MachineSpec;
+use optspace::cli::{self, Args};
 use optspace::engine::EvalEngine;
 use optspace::pareto::pareto_indices;
 use optspace::report::ascii_scatter;
-use optspace_bench::{compare_with, jobs_from_args, suite};
+use optspace_bench::{compare_with, suite};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let engine = EvalEngine::with_jobs(jobs_from_args(&args));
+    let engine = EvalEngine::with_jobs(cli::parse_env(Args::jobs));
     let spec = MachineSpec::geforce_8800_gtx();
     for app in suite() {
         let c = compare_with(app.as_ref(), &spec, &engine);

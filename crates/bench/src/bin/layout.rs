@@ -57,6 +57,7 @@ fn kernel(tiling: u32, divergent: bool) -> Kernel {
 }
 
 fn main() {
+    optspace::cli::no_flags();
     let spec = MachineSpec::geforce_8800_gtx();
     let tilings = [1u32, 2, 4, 8];
     let mut rows = vec![vec![

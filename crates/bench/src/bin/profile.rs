@@ -21,37 +21,63 @@
 //! `--app matmul|cp|sad|mri` restricts every section to one
 //! application; `--budget N` and `--seed S` override the zoo study's
 //! defaults (half the exhaustive timing budget, seed 0). The engine
-//! flags of the other experiment binaries (`--jobs`, `--sim-fuel`,
-//! `--retries`, ...) apply here too.
+//! flags of `table4` (`--jobs`, `--sim-fuel`, `--retries`, ...) apply
+//! here too.
 
 use std::sync::Arc;
 
 use gpu_arch::MachineSpec;
 use gpu_kernels::matmul::MatMulFine;
-use gpu_kernels::{App, AppInstantiator, SpaceSource};
+use gpu_kernels::{by_name, App, AppInstantiator, SpaceSource};
+use optspace::cli::{self, Args, EngineFlags};
 use optspace::obs::{EventSink, Json, RunManifest};
 use optspace::report::{profile_table, table};
 use optspace::tuner::{
     BranchAndBound, ExhaustiveSearch, PrunedSearch, RandomSearch, SearchReport, SearchStrategy,
 };
 use optspace::zoo;
-use optspace_bench::{engine_from_args, flag_value, require_writable_parent, run_zoo, suite};
+use optspace_bench::{run_zoo, suite};
 
-/// The suite apps' short CLI names (the front end's vocabulary).
-fn short_name(display: &str) -> &'static str {
-    match display {
-        "Matrix Multiplication" => "matmul",
-        "Matrix Multiplication (fine)" => "matmul-fine",
-        "CP" => "cp",
-        "SAD" => "sad",
-        "MRI-FHD" => "mri",
-        _ => "?",
-    }
+/// Everything `profile` reads from its flags.
+struct Flags {
+    engines: EngineFlags,
+    bench_out: Option<String>,
+    bnb_out: Option<String>,
+    convergence_out: Option<String>,
+    zoo_out: Option<String>,
+    /// `--app`: the one application every section is restricted to.
+    only: Option<String>,
+    budget: Option<usize>,
+    seed: u64,
+    fine: bool,
 }
 
-/// The suite, restricted to `--app` when given.
-fn selected_suite(only: Option<&str>) -> Vec<Box<dyn App>> {
-    suite().into_iter().filter(|a| only.is_none_or(|n| short_name(a.name()) == n)).collect()
+impl Flags {
+    fn read(args: &mut Args) -> Result<Self, String> {
+        let only = args.text("--app", "an app (matmul|cp|sad|mri)")?;
+        if let Some(name) = &only {
+            by_name(name, "default")?;
+        }
+        Ok(Flags {
+            engines: args.engine_flags()?,
+            bench_out: args.output("--bench-out")?,
+            bnb_out: args.output("--bnb-out")?,
+            convergence_out: args.output("--convergence-out")?,
+            zoo_out: args.output("--zoo-out")?,
+            only,
+            budget: args.positive("--budget", "a number >= 1")?,
+            seed: args.number("--seed", "a number")?.unwrap_or(0),
+            fine: args.switch("--fine"),
+        })
+    }
+
+    /// The suite, restricted to `--app` when given.
+    fn suite(&self) -> Vec<Box<dyn App>> {
+        match &self.only {
+            Some(name) => vec![by_name(name, "default").expect("checked when read")],
+            None => suite(),
+        }
+    }
 }
 
 /// Score one strategy's report against the known true optimum.
@@ -85,7 +111,7 @@ fn score_json(report: &SearchReport, truth_ms: f64) -> Json {
 fn zoo_study(
     app: &dyn App,
     spec: &MachineSpec,
-    args: &[String],
+    engines: &EngineFlags,
     budget: usize,
     seed: u64,
     truth: &SearchReport,
@@ -93,12 +119,12 @@ fn zoo_study(
 ) -> Json {
     let truth_ms = truth.best_time_ms().expect("ground truth found an optimum");
     let mut reports: Vec<SearchReport> = vec![RandomSearch::new(budget, seed).run_source(
-        &engine_from_args(args),
+        &engines.engine(),
         &SpaceSource::full(app),
         spec,
     )];
     for name in zoo::NAMES {
-        reports.push(run_zoo(app, spec, &engine_from_args(args), name, budget, seed));
+        reports.push(run_zoo(app, spec, &engines.engine(), name, budget, seed));
     }
     let mut rows = vec![vec![
         "strategy".to_string(),
@@ -152,37 +178,15 @@ fn zoo_study(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_out: Option<String> = flag_value(&args, "--bench-out");
-    let bnb_out: Option<String> = flag_value(&args, "--bnb-out");
-    let convergence_out: Option<String> = flag_value(&args, "--convergence-out");
-    let zoo_out: Option<String> = flag_value(&args, "--zoo-out");
-    let only: Option<String> = flag_value(&args, "--app");
-    if let Some(name) = only.as_deref() {
-        if !["matmul", "cp", "sad", "mri"].contains(&name) {
-            eprintln!("unknown app `{name}` (matmul|cp|sad|mri)");
-            std::process::exit(1);
-        }
-    }
-    let budget_override: Option<usize> = match flag_value::<usize>(&args, "--budget") {
-        Some(0) => {
-            eprintln!("--budget needs a number >= 1");
-            std::process::exit(1);
-        }
-        other => other,
-    };
-    let seed: u64 = flag_value(&args, "--seed").unwrap_or(0);
-    // A doomed export must fail now, not after the whole suite has run.
-    for path in [&bench_out, &bnb_out, &convergence_out, &zoo_out].into_iter().flatten() {
-        require_writable_parent(path);
-    }
+    let flags = cli::parse_env(Flags::read);
+    let (engines, seed, budget_override) = (&flags.engines, flags.seed, flags.budget);
     let spec = MachineSpec::geforce_8800_gtx();
     let mut manifests: Vec<Json> = Vec::new();
-    for app in selected_suite(only.as_deref()) {
+    for app in flags.suite() {
         // A fresh sink per app keeps wall-time and worker accounting
         // per-run instead of smearing across the suite.
         let sink = Arc::new(EventSink::new());
-        let engine = engine_from_args(&args).with_sink(Arc::clone(&sink));
+        let engine = engines.engine().with_sink(Arc::clone(&sink));
         let candidates = app.candidates();
         let report = PrunedSearch::default().run_with(&engine, &candidates, &spec);
         println!("== {} ({} configurations) ==", app.name(), candidates.len());
@@ -204,8 +208,8 @@ fn main() {
         "optimum".to_string(),
     ]];
     let mut comparisons: Vec<Json> = Vec::new();
-    for app in selected_suite(only.as_deref()) {
-        let engine = engine_from_args(&args);
+    for app in flags.suite() {
+        let engine = engines.engine();
         let space = app.space();
         let exhaustive = ExhaustiveSearch.run_source(
             &engine,
@@ -243,7 +247,7 @@ fn main() {
     println!("== exhaustive vs branch-and-bound ==");
     println!("{}", table(&rows));
 
-    if let Some(path) = bench_out {
+    if let Some(path) = &flags.bench_out {
         let doc = Json::obj([
             ("bench", Json::from("pr3")),
             (
@@ -252,7 +256,7 @@ fn main() {
             ),
             ("manifests", Json::Arr(manifests)),
         ]);
-        match std::fs::write(&path, doc.to_string_pretty()) {
+        match std::fs::write(path, doc.to_string_pretty()) {
             Ok(()) => println!("manifests -> {path}"),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");
@@ -260,16 +264,16 @@ fn main() {
             }
         }
     }
-    if let Some(path) = convergence_out {
+    if let Some(path) = &flags.convergence_out {
         // Convergence trajectories: every strategy's curve per app. The
         // recorder is deterministic, so this document is reproducible
         // at any --jobs.
         let mut apps: Vec<Json> = Vec::new();
-        for app in selected_suite(only.as_deref()) {
+        for app in flags.suite() {
             let space = app.space();
             let candidates = app.candidates();
             let exhaustive = ExhaustiveSearch.run_source(
-                &engine_from_args(&args),
+                &engines.engine(),
                 &gpu_kernels::SpaceSource::full(app.as_ref()),
                 &spec,
             );
@@ -279,14 +283,11 @@ fn main() {
                 budget_override.unwrap_or_else(|| (exhaustive.evaluated_count() / 2).max(1));
             let mut runs: Vec<(&str, optspace::tuner::SearchReport)> = vec![
                 ("exhaustive", exhaustive),
-                (
-                    "pruned",
-                    PrunedSearch::default().run_with(&engine_from_args(&args), &candidates, &spec),
-                ),
+                ("pruned", PrunedSearch::default().run_with(&engines.engine(), &candidates, &spec)),
                 (
                     "bnb",
                     BranchAndBound.run_space(
-                        &engine_from_args(&args),
+                        &engines.engine(),
                         &space,
                         &AppInstantiator(app.as_ref()),
                         &spec,
@@ -296,7 +297,7 @@ fn main() {
             for name in zoo::NAMES {
                 runs.push((
                     name,
-                    run_zoo(app.as_ref(), &spec, &engine_from_args(&args), name, budget, seed),
+                    run_zoo(app.as_ref(), &spec, &engines.engine(), name, budget, seed),
                 ));
             }
             let strategies: Vec<Json> = runs
@@ -340,7 +341,7 @@ fn main() {
             ),
             ("apps", Json::Arr(apps)),
         ]);
-        match std::fs::write(&path, doc.to_string_pretty()) {
+        match std::fs::write(path, doc.to_string_pretty()) {
             Ok(()) => println!("convergence -> {path}"),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");
@@ -348,35 +349,35 @@ fn main() {
             }
         }
     }
-    if let Some(path) = zoo_out {
+    if let Some(path) = &flags.zoo_out {
         // The search-strategy zoo study: every iterative strategy (plus
         // the one-shot random baseline) scored against the exhaustively
         // known optimum at half the exhaustive timing budget. Scores
         // are in timed-simulation currency, the same axis the
         // convergence curves use.
         let mut apps: Vec<Json> = Vec::new();
-        for app in selected_suite(only.as_deref()) {
+        for app in flags.suite() {
             let truth = ExhaustiveSearch.run_source(
-                &engine_from_args(&args),
+                &engines.engine(),
                 &SpaceSource::full(app.as_ref()),
                 &spec,
             );
             let budget = budget_override.unwrap_or_else(|| (truth.evaluated_count() / 2).max(1));
-            apps.push(zoo_study(app.as_ref(), &spec, &args, budget, seed, &truth, "exhaustive"));
+            apps.push(zoo_study(app.as_ref(), &spec, engines, budget, seed, &truth, "exhaustive"));
         }
-        if args.iter().any(|a| a == "--fine") && only.as_deref().is_none_or(|n| n == "matmul") {
+        if flags.fine && flags.only.as_deref().is_none_or(|n| n == "matmul") {
             // The fine matmul grid is too large to exhaust here;
             // branch-and-bound certifies the same optimum with a
             // fraction of the simulations and supplies ground truth.
             let fine = MatMulFine::reduced_problem();
             let truth = BranchAndBound.run_space(
-                &engine_from_args(&args),
+                &engines.engine(),
                 &fine.space(),
                 &AppInstantiator(&fine),
                 &spec,
             );
             let budget = budget_override.unwrap_or(256);
-            apps.push(zoo_study(&fine, &spec, &args, budget, seed, &truth, "bnb"));
+            apps.push(zoo_study(&fine, &spec, engines, budget, seed, &truth, "bnb"));
         }
         let doc = Json::obj([
             ("bench", Json::from("pr9")),
@@ -390,7 +391,7 @@ fn main() {
             ),
             ("apps", Json::Arr(apps)),
         ]);
-        match std::fs::write(&path, doc.to_string_pretty()) {
+        match std::fs::write(path, doc.to_string_pretty()) {
             Ok(()) => println!("zoo study -> {path}"),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");
@@ -398,7 +399,7 @@ fn main() {
             }
         }
     }
-    if let Some(path) = bnb_out {
+    if let Some(path) = &flags.bnb_out {
         let doc = Json::obj([
             ("bench", Json::from("pr6")),
             (
@@ -410,7 +411,7 @@ fn main() {
             ),
             ("comparisons", Json::Arr(comparisons)),
         ]);
-        match std::fs::write(&path, doc.to_string_pretty()) {
+        match std::fs::write(path, doc.to_string_pretty()) {
             Ok(()) => println!("comparison -> {path}"),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");

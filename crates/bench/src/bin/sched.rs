@@ -9,6 +9,7 @@ use gpu_passes::schedule_for_pressure;
 use optspace::report::table;
 
 fn main() {
+    optspace::cli::no_flags();
     let spec = MachineSpec::geforce_8800_gtx();
     let mm = MatMul::paper_problem();
     let mut improved = 0;

@@ -9,6 +9,7 @@ use optspace::metrics::MetricsOptions;
 use optspace::pareto::pareto_indices;
 
 fn main() {
+    optspace::cli::no_flags();
     // Section 5.3: without the bandwidth screen, the matmul Pareto curve
     // is dominated by 8x8 configurations (all but the optimum, in the
     // paper).

@@ -21,6 +21,7 @@ use optspace::report::{fmt_ms, table};
 use optspace::tuner::{ExhaustiveSearch, SearchStrategy};
 
 fn main() {
+    optspace::cli::no_flags();
     let spec = MachineSpec::geforce_8800_gtx();
     let mut rows = vec![vec![
         "Kernel".to_string(),

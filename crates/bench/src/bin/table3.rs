@@ -27,6 +27,7 @@ fn time_cpu(mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
+    optspace::cli::no_flags();
     let spec = MachineSpec::geforce_8800_gtx();
     let engine = EvalEngine::default();
     let mut rows = vec![vec![

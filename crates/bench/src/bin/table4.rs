@@ -12,9 +12,10 @@
 use std::sync::Arc;
 
 use gpu_arch::MachineSpec;
+use optspace::cli;
 use optspace::obs::{EventSink, Json};
 use optspace::report::{fmt_ms, table};
-use optspace_bench::{compare_selected, engine_from_args, selection_from_args, suite};
+use optspace_bench::{compare_selected, suite};
 
 /// Look up one field of a trace event.
 fn field<'a>(fields: &'a [(&'static str, Json)], key: &str) -> Option<&'a Json> {
@@ -22,15 +23,9 @@ fn field<'a>(fields: &'a [(&'static str, Json)], key: &str) -> Option<&'a Json> 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let selection = match selection_from_args(&args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let (verbose, selection, engines) = cli::parse_env(|args| {
+        Ok((args.switch("--verbose"), args.selection()?, args.engine_flags()?))
+    });
     if !selection.is_noop() {
         println!("selection: {selection} (applied per app; unknown axes ignored)");
     }
@@ -48,7 +43,7 @@ fn main() {
     let mut quarantined = 0usize;
     let mut kind_lines: Vec<String> = Vec::new();
     for app in suite() {
-        let mut engine = engine_from_args(&args);
+        let mut engine = engines.engine();
         let sink = if verbose {
             let sink = Arc::new(EventSink::new());
             engine = engine.with_sink(Arc::clone(&sink));

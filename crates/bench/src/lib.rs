@@ -3,25 +3,22 @@
 //! Each `src/bin/*.rs` binary regenerates one table or figure of the
 //! paper's evaluation; this library holds the pieces they share: the
 //! application suite at bench scale and the search-comparison runner.
+//! The binaries read their flags through [`optspace::cli`], so each
+//! rejects a flag it does not read.
 
 use gpu_arch::MachineSpec;
-use gpu_kernels::{cp::Cp, matmul::MatMul, mri_fhd::MriFhd, sad::Sad, App, SpaceSource};
-use optspace::engine::{EngineConfig, EvalEngine, FaultPlan};
+use gpu_kernels::{App, SpaceSource};
+use optspace::engine::EvalEngine;
 use optspace::tuner::{ExhaustiveSearch, PrunedSearch, SearchReport, SearchStrategy};
-use optspace::{Filter, Sample, Selection};
+use optspace::Selection;
 
-/// The four applications at the scale the experiment binaries run them.
-///
-/// Matrix multiplication uses a reduced 512² problem (the paper itself
-/// ran "smaller inputs than those considered typical"); everything else
-/// runs at the paper-flavoured sizes in `gpu-kernels`.
+/// The four applications at the scale the experiment binaries run them
+/// (see [`gpu_kernels::by_name`]), in suite order.
 pub fn suite() -> Vec<Box<dyn App>> {
-    vec![
-        Box::new(MatMul::reduced_problem()),
-        Box::new(Cp::paper_problem()),
-        Box::new(Sad::paper_problem()),
-        Box::new(MriFhd::paper_problem()),
-    ]
+    gpu_kernels::NAMES
+        .iter()
+        .map(|name| gpu_kernels::by_name(name, "default").expect("a registered app"))
+        .collect()
 }
 
 /// Exhaustive vs pruned search for one application.
@@ -82,29 +79,6 @@ pub fn compare_selected(
     Comparison { name: app.name(), exhaustive, pruned }
 }
 
-/// Parse the selection flags shared by the experiment binaries:
-/// every `--filter axis=value` occurrence plus `--sample N` and
-/// `--sample-seed S`.
-///
-/// # Errors
-///
-/// A `--filter` clause without a `=` (or with an empty side) is
-/// reported as an error string suitable for printing.
-pub fn selection_from_args(args: &[String]) -> Result<Selection, String> {
-    let mut filters = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--filter" {
-            match args.get(i + 1) {
-                Some(raw) => filters.push(Filter::parse(raw).map_err(|e| e.to_string())?),
-                None => return Err("--filter needs axis=value".to_string()),
-            }
-        }
-    }
-    let sample = flag_value::<usize>(args, "--sample")
-        .map(|count| Sample { count, seed: flag_value(args, "--sample-seed").unwrap_or(0) });
-    Ok(Selection { filters, sample })
-}
-
 /// Run one named iterative zoo strategy over an application's full
 /// space (iterative strategies require dense indices aligned with the
 /// declared space, so no selection applies here).
@@ -125,100 +99,4 @@ pub fn run_zoo(
     let mut strategy =
         optspace::zoo::by_name(name, &space, budget, seed).expect("a zoo strategy name");
     optspace::tuner::run_iterative(strategy.as_mut(), engine, &source, spec)
-}
-
-/// Print a CLI usage error and exit 1 — the experiment binaries' analog
-/// of the front end's `eprintln!` + `ExitCode::FAILURE` idiom, with the
-/// same message wording so scripted callers see one vocabulary.
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
-}
-
-/// Parse `<flag> <value>` distinguishing *absent* (`None`, use the
-/// default) from *present but unusable*, which aborts with `needs`
-/// appended to the flag name. A silent fallback here once made
-/// `--jobs 0` run sequentially while claiming nothing — bad values in
-/// bench runs must be loud, not defaulted.
-fn checked_flag_value<T: std::str::FromStr>(args: &[String], flag: &str, needs: &str) -> Option<T> {
-    let p = args.iter().position(|a| a == flag)?;
-    match args.get(p + 1).and_then(|v| v.parse().ok()) {
-        Some(v) => Some(v),
-        None => fail(&format!("{flag} needs {needs}")),
-    }
-}
-
-/// Parse a `--jobs N` flag from raw process args (the experiment
-/// binaries' shared CLI surface); defaults to 1, aborts (exit 1) when
-/// the flag is present with a missing or invalid value.
-pub fn jobs_from_args(args: &[String]) -> usize {
-    match checked_flag_value::<usize>(args, "--jobs", "a number >= 1") {
-        Some(j) if j >= 1 => j,
-        Some(_) => fail("--jobs needs a number >= 1"),
-        None => 1,
-    }
-}
-
-/// Parse `<flag> <value>` from raw process args; `None` when the flag is
-/// absent or its value does not parse. `T = String` makes this the path
-/// flag helper (`--bench-out out.json`).
-pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter().position(|a| a == flag).and_then(|p| args.get(p + 1)).and_then(|v| v.parse().ok())
-}
-
-/// Abort (exit 1) unless `path` can plausibly be created: its parent
-/// directory, when it names one, must already exist. Called *before* a
-/// long run so a doomed export fails in seconds, not after the suite.
-pub fn require_writable_parent(path: &str) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() && !parent.is_dir() {
-            eprintln!(
-                "cannot write {path}: parent directory `{}` does not exist",
-                parent.display()
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Build an engine from the experiment binaries' shared flags:
-/// `--jobs N`, `--sim-fuel N`, `--check-races`, `--retries N`,
-/// `--inject-faults`, `--fault-seed N`, `--store-dir <dir>`.
-/// Unrecognised arguments are ignored so binaries can layer their own
-/// flags on top. An unusable `--store-dir` aborts the process — a
-/// bench run that silently re-simulates everything it meant to reuse
-/// would report misleading numbers.
-pub fn engine_from_args(args: &[String]) -> EvalEngine {
-    let mut config = EngineConfig { jobs: jobs_from_args(args), ..Default::default() };
-    config.sim_fuel =
-        match checked_flag_value::<u64>(args, "--sim-fuel", "a positive number of steps") {
-            Some(0) => fail("--sim-fuel needs a positive number of steps"),
-            other => other,
-        };
-    config.check_races = args.iter().any(|a| a == "--check-races");
-    match checked_flag_value::<u32>(args, "--retries", "a number >= 1") {
-        Some(n) if n >= 1 => config.retry.max_attempts = n,
-        Some(_) => fail("--retries needs a number >= 1"),
-        None => {}
-    }
-    let fault_seed = checked_flag_value::<u64>(args, "--fault-seed", "a number");
-    if args.iter().any(|a| a == "--inject-faults") {
-        config.fault_plan = Some(match fault_seed {
-            Some(seed) => FaultPlan::with_seed(seed),
-            None => FaultPlan::default(),
-        });
-    } else if fault_seed.is_some() {
-        fail("--fault-seed requires --inject-faults");
-    }
-    let mut engine = EvalEngine::new(config);
-    if let Some(dir) = flag_value::<String>(args, "--store-dir") {
-        match optspace::engine::ResultStore::open(&dir) {
-            Ok(store) => engine = engine.with_store(std::sync::Arc::new(store)),
-            Err(e) => {
-                eprintln!("cannot open result store {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    engine
 }

@@ -1,20 +1,27 @@
-//! The experiment binaries' shared parser (`jobs_from_args` /
-//! `engine_from_args`) must reject present-but-invalid values with the
-//! same wording as the front end — a bench run that silently defaulted
-//! `--jobs 0` to sequential once reported misleading utilization
-//! numbers.
+//! The experiment binaries read their flags through the shared parser
+//! (`optspace::cli`), so they must reject present-but-invalid values
+//! with the same wording as the front end, and reject flags they do not
+//! read — a bench run that silently defaulted `--jobs 0` to sequential
+//! once reported misleading utilization numbers, and a mistyped flag
+//! used to be ignored.
 
 use std::process::Command;
 
-fn assert_profile_fails(args: &[&str], expect: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_profile")).args(args).output().expect("binary runs");
+/// Run the binary at `exe` with `args`; assert a non-zero exit and that
+/// stderr contains `expect`.
+fn assert_fails(exe: &str, args: &[&str], expect: &str) {
+    let out = Command::new(exe).args(args).output().expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "`profile {}` exited 0; stderr: {stderr}", args.join(" "),);
+    assert!(!out.status.success(), "`{exe} {}` exited 0; stderr: {stderr}", args.join(" "));
     assert!(
         stderr.contains(expect),
-        "`profile {}`: stderr {stderr:?} does not mention {expect:?}",
+        "`{exe} {}`: stderr {stderr:?} does not mention {expect:?}",
         args.join(" "),
     );
+}
+
+fn assert_profile_fails(args: &[&str], expect: &str) {
+    assert_fails(env!("CARGO_BIN_EXE_profile"), args, expect);
 }
 
 #[test]
@@ -36,4 +43,19 @@ fn engine_flags_reject_invalid_values() {
 fn profile_validates_its_own_flags() {
     assert_profile_fails(&["--app", "teapot"], "unknown app `teapot` (matmul|cp|sad|mri)");
     assert_profile_fails(&["--budget", "0"], "--budget needs a number >= 1");
+    assert_profile_fails(&["--seed", "x"], "--seed needs a number");
+}
+
+#[test]
+fn table4_validates_its_selection() {
+    let table4 = env!("CARGO_BIN_EXE_table4");
+    assert_fails(table4, &["--sample", "x"], "--sample needs a number >= 1");
+    assert_fails(table4, &["--sample-seed", "4"], "--sample-seed requires --sample");
+}
+
+#[test]
+fn unread_flags_are_rejected() {
+    assert_fails(env!("CARGO_BIN_EXE_table4"), &["--jbos", "2"], "unknown flag `--jbos`");
+    // fig3 reads no flags at all.
+    assert_fails(env!("CARGO_BIN_EXE_fig3"), &["--jobs", "2"], "unknown flag `--jobs`");
 }

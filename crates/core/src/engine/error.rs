@@ -18,6 +18,8 @@ use gpu_passes::PassError;
 use gpu_sim::timing::{FamilyError, TimingError};
 use gpu_sim::SimError;
 
+use crate::space::CandidateSource;
+
 /// Discriminant of an [`EvalError`], for report rows and counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvalErrorKind {
@@ -247,6 +249,19 @@ pub struct Quarantine {
     pub error: EvalError,
     /// How many evaluation attempts were made before giving up.
     pub attempts: u32,
+}
+
+impl Quarantine {
+    /// The record for candidate `index` of `source`, named by the
+    /// search's index for it ([`CandidateSource::ordinal`]).
+    pub(crate) fn of(
+        source: &dyn CandidateSource,
+        index: usize,
+        error: EvalError,
+        attempts: u32,
+    ) -> Self {
+        Quarantine { candidate: source.ordinal(index), label: source.label(index), error, attempts }
+    }
 }
 
 impl fmt::Display for Quarantine {

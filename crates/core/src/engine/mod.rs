@@ -563,10 +563,9 @@ impl EvalEngine {
                 // quarantine so the paper's valid/invalid split is
                 // unchanged.
                 Err(EvalError::ResourceExceeded { .. }) => None,
-                Err(e) => {
-                    stats.quarantined += 1;
-                    let label = source.label(i);
-                    if e.kind() == EvalErrorKind::Race {
+                Err(error) => {
+                    let q = Quarantine::of(source, i, error, attempts[i]);
+                    if q.error.kind() == EvalErrorKind::Race {
                         // Race findings get their own verify-stage event
                         // so trace consumers can tell soundness
                         // violations from resource/fault quarantines.
@@ -574,29 +573,13 @@ impl EvalEngine {
                             EventKind::Point,
                             "verify.race",
                             vec![
-                                ("candidate", Json::from(i)),
-                                ("label", Json::from(label.as_str())),
-                                ("detail", Json::from(e.to_string())),
+                                ("candidate", Json::from(q.candidate)),
+                                ("label", Json::from(q.label.as_str())),
+                                ("detail", Json::from(q.error.to_string())),
                             ],
                         );
                     }
-                    self.emit(
-                        EventKind::Point,
-                        "quarantine",
-                        vec![
-                            ("phase", Json::from("static")),
-                            ("candidate", Json::from(i)),
-                            ("label", Json::from(label.as_str())),
-                            ("kind", Json::from(e.kind().to_string())),
-                            ("attempts", Json::from(attempts[i])),
-                        ],
-                    );
-                    quarantine.push(Quarantine {
-                        candidate: i,
-                        label,
-                        error: e,
-                        attempts: attempts[i],
-                    });
+                    self.quarantine("static", q, stats, quarantine);
                     None
                 }
             })
@@ -696,21 +679,8 @@ impl EvalEngine {
                 // the candidate never reaches dedup, so quarantine it
                 // here as worker-lost.
                 Err(perr) => {
-                    let err = pool_to_eval(perr);
-                    stats.quarantined += 1;
-                    let label = source.label(i);
-                    self.emit(
-                        EventKind::Point,
-                        "quarantine",
-                        vec![
-                            ("phase", Json::from("timing")),
-                            ("candidate", Json::from(i)),
-                            ("label", Json::from(label.as_str())),
-                            ("kind", Json::from(err.kind().to_string())),
-                            ("attempts", Json::from(1u32)),
-                        ],
-                    );
-                    quarantine.push(Quarantine { candidate: i, label, error: err, attempts: 1 });
+                    let q = Quarantine::of(source, i, pool_to_eval(perr), 1);
+                    self.quarantine("timing", q, stats, quarantine);
                     continue;
                 }
             };
@@ -728,7 +698,7 @@ impl EvalEngine {
             self.emit(
                 EventKind::Point,
                 if hit.is_some() { "cache.hit" } else { "cache.miss" },
-                vec![("candidate", Json::from(i)), ("unique", Json::from(u))],
+                vec![("candidate", Json::from(source.ordinal(i))), ("unique", Json::from(u))],
             );
             if hit.is_none() {
                 let class = cache::class_key(&prog, &launch, &usage, spec);
@@ -1053,7 +1023,7 @@ impl EvalEngine {
                             EventKind::Point,
                             "sim.done",
                             vec![
-                                ("candidate", Json::from(i)),
+                                ("candidate", Json::from(source.ordinal(i))),
                                 ("unique", Json::from(u)),
                                 ("time_ms", Json::from(scaled.time_ms)),
                             ],
@@ -1063,31 +1033,14 @@ impl EvalEngine {
                         self.emit(
                             EventKind::Point,
                             "budget.deadline",
-                            vec![("candidate", Json::from(i))],
+                            vec![("candidate", Json::from(source.ordinal(i)))],
                         );
                         stats.budget_truncated = true;
                     }
                 }
                 Some(Err(e)) => {
-                    stats.quarantined += 1;
-                    let label = source.label(i);
-                    self.emit(
-                        EventKind::Point,
-                        "quarantine",
-                        vec![
-                            ("phase", Json::from("timing")),
-                            ("candidate", Json::from(i)),
-                            ("label", Json::from(label.as_str())),
-                            ("kind", Json::from(e.kind().to_string())),
-                            ("attempts", Json::from(attempts_of[u])),
-                        ],
-                    );
-                    quarantine.push(Quarantine {
-                        candidate: i,
-                        label,
-                        error: e.clone(),
-                        attempts: attempts_of[u],
-                    });
+                    let q = Quarantine::of(source, i, e.clone(), attempts_of[u]);
+                    self.quarantine("timing", q, stats, quarantine);
                 }
             }
         }
@@ -1109,6 +1062,30 @@ impl EvalEngine {
             sink.add_phase_wall_us(Phase::Timing, phase_started.elapsed().as_micros() as u64);
         }
         simulated
+    }
+
+    /// Quarantine a candidate: count it, emit its `quarantine` event
+    /// for `phase`, and record it.
+    fn quarantine(
+        &self,
+        phase: &'static str,
+        q: Quarantine,
+        stats: &mut EngineStats,
+        quarantine: &mut Vec<Quarantine>,
+    ) {
+        stats.quarantined += 1;
+        self.emit(
+            EventKind::Point,
+            "quarantine",
+            vec![
+                ("phase", Json::from(phase)),
+                ("candidate", Json::from(q.candidate)),
+                ("label", Json::from(q.label.as_str())),
+                ("kind", Json::from(q.error.kind().to_string())),
+                ("attempts", Json::from(q.attempts)),
+            ],
+        );
+        quarantine.push(q);
     }
 }
 

@@ -41,6 +41,7 @@
 //!   [`obs::RunManifest`] (all serialized with the in-tree JSON support).
 //! * [`report`] — table and ASCII-scatter formatting for the experiment
 //!   harness.
+//! * [`cli`] — the command-line flag parser every front end shares.
 //!
 //! # Examples
 //!
@@ -64,6 +65,7 @@
 
 pub mod bandwidth;
 pub mod candidate;
+pub mod cli;
 pub mod engine;
 pub mod metrics;
 pub mod model;

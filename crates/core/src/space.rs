@@ -934,6 +934,14 @@ pub trait CandidateSource: Sync {
     /// Candidate `index`: borrowed from an eager slice, or built on
     /// the calling (worker) thread for a lazy source.
     fn get(&self, index: usize) -> Cow<'_, Candidate>;
+
+    /// The search's index for candidate `index`: what trace events and
+    /// quarantine records name it by. A view over part of a larger
+    /// source maps its local index back to the larger source's; every
+    /// other source is its own numbering.
+    fn ordinal(&self, index: usize) -> usize {
+        index
+    }
 }
 
 impl CandidateSource for [Candidate] {

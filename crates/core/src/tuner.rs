@@ -423,7 +423,8 @@ pub fn run_iterative(
 
         // The round's engine calls index the view its statics come
         // from: the whole source, or — statics on demand — the batch
-        // itself, renumbered by position.
+        // itself, renumbered by position. Either way, events and
+        // quarantine records name candidates by their index in `source`.
         let subset = Subset { source, indices: &batch };
         let mut round_quar: Vec<Quarantine> = Vec::new();
         let fresh =
@@ -441,9 +442,6 @@ pub fn run_iterative(
             &mut round_quar,
         );
         if !up_front {
-            for q in &mut round_quar {
-                q.candidate = batch[q.candidate];
-            }
             for (&i, s) in batch.iter().zip(fresh) {
                 statics[i] = s;
             }
@@ -487,7 +485,9 @@ fn sanitize(proposed: Vec<usize>, decided: &mut [bool]) -> Vec<usize> {
         .collect()
 }
 
-/// The candidates at `indices` of `source`, renumbered by position.
+/// The candidates at `indices` of `source`, renumbered by position;
+/// events and quarantine records still name them by their index in
+/// `source`.
 struct Subset<'a> {
     source: &'a dyn CandidateSource,
     indices: &'a [usize],
@@ -504,6 +504,10 @@ impl CandidateSource for Subset<'_> {
 
     fn get(&self, index: usize) -> Cow<'_, Candidate> {
         self.source.get(self.indices[index])
+    }
+
+    fn ordinal(&self, index: usize) -> usize {
+        self.source.ordinal(self.indices[index])
     }
 }
 

@@ -7,18 +7,13 @@
 use gpu_autotune::arch::MachineSpec;
 use gpu_autotune::kernels::sad::Sad;
 use gpu_autotune::kernels::App;
+use gpu_autotune::optspace::cli::{self, Args};
 use gpu_autotune::optspace::engine::EvalEngine;
 use gpu_autotune::optspace::report::fmt_ms;
 use gpu_autotune::optspace::tuner::{ExhaustiveSearch, PrunedSearch, RandomSearch, SearchStrategy};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|p| args.get(p + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let jobs = cli::parse_env(Args::jobs);
     let engine = EvalEngine::with_jobs(jobs);
     let spec = MachineSpec::geforce_8800_gtx();
     let sad = Sad::paper_problem();

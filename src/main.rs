@@ -25,7 +25,6 @@
 //!     --filter axis=value                   keep only matching points (repeatable)
 //!     --sample N                            seeded random subset of the survivors
 //!     --sample-seed S                       seed for --sample (default 0)
-//!     --eager                               materialize all candidates up front
 //!     --trace-out <path>                    write the event trace
 //!     --trace-format jsonl|chrome           trace format (default jsonl);
 //!                                           chrome loads in Perfetto
@@ -47,17 +46,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use gpu_autotune::arch::MachineSpec;
-use gpu_autotune::kernels::{
-    cp::Cp,
-    matmul::{MatMul, MatMulFine},
-    mri_fhd::MriFhd,
-    sad::Sad,
-    App, AppInstantiator, SpaceSource,
-};
+use gpu_autotune::kernels::{by_name, AppInstantiator, SpaceSource, NAMES};
 use gpu_autotune::optspace::candidate::Candidate;
+use gpu_autotune::optspace::cli::{writable_parent, Args, EngineFlags};
 use gpu_autotune::optspace::engine::{
-    checkpoint, install_signal_handler, store, CheckpointMeta, Checkpointer, EngineConfig,
-    EvalBudget, EvalEngine, FaultPlan, ResultStore, RetryPolicy, DEFAULT_CHECKPOINT_EVERY,
+    checkpoint, install_signal_handler, store, CheckpointMeta, Checkpointer, EvalBudget,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 use gpu_autotune::optspace::obs::StoreSummary;
 use gpu_autotune::optspace::obs::{
@@ -70,7 +64,7 @@ use gpu_autotune::optspace::tuner::{
     SearchStrategy,
 };
 use gpu_autotune::optspace::zoo;
-use gpu_autotune::optspace::{Filter, Sample, Selection};
+use gpu_autotune::optspace::Selection;
 
 const USAGE: &str = "\
 usage: gpu-autotune <command> [args]
@@ -84,7 +78,7 @@ commands:
              [--grid default|fine] [--device g80|gt200] [--no-screen] [--jobs N]
              [--max-sims N] [--deadline-ms X] [--sim-fuel N] [--check-races]
              [--retries N] [--inject-faults] [--fault-seed N]
-             [--filter axis=value]... [--sample N] [--sample-seed S] [--eager]
+             [--filter axis=value]... [--sample N] [--sample-seed S]
              [--trace-out <path>] [--trace-format jsonl|chrome]
              [--metrics-out <path>] [--profile]
              [--store-dir <dir>] [--checkpoint <path>] [--checkpoint-every N]
@@ -104,16 +98,6 @@ commands:
 
 apps: matmul | cp | sad | mri";
 
-fn app_by_name(name: &str) -> Option<Box<dyn App>> {
-    match name {
-        "matmul" => Some(Box::new(MatMul::reduced_problem())),
-        "cp" => Some(Box::new(Cp::paper_problem())),
-        "sad" => Some(Box::new(Sad::paper_problem())),
-        "mri" => Some(Box::new(MriFhd::paper_problem())),
-        _ => None,
-    }
-}
-
 fn device_by_name(name: &str) -> Option<MachineSpec> {
     match name {
         "g80" => Some(MachineSpec::geforce_8800_gtx()),
@@ -130,8 +114,8 @@ fn cmd_spaces() -> ExitCode {
         "configs".to_string(),
         "valid".to_string(),
     ]];
-    for key in ["matmul", "cp", "sad", "mri"] {
-        let app = app_by_name(key).expect("known key");
+    for key in NAMES {
+        let app = by_name(key, "default").expect("a registered app");
         let cands = app.candidates();
         let valid = cands.iter().filter(|c| c.evaluate(&spec).is_ok()).count();
         rows.push(vec![
@@ -197,9 +181,12 @@ fn cmd_inspect(args: &[String]) -> ExitCode {
         eprintln!("inspect needs: <app> <index>");
         return ExitCode::FAILURE;
     };
-    let Some(app) = app_by_name(app_name) else {
-        eprintln!("unknown app `{app_name}` (matmul|cp|sad|mri)");
-        return ExitCode::FAILURE;
+    let app = match by_name(app_name, "default") {
+        Ok(app) => app,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
     let space = app.space();
     let Ok(i) = index.parse::<usize>() else {
@@ -271,17 +258,74 @@ fn print_search(labels: &[String], r: &SearchReport) {
     }
 }
 
-/// Check that `path` could plausibly be created: its parent directory
-/// must already exist. Catches `--trace-out /no/such/dir/t.jsonl`
-/// before a long search runs, not after.
-fn writable_parent(path: &str) -> Result<(), String> {
-    match std::path::Path::new(path).parent() {
-        None => Ok(()),
-        Some(parent) if parent.as_os_str().is_empty() || parent.is_dir() => Ok(()),
-        Some(parent) => Err(format!(
-            "cannot write {path}: parent directory `{}` does not exist",
-            parent.display()
-        )),
+/// Everything `tune` reads from its flags.
+struct TuneFlags {
+    strategy: String,
+    grid: String,
+    budget: usize,
+    seed: u64,
+    device: MachineSpec,
+    screen: bool,
+    engine: EngineFlags,
+    selection: Selection,
+    trace_out: Option<String>,
+    trace_format: String,
+    metrics_out: Option<String>,
+    profile: bool,
+    checkpoint: Option<String>,
+    checkpoint_every: usize,
+    resume: Option<String>,
+    stop_after: Option<usize>,
+}
+
+impl TuneFlags {
+    fn read(args: &mut Args) -> Result<Self, String> {
+        let budget = EvalBudget {
+            max_sims: args.number("--max-sims", "a number")?,
+            deadline_ms: args.positive("--deadline-ms", "a positive number")?,
+        };
+        let resume = args.text("--resume", "a checkpoint path")?;
+        // A resumed run keeps checkpointing to the file it resumed from
+        // unless an explicit --checkpoint redirects it.
+        let checkpoint = args.text("--checkpoint", "a path")?.or_else(|| resume.clone());
+        if let Some(path) = &checkpoint {
+            writable_parent(path)?;
+        }
+        let stop_after = args.positive("--stop-after-units", "a number >= 1")?;
+        if stop_after.is_some() && checkpoint.is_none() {
+            return Err("--stop-after-units requires --checkpoint or --resume".to_string());
+        }
+        let mut flags = TuneFlags {
+            strategy: args.text("--strategy", "a value")?.unwrap_or_else(|| "pareto".into()),
+            grid: args
+                .text("--grid", "a value (default|fine)")?
+                .unwrap_or_else(|| "default".into()),
+            budget: args.positive("--budget", "a number >= 1")?.unwrap_or(10),
+            seed: args.number("--seed", "a number")?.unwrap_or(0),
+            device: args
+                .value_with("--device", "g80|gt200", device_by_name)?
+                .unwrap_or_else(MachineSpec::geforce_8800_gtx),
+            screen: !args.switch("--no-screen"),
+            selection: args.selection()?,
+            trace_out: args.output("--trace-out")?,
+            trace_format: args
+                .value_with("--trace-format", "jsonl|chrome", |f| {
+                    matches!(f, "jsonl" | "chrome").then(|| f.to_string())
+                })?
+                .unwrap_or_else(|| "jsonl".into()),
+            metrics_out: args.output("--metrics-out")?,
+            profile: args.switch("--profile"),
+            checkpoint,
+            checkpoint_every: args
+                .positive("--checkpoint-every", "a number >= 1")?
+                .unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+            resume,
+            stop_after,
+            // Last, so the store is opened only after every other flag is read.
+            engine: args.engine_flags()?,
+        };
+        flags.engine.config.budget = budget;
+        Ok(flags)
     }
 }
 
@@ -290,255 +334,33 @@ fn cmd_tune(args: &[String]) -> ExitCode {
         eprintln!("tune needs an app (matmul|cp|sad|mri)");
         return ExitCode::FAILURE;
     };
-    if app_by_name(app_name).is_none() {
-        eprintln!("unknown app `{app_name}` (matmul|cp|sad|mri)");
-        return ExitCode::FAILURE;
-    }
-    let mut strategy = "pareto".to_string();
-    let mut grid = "default".to_string();
-    let mut budget = 10usize;
-    let mut seed = 0u64;
-    let mut device = MachineSpec::geforce_8800_gtx();
-    let mut screen = true;
-    let mut jobs = 1usize;
-    let mut eval_budget = EvalBudget::UNLIMITED;
-    let mut sim_fuel: Option<u64> = None;
-    let mut check_races = false;
-    let mut retry = RetryPolicy::default();
-    let mut inject = false;
-    let mut fault_seed: Option<u64> = None;
-    let mut trace_out: Option<String> = None;
-    let mut trace_format = "jsonl".to_string();
-    let mut metrics_out: Option<String> = None;
-    let mut profile = false;
-    let mut filters: Vec<Filter> = Vec::new();
-    let mut sample: Option<usize> = None;
-    let mut sample_seed: Option<u64> = None;
-    let mut eager = false;
-    let mut store_dir: Option<String> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut checkpoint_every = DEFAULT_CHECKPOINT_EVERY;
-    let mut resume_path: Option<String> = None;
-    let mut stop_after: Option<usize> = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--strategy" => match it.next() {
-                Some(s) => strategy = s.clone(),
-                None => {
-                    eprintln!("--strategy needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--grid" => match it.next() {
-                Some(g) => grid = g.clone(),
-                None => {
-                    eprintln!("--grid needs a value (default|fine)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--budget" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(b) if b >= 1 => budget = b,
-                _ => {
-                    eprintln!("--budget needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--device" => match it.next().and_then(|s| device_by_name(s)) {
-                Some(d) => device = d,
-                None => {
-                    eprintln!("--device needs g80|gt200");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--no-screen" => screen = false,
-            "--jobs" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(j) if j >= 1 => jobs = j,
-                _ => {
-                    eprintln!("--jobs needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-sims" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => eval_budget.max_sims = Some(n),
-                None => {
-                    eprintln!("--max-sims needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--deadline-ms" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(ms) if ms > 0.0 => eval_budget.deadline_ms = Some(ms),
-                _ => {
-                    eprintln!("--deadline-ms needs a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sim-fuel" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(f) if f > 0 => sim_fuel = Some(f),
-                _ => {
-                    eprintln!("--sim-fuel needs a positive number of steps");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check-races" => check_races = true,
-            "--retries" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => retry.max_attempts = n,
-                _ => {
-                    eprintln!("--retries needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--inject-faults" => inject = true,
-            "--fault-seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => fault_seed = Some(s),
-                None => {
-                    eprintln!("--fault-seed needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p.clone()),
-                None => {
-                    eprintln!("--trace-out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace-format" => match it.next().map(String::as_str) {
-                Some(f @ ("jsonl" | "chrome")) => trace_format = f.to_string(),
-                _ => {
-                    eprintln!("--trace-format needs jsonl|chrome");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p.clone()),
-                None => {
-                    eprintln!("--metrics-out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--profile" => profile = true,
-            "--filter" => match it.next().map(|s| Filter::parse(s)) {
-                Some(Ok(f)) => filters.push(f),
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--filter needs axis=value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sample" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => sample = Some(n),
-                _ => {
-                    eprintln!("--sample needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sample-seed" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => sample_seed = Some(s),
-                None => {
-                    eprintln!("--sample-seed needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--eager" => eager = true,
-            "--store-dir" => match it.next() {
-                Some(d) => store_dir = Some(d.clone()),
-                None => {
-                    eprintln!("--store-dir needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint" => match it.next() {
-                Some(p) => checkpoint_path = Some(p.clone()),
-                None => {
-                    eprintln!("--checkpoint needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint-every" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => checkpoint_every = n,
-                _ => {
-                    eprintln!("--checkpoint-every needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--resume" => match it.next() {
-                Some(p) => resume_path = Some(p.clone()),
-                None => {
-                    eprintln!("--resume needs a checkpoint path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--stop-after-units" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => stop_after = Some(n),
-                _ => {
-                    eprintln!("--stop-after-units needs a number >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown flag `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if sample_seed.is_some() && sample.is_none() {
-        eprintln!("--sample-seed requires --sample");
-        return ExitCode::FAILURE;
-    }
-    if stop_after.is_some() && checkpoint_path.is_none() && resume_path.is_none() {
-        eprintln!("--stop-after-units requires --checkpoint or --resume");
-        return ExitCode::FAILURE;
-    }
-    // A resumed run keeps checkpointing to the file it resumed from
-    // unless an explicit --checkpoint redirects it.
-    if checkpoint_path.is_none() {
-        checkpoint_path = resume_path.clone();
-    }
-    // Fail on unusable export destinations *before* the search spends
-    // minutes computing results those paths were meant to receive.
-    for path in [&trace_out, &metrics_out, &checkpoint_path].into_iter().flatten() {
-        if let Err(e) = writable_parent(path) {
+    let mut rest = Args::new(args[1..].to_vec());
+    let read = TuneFlags::read(&mut rest)
+        .and_then(|flags| rest.finish().map(|()| flags))
+        .and_then(|flags| Ok((by_name(app_name, &flags.grid)?, flags)));
+    let (app, flags) = match read {
+        Ok(read) => read,
+        Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-    }
-    let app: Box<dyn App> = match (app_name.as_str(), grid.as_str()) {
-        (_, "default") => app_by_name(app_name).expect("validated above"),
-        ("matmul", "fine") => Box::new(MatMulFine::reduced_problem()),
-        (other, "fine") => {
-            eprintln!("app `{other}` declares no fine grid (only matmul does)");
-            return ExitCode::FAILURE;
-        }
-        (_, other) => {
-            eprintln!("unknown grid `{other}` (default|fine)");
-            return ExitCode::FAILURE;
-        }
     };
+    let TuneFlags { strategy, grid, device, selection, .. } = &flags;
     let space = app.space();
     let one_shot: Option<Box<dyn SearchStrategy>> = match strategy.as_str() {
         "exhaustive" => Some(Box::new(ExhaustiveSearch)),
-        "pareto" => Some(Box::new(PrunedSearch { screen_bandwidth: screen, ..Default::default() })),
-        "random" => Some(Box::new(RandomSearch::new(budget, seed))),
+        "pareto" => {
+            Some(Box::new(PrunedSearch { screen_bandwidth: flags.screen, ..Default::default() }))
+        }
+        "random" => Some(Box::new(RandomSearch::new(flags.budget, flags.seed))),
         _ => None,
     };
-    let iterative = zoo::by_name(&strategy, &space, budget, seed);
+    let iterative = zoo::by_name(strategy, &space, flags.budget, flags.seed);
     // What a checkpoint must match to be resumed: the name the report
     // prints (it carries budget and seed), plus pareto's screening
     // choice, which that name does not show.
     let identity = match (&one_shot, &iterative) {
-        (Some(s), _) if strategy == "pareto" && !screen => format!("{}-noscreen", s.name()),
+        (Some(s), _) if strategy == "pareto" && !flags.screen => format!("{}-noscreen", s.name()),
         (Some(s), _) => s.name(),
         (None, Some(s)) => s.name(),
         (None, None) if strategy == "bnb" => strategy.clone(),
@@ -550,30 +372,18 @@ fn cmd_tune(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let selection = Selection {
-        filters,
-        sample: sample.map(|count| Sample { count, seed: sample_seed.unwrap_or(0) }),
-    };
-    let fault_plan = match (inject, fault_seed) {
-        (false, None) => None,
-        (false, Some(_)) => {
-            eprintln!("--fault-seed requires --inject-faults");
-            return ExitCode::FAILURE;
-        }
-        (true, None) => Some(FaultPlan::default()),
-        (true, Some(seed)) => Some(FaultPlan::with_seed(seed)),
-    };
-    let mut engine = EvalEngine::new(EngineConfig {
-        jobs,
-        budget: eval_budget,
-        retry,
-        sim_fuel,
-        fault_plan,
-        check_races,
-    });
+    // Branch-and-bound and the iterative strategies walk the declared
+    // space itself — bnb decides which subspaces ever reach
+    // instantiation, and the zoo's dense candidate indices must line
+    // up with the full space — so up-front narrowing contradicts them.
+    if one_shot.is_none() && !selection.is_noop() {
+        eprintln!("--strategy {strategy} searches the full space; drop --filter/--sample");
+        return ExitCode::FAILURE;
+    }
+    let mut engine = flags.engine.engine();
     // Observation is opt-in: the sink only exists when some exporter
     // will consume it.
-    let sink = if trace_out.is_some() || metrics_out.is_some() || profile {
+    let sink = if flags.trace_out.is_some() || flags.metrics_out.is_some() || flags.profile {
         let sink = Arc::new(EventSink::new());
         engine = engine.with_sink(Arc::clone(&sink));
         Some(sink)
@@ -584,39 +394,29 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     // Durable-tuning plumbing. All status chatter goes to stderr so a
     // resumed run's stdout stays byte-identical to an uninterrupted
     // one.
-    let result_store = match &store_dir {
-        Some(dir) => match ResultStore::open(dir) {
-            Ok(st) => {
-                let st = Arc::new(st);
-                eprintln!(
-                    "result store {dir}: {} records loaded, {} dropped (generation {})",
-                    st.records_loaded(),
-                    st.records_dropped(),
-                    st.generation(),
-                );
-                engine = engine.with_store(Arc::clone(&st));
-                Some(st)
-            }
-            Err(e) => {
-                eprintln!("cannot open result store {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let result_store = flags.engine.store.as_ref();
+    if let Some(st) = result_store {
+        eprintln!(
+            "result store {}: {} records loaded, {} dropped (generation {})",
+            st.dir().display(),
+            st.records_loaded(),
+            st.records_dropped(),
+            st.generation(),
+        );
+    }
     let meta = CheckpointMeta::new(
         app_name,
         &identity,
         (grid != "default").then_some(grid.as_str()),
         &space,
     );
-    let checkpointer = match &checkpoint_path {
+    let checkpointer = match &flags.checkpoint {
         Some(path) => {
-            let mut ck = Checkpointer::new(path.clone(), checkpoint_every, meta.clone());
-            if let Some(n) = stop_after {
+            let mut ck = Checkpointer::new(path.clone(), flags.checkpoint_every, meta.clone());
+            if let Some(n) = flags.stop_after {
                 ck = ck.with_stop_after(n);
             }
-            if let Some(resume) = &resume_path {
+            if let Some(resume) = &flags.resume {
                 let loaded = match checkpoint::load(resume) {
                     Ok(l) => l,
                     Err(e) => {
@@ -662,56 +462,23 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     }
     let source = SpaceSource::new(app.as_ref(), points);
     let labels = source.labels();
-    let report = if strategy == "bnb" {
-        // Branch-and-bound searches the *space*, not a point list: it
-        // decides which subspaces ever reach instantiation, so eager
-        // materialization and up-front narrowing contradict it.
-        if !selection.is_noop() {
-            eprintln!("--strategy bnb searches the full space; drop --filter/--sample");
-            return ExitCode::FAILURE;
-        }
-        if eager {
-            eprintln!("--strategy bnb instantiates lazily by design; drop --eager");
-            return ExitCode::FAILURE;
-        }
-        BranchAndBound.run_space(&engine, &space, &AppInstantiator(app.as_ref()), &device)
-    } else if let Some(mut searcher) = iterative {
-        // Iterative zoo strategies walk the declared axis grid, so the
-        // dense candidate indices they propose must line up with the
-        // full space — no up-front narrowing.
-        if !selection.is_noop() {
-            eprintln!("--strategy {strategy} searches the full space; drop --filter/--sample");
-            return ExitCode::FAILURE;
-        }
-        if eager {
-            let cands: Vec<Candidate> =
-                source.points().iter().map(|p| app.instantiate(p)).collect();
-            run_iterative(searcher.as_mut(), &engine, &cands, &device)
-        } else {
-            run_iterative(searcher.as_mut(), &engine, &source, &device)
-        }
-    } else {
-        let searcher = one_shot.expect("strategy resolved above");
-        let mut report = if eager {
-            // Materialize every candidate up front — the reference path
-            // the lazy default is pinned against.
-            let cands: Vec<Candidate> =
-                source.points().iter().map(|p| app.instantiate(p)).collect();
-            searcher.run_source(&engine, &cands, &device)
-        } else {
-            searcher.run_source(&engine, &source, &device)
-        };
+    let report = if let Some(mut searcher) = iterative {
+        run_iterative(searcher.as_mut(), &engine, &source, device)
+    } else if let Some(searcher) = one_shot {
+        let mut report = searcher.run_source(&engine, &source, device);
         if !selection.is_noop() {
             report.selection = Some(selection.record(labels.len()));
         }
         report
+    } else {
+        BranchAndBound.run_space(&engine, &space, &AppInstantiator(app.as_ref()), device)
     };
     // An interrupted (or stop-after-tripped) run publishes its final
     // checkpoint and exits 130 without printing a report: the partial
     // results live in the checkpoint, not on stdout.
     if let Some(ck) = &checkpointer {
         if ck.should_stop() {
-            if let Some(st) = &result_store {
+            if let Some(st) = result_store {
                 if let Err(e) = st.sync() {
                     eprintln!("result store {}: sync failed: {e}", st.dir().display());
                 }
@@ -734,7 +501,7 @@ fn cmd_tune(args: &[String]) -> ExitCode {
         }
     }
     print_search(&labels, &report);
-    if let Some(st) = &result_store {
+    if let Some(st) = result_store {
         if let Err(e) = st.sync() {
             eprintln!("result store {}: sync failed: {e}", st.dir().display());
         }
@@ -750,23 +517,23 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     }
     if let Some(sink) = sink {
         let trace = sink.drain();
-        if let Some(path) = trace_out {
-            let text = match trace_format.as_str() {
+        if let Some(path) = &flags.trace_out {
+            let text = match flags.trace_format.as_str() {
                 "chrome" => chrome_trace(&trace).to_string_pretty(),
                 _ => trace.to_jsonl(),
             };
-            if let Err(e) = std::fs::write(&path, text) {
+            if let Err(e) = std::fs::write(path, text) {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
-            println!("trace: {} events ({trace_format}) -> {path}", trace.events.len());
+            println!("trace: {} events ({}) -> {path}", trace.events.len(), flags.trace_format);
         }
-        if let Some(path) = metrics_out {
-            let mut manifest = RunManifest::from_search(app_name.as_str(), &report, &device);
+        if let Some(path) = &flags.metrics_out {
+            let mut manifest = RunManifest::from_search(app_name.as_str(), &report, device);
             if grid != "default" {
                 manifest = manifest.with_grid(grid.clone());
             }
-            if let Some(st) = &result_store {
+            if let Some(st) = result_store {
                 manifest = manifest.with_store(StoreSummary {
                     path: st.dir().display().to_string(),
                     generation: st.generation(),
@@ -775,13 +542,13 @@ fn cmd_tune(args: &[String]) -> ExitCode {
                     hits: report.stats.store_hits as u64,
                 });
             }
-            if let Err(e) = std::fs::write(&path, manifest.to_json().to_string_pretty()) {
+            if let Err(e) = std::fs::write(path, manifest.to_json().to_string_pretty()) {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
             println!("manifest -> {path}");
         }
-        if profile {
+        if flags.profile {
             println!("\nprofile:\n{}", profile_table(&report.metrics));
         }
     }

@@ -9,12 +9,15 @@
 //! `#[ignore]`d tests run the full bench-scale spaces (run them with
 //! `cargo test --release -- --ignored`).
 
+use std::sync::Arc;
+
 use gpu_autotune::arch::MachineSpec;
 use gpu_autotune::kernels::{
     cp::Cp, matmul::MatMul, mri_fhd::MriFhd, sad::Sad, App, AppInstantiator, SpaceSource,
 };
 use gpu_autotune::optspace::engine::{EngineConfig, EvalEngine};
 use gpu_autotune::optspace::model::{LowerBound, MinFloorBound};
+use gpu_autotune::optspace::obs::EventSink;
 use gpu_autotune::optspace::space::Space;
 use gpu_autotune::optspace::tuner::{BranchAndBound, ExhaustiveSearch, SearchStrategy};
 use proptest::prelude::*;
@@ -133,6 +136,30 @@ fn reports_are_byte_identical_across_jobs() {
             base_json,
             "deterministic metrics JSON not byte-identical at jobs={jobs}"
         );
+    }
+}
+
+/// Trace events name a candidate by its index in the searched space,
+/// not by its position in the round's batch: every `sim.done` event
+/// points at the report entry holding the same timing.
+#[test]
+fn sim_done_events_name_space_indices() {
+    let spec = MachineSpec::geforce_8800_gtx();
+    let app = Cp::new(512, 64, 16);
+    let sink = Arc::new(EventSink::new());
+    let engine = engine_with_jobs(2).with_sink(Arc::clone(&sink));
+    let report = BranchAndBound.run_space(&engine, &app.space(), &AppInstantiator(&app), &spec);
+    let trace = sink.drain();
+    let done = trace.named("sim.done");
+    assert!(!done.is_empty(), "bnb timed nothing");
+    for event in done {
+        let field = |key: &str| {
+            event.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v).expect("sim.done field")
+        };
+        let i = field("candidate").as_u64().expect("candidate index") as usize;
+        let time_ms = field("time_ms").as_f64().expect("time");
+        let timed = report.simulated.get(i).and_then(Option::as_ref);
+        assert_eq!(timed.map(|t| t.time_ms), Some(time_ms), "sim.done names candidate #{i}");
     }
 }
 

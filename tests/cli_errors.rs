@@ -1,8 +1,9 @@
 //! CLI argument-validation audit: every bad-argument path in the
 //! `gpu-autotune` front end must exit non-zero with a stable,
 //! actionable message — not silently default, and never exit 0. The
-//! bench binaries' shared parser is audited by
-//! `crates/bench/tests/cli_errors.rs` with the same wording.
+//! experiment binaries read flags through the same parser
+//! (`optspace::cli`); `crates/bench/tests/cli_errors.rs` audits them
+//! with the same wording.
 
 use std::process::Command;
 
@@ -123,7 +124,7 @@ fn bnb_guards_still_hold() {
         &["tune", "cp", "--strategy", "bnb", "--filter", "block=64"],
         "searches the full space; drop --filter/--sample",
     );
-    assert_fails(&["tune", "cp", "--strategy", "bnb", "--eager"], "drop --eager");
+    assert_fails(&["tune", "cp", "--strategy", "bnb", "--eager"], "unknown flag `--eager`");
 }
 
 #[test]
