@@ -11,7 +11,7 @@ use gpu_kernels::mri_fhd::{MriConfig, MriFhd};
 use gpu_kernels::sad::{Sad, SadConfig};
 use gpu_sim::decode::decode;
 use gpu_sim::interp::run_kernel;
-use gpu_sim::timing::{simulate, simulate_decoded};
+use gpu_sim::timing::simulate;
 use optspace::candidate::Candidate;
 use std::hint::black_box;
 
@@ -27,7 +27,10 @@ fn bench_timing(c: &mut Criterion) {
     let prog = linearize(&cand.kernel);
     g.bench_function("matmul 512 / 16x16 / complete unroll", |b| {
         b.iter(|| {
-            black_box(simulate(&prog, &cand.launch, &e.kernel_profile.usage, &spec).expect("valid"))
+            black_box(
+                simulate(&decode(&prog), &cand.launch, &e.kernel_profile.usage, &spec, None)
+                    .expect("valid"),
+            )
         })
     });
 
@@ -39,7 +42,8 @@ fn bench_timing(c: &mut Criterion) {
     g.bench_function("cp 512x512 / 128 threads / tiling 4", |b| {
         b.iter(|| {
             black_box(
-                simulate(&cprog, &ccand.launch, &ce.kernel_profile.usage, &spec).expect("valid"),
+                simulate(&decode(&cprog), &ccand.launch, &ce.kernel_profile.usage, &spec, None)
+                    .expect("valid"),
             )
         })
     });
@@ -106,9 +110,7 @@ fn bench_decoded_vs_legacy(c: &mut Criterion) {
             })
         });
         g.bench_function(format!("{name} decoded"), |b| {
-            b.iter(|| {
-                black_box(simulate_decoded(&dec, &cand.launch, &usage, &spec).expect("valid"))
-            })
+            b.iter(|| black_box(simulate(&dec, &cand.launch, &usage, &spec, None).expect("valid")))
         });
     }
     g.finish();

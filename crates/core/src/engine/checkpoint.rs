@@ -65,11 +65,6 @@ pub fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::SeqCst)
 }
 
-/// Reset the interrupt flag (tests only; a real run exits instead).
-pub fn clear_interrupt() {
-    INTERRUPTED.store(false, Ordering::SeqCst);
-}
-
 /// Route SIGINT and SIGTERM to the interrupt flag. Setting an atomic is
 /// async-signal-safe; everything else (checkpoint write, store flush)
 /// happens on the main thread once the engine observes the flag.

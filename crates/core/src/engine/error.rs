@@ -15,7 +15,7 @@ use std::fmt;
 use gpu_arch::LaunchError;
 use gpu_ir::verify::VerifyError;
 use gpu_passes::PassError;
-use gpu_sim::timing::{FamilyError, TimingError};
+use gpu_sim::timing::TimingError;
 use gpu_sim::SimError;
 
 use crate::space::CandidateSource;
@@ -217,22 +217,9 @@ impl From<TimingError> for EvalError {
         match e {
             TimingError::Launch(l) => l.into(),
             TimingError::FuelExhausted { fuel } => Self::FuelExhausted { fuel },
-            TimingError::BarrierDeadlock => {
-                Self::SimFault { message: "barrier deadlock: not all warps arrived".into() }
+            TimingError::BarrierDeadlock | TimingError::NotAFamily => {
+                Self::SimFault { message: e.to_string() }
             }
-        }
-    }
-}
-
-impl From<FamilyError> for EvalError {
-    fn from(e: FamilyError) -> Self {
-        match e {
-            FamilyError::Launch(l) => l.into(),
-            FamilyError::FuelExhausted { fuel } => Self::FuelExhausted { fuel },
-            FamilyError::BarrierDeadlock => {
-                Self::SimFault { message: "barrier deadlock: not all warps arrived".into() }
-            }
-            FamilyError::NotAFamily => Self::SimFault { message: e.to_string() },
         }
     }
 }
@@ -304,7 +291,7 @@ mod tests {
         assert_eq!(e.kind(), EvalErrorKind::Fuel);
         let e: EvalError = TimingError::FuelExhausted { fuel: 7 }.into();
         assert_eq!(e, EvalError::FuelExhausted { fuel: 7 });
-        let e: EvalError = FamilyError::NotAFamily.into();
+        let e: EvalError = TimingError::NotAFamily.into();
         assert_eq!(e.kind(), EvalErrorKind::Sim);
     }
 

@@ -15,7 +15,7 @@
 //!   (linearized program, launch, resource usage, machine spec)
 //!   ([`cache`]). Configurations differing only in top-level trip
 //!   counts — any number of axes — form a *family* simulated in one
-//!   forked run (`gpu_sim::timing::simulate_family_decoded`), so each
+//!   forked run (`gpu_sim::timing::simulate_family`), so each
 //!   MRI-FHD cluster of seven costs roughly one simulation. Failed
 //!   evaluations are never cached: a family containing a failing member
 //!   degrades to individual runs so the failure cannot poison its
@@ -194,8 +194,7 @@ impl TimingEval for SimulatorEval {
         usage: &ResourceUsage,
         spec: &MachineSpec,
     ) -> Result<TimingReport, EvalError> {
-        gpu_sim::timing::simulate_decoded_fueled(prog, launch, usage, spec, self.fuel)
-            .map_err(Into::into)
+        gpu_sim::timing::simulate(prog, launch, usage, spec, self.fuel).map_err(Into::into)
     }
 
     fn simulate_family(
@@ -205,7 +204,7 @@ impl TimingEval for SimulatorEval {
         usage: &ResourceUsage,
         spec: &MachineSpec,
     ) -> Option<Vec<TimingReport>> {
-        gpu_sim::timing::simulate_family_decoded_fueled(progs, launch, usage, spec, self.fuel).ok()
+        gpu_sim::timing::simulate_family(progs, launch, usage, spec, self.fuel).ok()
     }
 }
 
@@ -1232,9 +1231,9 @@ mod tests {
         let spec = g80();
         for (c, got) in cands.iter().zip(&sims) {
             let e = c.evaluate(&spec).unwrap();
-            let prog = gpu_ir::linear::linearize(&c.kernel);
+            let prog = gpu_sim::decode::decode(&gpu_ir::linear::linearize(&c.kernel));
             let want = scale_by_invocations(
-                gpu_sim::timing::simulate(&prog, &c.launch, &e.kernel_profile.usage, &spec)
+                gpu_sim::timing::simulate(&prog, &c.launch, &e.kernel_profile.usage, &spec, None)
                     .unwrap(),
                 c.invocations,
             );
@@ -1523,7 +1522,7 @@ mod fault_tests {
                 if trips == self.panic_on_trips {
                     panic!("deliberate test panic");
                 }
-                gpu_sim::timing::simulate_decoded(prog, launch, usage, spec).map_err(Into::into)
+                gpu_sim::timing::simulate(prog, launch, usage, spec, None).map_err(Into::into)
             }
         }
 

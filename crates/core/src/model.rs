@@ -268,13 +268,6 @@ impl<'a> ProbeBound<'a> {
         floor
     }
 
-    /// Whether the grid tuple at `rank` was instantiated as a probe.
-    /// Pruned-point accounting subtracts these: a probed corner was
-    /// *not* eliminated without instantiation.
-    pub fn was_instantiated(&self, rank: usize) -> bool {
-        self.memo.borrow().contains_key(&rank)
-    }
-
     /// Grid ranks instantiated as probes so far, in unspecified order.
     pub fn instantiated_ranks(&self) -> Vec<usize> {
         self.memo.borrow().keys().copied().collect()
@@ -407,10 +400,15 @@ mod tests {
             for &t in &[32u32, 64, 128, 256] {
                 let c = candidate(it, t);
                 let e = c.evaluate(&spec).unwrap();
-                let prog = gpu_ir::linear::linearize(&c.kernel);
-                let sim =
-                    gpu_sim::timing::simulate(&prog, &c.launch, &e.kernel_profile.usage, &spec)
-                        .unwrap();
+                let prog = gpu_sim::decode::decode(&gpu_ir::linear::linearize(&c.kernel));
+                let sim = gpu_sim::timing::simulate(
+                    &prog,
+                    &c.launch,
+                    &e.kernel_profile.usage,
+                    &spec,
+                    None,
+                )
+                .unwrap();
                 // The engine reports sim time plus the launch overhead;
                 // the floor includes the same overhead term.
                 let reported = sim.time_ms + crate::tuner::LAUNCH_OVERHEAD_MS;
@@ -458,9 +456,10 @@ mod tests {
         for c in &cands {
             let e = c.evaluate(&spec).unwrap();
             predicted.push(predict_ms(c, &e, &spec));
-            let prog = gpu_ir::linear::linearize(&c.kernel);
-            let t = gpu_sim::timing::simulate(&prog, &c.launch, &e.kernel_profile.usage, &spec)
-                .unwrap();
+            let prog = gpu_sim::decode::decode(&gpu_ir::linear::linearize(&c.kernel));
+            let t =
+                gpu_sim::timing::simulate(&prog, &c.launch, &e.kernel_profile.usage, &spec, None)
+                    .unwrap();
             simulated.push(t.time_ms);
         }
         let rho = rank_correlation(&predicted, &simulated);

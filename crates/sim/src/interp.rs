@@ -587,39 +587,22 @@ impl BlockThreads {
 /// Execute `prog` over the whole `launch` grid against `mem`.
 ///
 /// `params` are the kernel's launch-time scalar parameters (word
-/// addresses and sizes), indexed by `Operand::Param`.
-///
-/// Decodes `prog` first; callers interpreting one program many times
-/// should decode once with [`crate::decode::decode`] and call
-/// [`run_decoded`].
+/// addresses and sizes), indexed by `Operand::Param`. `prog` is decoded
+/// into the flat op arena first, and every block runs under
+/// [`DEFAULT_STEP_BUDGET`].
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] raised by a thread: out-of-bounds
-/// accesses, type mismatches, missing parameters, or divergent barriers.
+/// accesses, type mismatches, missing parameters, or divergent barriers;
+/// [`SimError::StepBudgetExhausted`] when a block exceeds the budget.
 pub fn run_kernel(
     prog: &LinearProgram,
     launch: &Launch,
     params: &[i32],
     mem: &mut DeviceMemory,
 ) -> Result<(), SimError> {
-    run_decoded(&decode(prog), launch, params, mem)
-}
-
-/// [`run_kernel`] with an explicit per-block step budget.
-///
-/// # Errors
-///
-/// As [`run_kernel`], plus [`SimError::StepBudgetExhausted`] when a block
-/// exceeds `budget` interpreted steps.
-pub fn run_kernel_with_budget(
-    prog: &LinearProgram,
-    launch: &Launch,
-    params: &[i32],
-    mem: &mut DeviceMemory,
-    budget: u64,
-) -> Result<(), SimError> {
-    run_decoded_with_budget(&decode(prog), launch, params, mem, budget)
+    run_grid(&decode(prog), launch, params, mem, DEFAULT_STEP_BUDGET, false)
 }
 
 /// [`run_kernel`] with the dynamic shared-memory race oracle enabled.
@@ -640,52 +623,11 @@ pub fn run_kernel_checked(
     params: &[i32],
     mem: &mut DeviceMemory,
 ) -> Result<(), SimError> {
-    run_decoded_checked(&decode(prog), launch, params, mem)
+    run_grid(&decode(prog), launch, params, mem, DEFAULT_STEP_BUDGET, true)
 }
 
-/// [`run_kernel`] over an already-decoded program.
-///
-/// # Errors
-///
-/// As [`run_kernel`].
-pub fn run_decoded(
-    prog: &DecodedProgram,
-    launch: &Launch,
-    params: &[i32],
-    mem: &mut DeviceMemory,
-) -> Result<(), SimError> {
-    run_decoded_with_budget(prog, launch, params, mem, DEFAULT_STEP_BUDGET)
-}
-
-/// [`run_kernel_with_budget`] over an already-decoded program.
-///
-/// # Errors
-///
-/// As [`run_kernel_with_budget`].
-pub fn run_decoded_with_budget(
-    prog: &DecodedProgram,
-    launch: &Launch,
-    params: &[i32],
-    mem: &mut DeviceMemory,
-    budget: u64,
-) -> Result<(), SimError> {
-    run_grid(prog, launch, params, mem, budget, false)
-}
-
-/// [`run_kernel_checked`] over an already-decoded program.
-///
-/// # Errors
-///
-/// As [`run_kernel_checked`].
-pub fn run_decoded_checked(
-    prog: &DecodedProgram,
-    launch: &Launch,
-    params: &[i32],
-    mem: &mut DeviceMemory,
-) -> Result<(), SimError> {
-    run_grid(prog, launch, params, mem, DEFAULT_STEP_BUDGET, true)
-}
-
+/// Run every block of `launch` in turn, each under a step budget of
+/// `budget`, with the race oracle armed when `check_races` is set.
 fn run_grid(
     prog: &DecodedProgram,
     launch: &Launch,
@@ -933,7 +875,8 @@ mod tests {
         });
         let prog = linearize(&b.finish());
         let mut mem = DeviceMemory::new(1);
-        let err = run_kernel_with_budget(&prog, &launch_1d(1, 1), &[], &mut mem, 100).unwrap_err();
+        let err =
+            run_grid(&decode(&prog), &launch_1d(1, 1), &[], &mut mem, 100, false).unwrap_err();
         assert_eq!(err, SimError::StepBudgetExhausted);
     }
 

@@ -18,9 +18,14 @@ pub mod timing {
     use gpu_ir::linear::{LinOp, LinearProgram};
     use gpu_ir::{Launch, Op, LOOP_OVERHEAD_INSTRS};
 
-    use crate::timing::{
-        warp_transaction_bytes, FamilyError, Pick, RunHalt, SimSetup, TimingError, TimingReport,
-    };
+    use crate::timing::{warp_transaction_bytes, Pick, SimSetup, TimingError, TimingReport};
+
+    /// Why an event loop halted before every warp retired.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum RunHalt {
+        Fuel,
+        Deadlock,
+    }
 
     #[derive(Debug, Clone, Copy)]
     struct Frame {
@@ -365,15 +370,17 @@ pub mod timing {
         }
     }
 
-    /// Reference counterpart of [`crate::timing::simulate`].
+    /// Reference counterpart of [`crate::timing::simulate`] without a
+    /// fuel limit.
     ///
     /// # Errors
     ///
-    /// As [`crate::timing::simulate`].
+    /// The [`LaunchError`] when the configuration cannot execute at all.
     ///
     /// # Panics
     ///
-    /// On barrier deadlock, as [`crate::timing::simulate`].
+    /// On barrier deadlock — impossible for the warp-uniform programs
+    /// this crate generates.
     pub fn simulate(
         prog: &LinearProgram,
         launch: &Launch,
@@ -384,17 +391,18 @@ pub mod timing {
             Ok(r) => Ok(r),
             Err(TimingError::Launch(e)) => Err(e),
             Err(TimingError::FuelExhausted { .. }) => unreachable!("no fuel limit was set"),
+            Err(TimingError::NotAFamily) => unreachable!("one program is not a family run"),
             Err(TimingError::BarrierDeadlock) => {
                 panic!("barrier deadlock in a warp-uniform program")
             }
         }
     }
 
-    /// Reference counterpart of [`crate::timing::simulate_fueled`].
+    /// Reference counterpart of [`crate::timing::simulate`].
     ///
     /// # Errors
     ///
-    /// As [`crate::timing::simulate_fueled`].
+    /// As [`crate::timing::simulate`].
     pub fn simulate_fueled(
         prog: &LinearProgram,
         launch: &Launch,
@@ -413,7 +421,7 @@ pub mod timing {
 
     /// Locate the single top-level loop whose trip count varies across
     /// `progs`, verifying the programs are otherwise identical.
-    fn family_varying_loop(progs: &[&LinearProgram]) -> Result<Option<usize>, FamilyError> {
+    fn family_varying_loop(progs: &[&LinearProgram]) -> Result<Option<usize>, TimingError> {
         let first = progs[0];
         let mut varying: Option<usize> = None;
         for p in &progs[1..] {
@@ -422,7 +430,7 @@ pub mod timing {
                 || p.smem_words != first.smem_words
                 || p.num_params != first.num_params
             {
-                return Err(FamilyError::NotAFamily);
+                return Err(TimingError::NotAFamily);
             }
             for (pc, (a, b)) in first.code.iter().zip(&p.code).enumerate() {
                 if a == b {
@@ -435,7 +443,7 @@ pub mod timing {
                     ) if ca == cb && ea == eb && varying.is_none_or(|v| v == pc) => {
                         varying = Some(pc);
                     }
-                    _ => return Err(FamilyError::NotAFamily),
+                    _ => return Err(TimingError::NotAFamily),
                 }
             }
         }
@@ -451,35 +459,35 @@ pub mod timing {
         let any_zero =
             progs.iter().any(|p| matches!(p.code[pc], LinOp::LoopStart { trips: 0, .. }));
         if depth != 0 || any_zero {
-            return Err(FamilyError::NotAFamily);
+            return Err(TimingError::NotAFamily);
         }
         Ok(Some(pc))
     }
 
-    /// Reference counterpart of [`crate::timing::simulate_family_fueled`].
+    /// Reference counterpart of [`crate::timing::simulate_family`].
     ///
     /// Note the reference algorithm only supports a **single** varying
     /// top-level loop; the decoded engine generalizes to several.
     ///
     /// # Errors
     ///
-    /// As [`crate::timing::simulate_family_fueled`], except that
-    /// multi-axis families are rejected with [`FamilyError::NotAFamily`].
+    /// As [`crate::timing::simulate_family`], except that
+    /// multi-axis families are rejected with [`TimingError::NotAFamily`].
     pub fn simulate_family_fueled(
         progs: &[&LinearProgram],
         launch: &Launch,
         usage: &ResourceUsage,
         spec: &MachineSpec,
         fuel: Option<u64>,
-    ) -> Result<Vec<TimingReport>, FamilyError> {
+    ) -> Result<Vec<TimingReport>, TimingError> {
         let halt_to_family = |h: RunHalt| match h {
-            RunHalt::Fuel => FamilyError::FuelExhausted { fuel: fuel.unwrap_or(u64::MAX) },
-            RunHalt::Deadlock => FamilyError::BarrierDeadlock,
+            RunHalt::Fuel => TimingError::FuelExhausted { fuel: fuel.unwrap_or(u64::MAX) },
+            RunHalt::Deadlock => TimingError::BarrierDeadlock,
         };
         if progs.is_empty() {
             return Ok(Vec::new());
         }
-        let setup = SimSetup::new(launch, usage, spec).map_err(FamilyError::Launch)?;
+        let setup = SimSetup::new(launch, usage, spec)?;
         let Some(loop_pc) = family_varying_loop(progs)? else {
             let mut st = SimState::new(progs[0], &setup);
             st.run(&progs[0].code, &setup, spec, fuel).map_err(halt_to_family)?;
@@ -509,11 +517,11 @@ pub mod timing {
         loop {
             let (t, idx) = match st.pick(&master.code) {
                 Pick::Done => break,
-                Pick::Deadlock => return Err(FamilyError::BarrierDeadlock),
+                Pick::Deadlock => return Err(TimingError::BarrierDeadlock),
                 Pick::Ready(t, idx) => (t, idx),
             };
             if fuel.is_some_and(|f| st.steps >= f) {
-                return Err(FamilyError::FuelExhausted { fuel: fuel.unwrap_or(u64::MAX) });
+                return Err(TimingError::FuelExhausted { fuel: fuel.unwrap_or(u64::MAX) });
             }
             if st.warps[idx].pc == loop_end {
                 let rem = st.warps[idx].frames.last().expect("back edge without frame").remaining;
@@ -880,11 +888,14 @@ pub mod interp {
         run_kernel_with_budget(prog, launch, params, mem, DEFAULT_STEP_BUDGET)
     }
 
-    /// Reference counterpart of [`crate::interp::run_kernel_with_budget`].
+    /// Reference counterpart of [`crate::interp::run_kernel`] with an
+    /// explicit per-block step budget.
     ///
     /// # Errors
     ///
-    /// As [`crate::interp::run_kernel_with_budget`].
+    /// As [`crate::interp::run_kernel`], plus
+    /// [`SimError::StepBudgetExhausted`] when a block exceeds `budget`
+    /// interpreted steps.
     pub fn run_kernel_with_budget(
         prog: &LinearProgram,
         launch: &Launch,

@@ -20,15 +20,26 @@
 //!   cycle latency and the 86.4 GB/s bandwidth with G80 coalescing
 //!   rules. This is the stand-in for the paper's wall-clock ground
 //!   truth.
-//! * [`trace`] — single-thread execution tracing for debugging
-//!   generated configurations.
+//! * [`trace`] — execution-path tracing for debugging generated
+//!   configurations.
+//!
+//! Each engine has one way in. The interpreter is [`run_kernel`] (and
+//! its race-checked twin [`run_kernel_checked`]) over a
+//! [`LinearProgram`](gpu_ir::linear::LinearProgram). The timing
+//! simulator is [`simulate`] for one program and [`simulate_family`]
+//! for trip-count siblings forked from one run; a single program is a
+//! family of one, so the two drive the same event loop, take the same
+//! optional fuel limit and fail with one error type, [`TimingError`].
+//! Tracing is [`trace_kernel`].
 //!
 //! Both engines execute the pre-decoded form from [`decode`]: a
 //! [`LinearProgram`](gpu_ir::linear::LinearProgram) is lowered once into
-//! a flat arena of fixed-width ops ([`decode::DecodedProgram`]), and the
-//! hot loops walk that arena by index. The pre-decode reference engines
-//! are retained in [`legacy`] as the behavioural oracle — the
-//! differential test suite holds the two stacks bit-identical.
+//! a flat arena of fixed-width ops ([`DecodedProgram`]), and the hot
+//! loops walk that arena by index. Timing callers decode with
+//! [`decode::decode`] and may share one decode across many simulations.
+//! The pre-decode reference engines are retained in [`legacy`] as the
+//! behavioural oracle — the differential test suite holds the two stacks
+//! bit-identical.
 //!
 //! # Examples
 //!
@@ -66,5 +77,5 @@ pub mod trace;
 pub use decode::{DecodedArena, DecodedProgram};
 pub use error::SimError;
 pub use interp::{run_kernel, run_kernel_checked, DeviceMemory};
-pub use timing::{simulate, simulate_decoded, TimingReport};
+pub use timing::{simulate, simulate_family, TimingError, TimingReport};
 pub use trace::{trace_kernel, Trace};

@@ -42,10 +42,9 @@
 //! [`LinOp`]: gpu_ir::linear::LinOp
 
 use gpu_arch::{LaunchError, MachineSpec, Occupancy, ResourceUsage};
-use gpu_ir::linear::LinearProgram;
 use gpu_ir::{Launch, LOOP_OVERHEAD_INSTRS};
 
-use crate::decode::{decode, DecKind, DecodedArena, DecodedOp, DecodedProgram, LatClass, NO_REG};
+use crate::decode::{DecKind, DecodedArena, DecodedOp, DecodedProgram, LatClass, NO_REG};
 
 /// Result of a timing simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,13 +157,6 @@ impl SimSetup {
 pub(crate) enum Pick {
     Ready(u64, usize),
     Done,
-    Deadlock,
-}
-
-/// Why an event loop halted before every warp retired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunHalt {
-    Fuel,
     Deadlock,
 }
 
@@ -575,30 +567,6 @@ impl SimState {
         }
     }
 
-    /// Run the event loop until every warp retires, the fuel meter runs
-    /// dry, or the block deadlocks at a barrier.
-    fn run(
-        &mut self,
-        arena: &DecodedArena,
-        trips: &[u32],
-        setup: &SimSetup,
-        spec: &MachineSpec,
-        fuel: Option<u64>,
-    ) -> Result<(), RunHalt> {
-        loop {
-            match self.pick() {
-                Pick::Done => return Ok(()),
-                Pick::Deadlock => return Err(RunHalt::Deadlock),
-                Pick::Ready(t, idx) => {
-                    if fuel.is_some_and(|f| self.steps >= f) {
-                        return Err(RunHalt::Fuel);
-                    }
-                    self.step(arena, trips, setup, spec, t, idx);
-                }
-            }
-        }
-    }
-
     /// Subtract `delta` remaining trips from every open frame of loop
     /// `loop_id`, re-basing a forked clone onto a shorter member.
     fn rebase_frames(&mut self, loop_id: u32, delta: u32) {
@@ -644,14 +612,22 @@ impl SimState {
     }
 }
 
-/// Why a fueled timing simulation failed.
+/// Why a timing simulation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TimingError {
     /// The configuration cannot execute at all (the paper's "invalid
     /// executable").
     Launch(LaunchError),
+    /// The programs given to [`simulate_family`] do not differ in exactly
+    /// the supported way (only in top-level loop trip counts, every
+    /// member at least one trip on each varying loop); simulate them
+    /// individually instead.
+    NotAFamily,
     /// The event loop took `fuel` scheduler steps without retiring every
-    /// warp — a runaway or mis-built kernel.
+    /// warp — a runaway or mis-built kernel. A family's master run may
+    /// exhaust the fuel where a shorter member alone would not; callers
+    /// should fall back to individual [`simulate`] runs so each member
+    /// gets its own fuel accounting.
     FuelExhausted {
         /// The fuel limit that was exceeded.
         fuel: u64,
@@ -664,6 +640,7 @@ impl std::fmt::Display for TimingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Launch(e) => write!(f, "launch invalid: {e}"),
+            Self::NotAFamily => write!(f, "programs do not form a varying-trip-count family"),
             Self::FuelExhausted { fuel } => {
                 write!(f, "simulation exceeded its fuel limit of {fuel} steps")
             }
@@ -683,128 +660,29 @@ impl From<LaunchError> for TimingError {
 /// Simulate `prog` under `launch` on `spec`, with per-thread resource
 /// usage `usage` determining residency.
 ///
-/// Decodes `prog` first; callers simulating one program many times (or
-/// many trip-count siblings of one structure) should decode once with
-/// [`crate::decode::decode`] and call [`simulate_decoded`].
+/// A **fuel watchdog** bounds the event loop to `fuel` scheduler steps
+/// (unbounded when `None`), so a runaway kernel terminates instead of
+/// hanging its worker. A program is a family of one: this is
+/// [`simulate_family`] over a single member, through the same event
+/// loop. Callers holding a [`LinearProgram`](gpu_ir::linear::LinearProgram)
+/// decode it first with [`crate::decode::decode`].
 ///
 /// # Errors
 ///
-/// Returns the [`LaunchError`] from the occupancy calculation when the
+/// [`TimingError::Launch`] from the occupancy calculation when the
 /// configuration cannot execute at all (the paper's "invalid
-/// executable").
-///
-/// # Panics
-///
-/// On barrier deadlock — impossible for the warp-uniform programs this
-/// crate generates. Callers evaluating untrusted or mutated kernels
-/// should use [`simulate_fueled`], which reports deadlock (and runaway
-/// kernels) as a [`TimingError`] instead.
+/// executable"); [`TimingError::FuelExhausted`] when the fuel runs dry;
+/// [`TimingError::BarrierDeadlock`] when every live warp is parked at a
+/// barrier that can never release.
 pub fn simulate(
-    prog: &LinearProgram,
-    launch: &Launch,
-    usage: &ResourceUsage,
-    spec: &MachineSpec,
-) -> Result<TimingReport, LaunchError> {
-    simulate_decoded(&decode(prog), launch, usage, spec)
-}
-
-/// As [`simulate`], but with a **fuel watchdog**: the event loop is
-/// bounded to `fuel` scheduler steps (unbounded when `None`), so a
-/// runaway kernel terminates with [`TimingError::FuelExhausted`]
-/// instead of hanging its worker, and a wedged barrier surfaces as
-/// [`TimingError::BarrierDeadlock`] instead of a panic.
-pub fn simulate_fueled(
-    prog: &LinearProgram,
-    launch: &Launch,
-    usage: &ResourceUsage,
-    spec: &MachineSpec,
-    fuel: Option<u64>,
-) -> Result<TimingReport, TimingError> {
-    simulate_decoded_fueled(&decode(prog), launch, usage, spec, fuel)
-}
-
-/// [`simulate`] over an already-decoded program.
-///
-/// # Errors
-///
-/// As [`simulate`].
-///
-/// # Panics
-///
-/// On barrier deadlock, as [`simulate`].
-pub fn simulate_decoded(
-    prog: &DecodedProgram,
-    launch: &Launch,
-    usage: &ResourceUsage,
-    spec: &MachineSpec,
-) -> Result<TimingReport, LaunchError> {
-    match simulate_decoded_fueled(prog, launch, usage, spec, None) {
-        Ok(r) => Ok(r),
-        Err(TimingError::Launch(e)) => Err(e),
-        Err(TimingError::FuelExhausted { .. }) => unreachable!("no fuel limit was set"),
-        Err(TimingError::BarrierDeadlock) => {
-            panic!("barrier deadlock in a warp-uniform program")
-        }
-    }
-}
-
-/// [`simulate_fueled`] over an already-decoded program.
-///
-/// # Errors
-///
-/// As [`simulate_fueled`].
-pub fn simulate_decoded_fueled(
     prog: &DecodedProgram,
     launch: &Launch,
     usage: &ResourceUsage,
     spec: &MachineSpec,
     fuel: Option<u64>,
 ) -> Result<TimingReport, TimingError> {
-    let setup = SimSetup::new(launch, usage, spec)?;
-    let mut state = SimState::new(&prog.arena, &prog.loop_trips, prog.num_vregs(), &setup);
-    state.run(&prog.arena, &prog.loop_trips, &setup, spec, fuel).map_err(|h| match h {
-        RunHalt::Fuel => TimingError::FuelExhausted { fuel: fuel.unwrap_or(u64::MAX) },
-        RunHalt::Deadlock => TimingError::BarrierDeadlock,
-    })?;
-    Ok(state.report(launch, &setup, spec))
+    simulate_family(&[prog], launch, usage, spec, fuel).map(|mut reports| reports.swap_remove(0))
 }
-
-/// Why [`simulate_family`] could not run a program set as one family.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FamilyError {
-    /// The shared launch configuration cannot execute at all.
-    Launch(LaunchError),
-    /// The programs do not differ in exactly the supported way (only in
-    /// top-level loop trip counts, every member at least one trip on
-    /// each varying loop); simulate them individually instead.
-    NotAFamily,
-    /// The master run (or a fork) exceeded the fuel limit. Callers
-    /// should fall back to individual [`simulate_fueled`] runs so each
-    /// member gets its own fuel accounting.
-    FuelExhausted {
-        /// The fuel limit that was exceeded.
-        fuel: u64,
-    },
-    /// Every live warp is parked at a barrier that can never release.
-    BarrierDeadlock,
-}
-
-impl std::fmt::Display for FamilyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Launch(e) => write!(f, "family launch invalid: {e}"),
-            Self::NotAFamily => {
-                write!(f, "programs do not form a varying-trip-count family")
-            }
-            Self::FuelExhausted { fuel } => {
-                write!(f, "family simulation exceeded its fuel limit of {fuel} steps")
-            }
-            Self::BarrierDeadlock => write!(f, "barrier deadlock: not all warps arrived"),
-        }
-    }
-}
-
-impl std::error::Error for FamilyError {}
 
 /// Simulate a *family* of programs — structurally identical kernels
 /// that differ only in the trip counts of **top-level loops** (e.g. the
@@ -821,51 +699,78 @@ impl std::error::Error for FamilyError {}
 /// clone drains against the member's own trip counts — recursively, so
 /// members differing on **several** top-level loops fork axis by axis.
 /// Each returned report is bit-identical to what a standalone
-/// [`simulate`] of that member produces.
+/// [`simulate`] of that member produces. Members sharing one
+/// [`DecodedArena`] (via [`DecodedProgram::with_arena`]) skip the
+/// structural comparison. The fuel watchdog of [`simulate`] applies to
+/// the master run and every fork.
 ///
 /// # Errors
 ///
-/// [`FamilyError::Launch`] when the shared configuration cannot launch;
-/// [`FamilyError::NotAFamily`] when the programs differ other than in
-/// top-level trip counts, or a varying loop has a zero-trip member
-/// (callers should fall back to individual [`simulate`] calls).
+/// As [`simulate`], plus [`TimingError::NotAFamily`] when the programs
+/// differ other than in top-level trip counts, or a varying loop has a
+/// zero-trip member (callers should fall back to individual
+/// [`simulate`] calls).
 pub fn simulate_family(
-    progs: &[&LinearProgram],
-    launch: &Launch,
-    usage: &ResourceUsage,
-    spec: &MachineSpec,
-) -> Result<Vec<TimingReport>, FamilyError> {
-    simulate_family_fueled(progs, launch, usage, spec, None)
-}
-
-/// As [`simulate_family`], but with the fuel watchdog of
-/// [`simulate_fueled`] applied to the master run and every fork.
-pub fn simulate_family_fueled(
-    progs: &[&LinearProgram],
-    launch: &Launch,
-    usage: &ResourceUsage,
-    spec: &MachineSpec,
-    fuel: Option<u64>,
-) -> Result<Vec<TimingReport>, FamilyError> {
-    let decoded: Vec<DecodedProgram> = progs.iter().map(|p| decode(p)).collect();
-    let refs: Vec<&DecodedProgram> = decoded.iter().collect();
-    simulate_family_decoded_fueled(&refs, launch, usage, spec, fuel)
-}
-
-/// [`simulate_family`] over already-decoded members. Members sharing
-/// one [`DecodedArena`] (via [`DecodedProgram::with_arena`]) skip the
-/// structural comparison entirely.
-///
-/// # Errors
-///
-/// As [`simulate_family`].
-pub fn simulate_family_decoded(
     progs: &[&DecodedProgram],
     launch: &Launch,
     usage: &ResourceUsage,
     spec: &MachineSpec,
-) -> Result<Vec<TimingReport>, FamilyError> {
-    simulate_family_decoded_fueled(progs, launch, usage, spec, None)
+    fuel: Option<u64>,
+) -> Result<Vec<TimingReport>, TimingError> {
+    if progs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let setup = SimSetup::new(launch, usage, spec)?;
+    let first = progs[0];
+    for p in &progs[1..] {
+        let same_shape = p.source.num_vregs == first.source.num_vregs
+            && p.source.smem_words == first.source.smem_words
+            && p.source.num_params == first.source.num_params;
+        let same_arena = std::sync::Arc::ptr_eq(&p.arena, &first.arena) || *p.arena == *first.arena;
+        if !same_shape || !same_arena {
+            return Err(TimingError::NotAFamily);
+        }
+    }
+    let mut axes: Vec<u32> = Vec::new();
+    for (j, &t0) in first.loop_trips.iter().enumerate() {
+        if progs[1..].iter().any(|p| p.loop_trips[j] != t0) {
+            axes.push(j as u32);
+        }
+    }
+    for &a in &axes {
+        // A varying loop must be top-level (it then runs at most once
+        // per warp, so "first warp completes its k-th iteration" is a
+        // single well-defined checkpoint per k), and every member must
+        // actually enter it for the checkpoint to exist.
+        let any_zero = progs.iter().any(|p| p.loop_trips[a as usize] == 0);
+        if !first.arena.loops[a as usize].top_level || any_zero {
+            return Err(TimingError::NotAFamily);
+        }
+    }
+    // The master runs at the element-wise maximum trip counts; members
+    // peel off axis by axis as the leading warp passes their counts.
+    // With no varying axis (a single program, or identical members) the
+    // master is every member and one run serves them all.
+    let mut master: Vec<u32> = first.loop_trips.clone();
+    for p in &progs[1..] {
+        for (m, &t) in master.iter_mut().zip(&p.loop_trips) {
+            *m = (*m).max(t);
+        }
+    }
+    let st = SimState::new(&first.arena, &master, first.num_vregs(), &setup);
+    let n_axes = axes.len();
+    let mut run = FamilyRun {
+        arena: &first.arena,
+        setup: &setup,
+        spec,
+        launch,
+        fuel,
+        member_trips: progs.iter().map(|p| p.loop_trips.as_slice()).collect(),
+        axes,
+        reports: vec![None; progs.len()],
+    };
+    run.drive(st, master, (0..progs.len()).collect(), vec![0; n_axes])?;
+    Ok(run.reports.into_iter().map(|r| r.expect("every member trip count checkpointed")).collect())
 }
 
 /// Shared context of one family evaluation: everything that does not
@@ -886,7 +791,9 @@ struct FamilyRun<'a> {
 impl FamilyRun<'_> {
     /// Drive `st` (running at trip counts `cur`) to completion,
     /// peeling `members` off onto forked clones whenever the leading
-    /// warp completes an iteration count some of them stop at.
+    /// warp completes an iteration count some of them stop at. This is
+    /// the simulator's one event loop: a lone program is a family with
+    /// no varying axis, whose run never forks.
     ///
     /// At a checkpoint for loop `a` at `completed` trips, no warp has
     /// exited loop `a` yet (exiting requires completing `cur[a] >
@@ -900,7 +807,7 @@ impl FamilyRun<'_> {
         cur: Vec<u32>,
         mut members: Vec<usize>,
         mut max_completed: Vec<u32>,
-    ) -> Result<(), FamilyError> {
+    ) -> Result<(), TimingError> {
         loop {
             if members.is_empty() {
                 // Every member of this branch forked off; the rest of
@@ -909,11 +816,11 @@ impl FamilyRun<'_> {
             }
             let (t, idx) = match st.pick() {
                 Pick::Done => break,
-                Pick::Deadlock => return Err(FamilyError::BarrierDeadlock),
+                Pick::Deadlock => return Err(TimingError::BarrierDeadlock),
                 Pick::Ready(t, idx) => (t, idx),
             };
             if self.fuel.is_some_and(|f| st.steps >= f) {
-                return Err(FamilyError::FuelExhausted { fuel: self.fuel.unwrap_or(u64::MAX) });
+                return Err(TimingError::FuelExhausted { fuel: self.fuel.unwrap_or(u64::MAX) });
             }
             // A back edge of a varying loop: the warp is about to finish
             // iteration `cur - remaining + 1`. The first time any warp
@@ -954,86 +861,10 @@ impl FamilyRun<'_> {
     }
 }
 
-/// As [`simulate_family_decoded`], with the fuel watchdog.
-///
-/// # Errors
-///
-/// As [`simulate_family_fueled`].
-pub fn simulate_family_decoded_fueled(
-    progs: &[&DecodedProgram],
-    launch: &Launch,
-    usage: &ResourceUsage,
-    spec: &MachineSpec,
-    fuel: Option<u64>,
-) -> Result<Vec<TimingReport>, FamilyError> {
-    let halt_to_family = |h: RunHalt| match h {
-        RunHalt::Fuel => FamilyError::FuelExhausted { fuel: fuel.unwrap_or(u64::MAX) },
-        RunHalt::Deadlock => FamilyError::BarrierDeadlock,
-    };
-    if progs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let setup = SimSetup::new(launch, usage, spec).map_err(FamilyError::Launch)?;
-    let first = progs[0];
-    for p in &progs[1..] {
-        let same_shape = p.source.num_vregs == first.source.num_vregs
-            && p.source.smem_words == first.source.smem_words
-            && p.source.num_params == first.source.num_params;
-        let same_arena = std::sync::Arc::ptr_eq(&p.arena, &first.arena) || *p.arena == *first.arena;
-        if !same_shape || !same_arena {
-            return Err(FamilyError::NotAFamily);
-        }
-    }
-    let mut axes: Vec<u32> = Vec::new();
-    for (j, &t0) in first.loop_trips.iter().enumerate() {
-        if progs[1..].iter().any(|p| p.loop_trips[j] != t0) {
-            axes.push(j as u32);
-        }
-    }
-    for &a in &axes {
-        // A varying loop must be top-level (it then runs at most once
-        // per warp, so "first warp completes its k-th iteration" is a
-        // single well-defined checkpoint per k), and every member must
-        // actually enter it for the checkpoint to exist.
-        let any_zero = progs.iter().any(|p| p.loop_trips[a as usize] == 0);
-        if !first.arena.loops[a as usize].top_level || any_zero {
-            return Err(FamilyError::NotAFamily);
-        }
-    }
-    if axes.is_empty() {
-        // All members identical: one run serves them all.
-        let mut st = SimState::new(&first.arena, &first.loop_trips, first.num_vregs(), &setup);
-        st.run(&first.arena, &first.loop_trips, &setup, spec, fuel).map_err(halt_to_family)?;
-        let rep = st.report(launch, &setup, spec);
-        return Ok(vec![rep; progs.len()]);
-    }
-    // The master runs at the element-wise maximum trip counts; members
-    // peel off axis by axis as the leading warp passes their counts.
-    let mut master: Vec<u32> = first.loop_trips.clone();
-    for p in &progs[1..] {
-        for (m, &t) in master.iter_mut().zip(&p.loop_trips) {
-            *m = (*m).max(t);
-        }
-    }
-    let st = SimState::new(&first.arena, &master, first.num_vregs(), &setup);
-    let n_axes = axes.len();
-    let mut run = FamilyRun {
-        arena: &first.arena,
-        setup: &setup,
-        spec,
-        launch,
-        fuel,
-        member_trips: progs.iter().map(|p| p.loop_trips.as_slice()).collect(),
-        axes,
-        reports: vec![None; progs.len()],
-    };
-    run.drive(st, master, (0..progs.len()).collect(), vec![0; n_axes])?;
-    Ok(run.reports.into_iter().map(|r| r.expect("every member trip count checkpointed")).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::decode;
     use gpu_ir::build::KernelBuilder;
     use gpu_ir::linear::linearize;
     use gpu_ir::{Dim, Kernel, Launch};
@@ -1075,9 +906,9 @@ mod tests {
     #[test]
     fn single_warp_dependent_chain_pays_latency() {
         let k = compute_kernel(100);
-        let prog = linearize(&k);
+        let prog = decode(&linearize(&k));
         let usage = ResourceUsage::new(32, 8, 0);
-        let r = simulate(&prog, &launch_1d(1, 32), &usage, &g80()).unwrap();
+        let r = simulate(&prog, &launch_1d(1, 32), &usage, &g80(), None).unwrap();
         // Each fmad waits ~arith_latency for the previous one: at least
         // 100 * 24 cycles.
         assert!(r.cycles_per_wave >= 2400, "cycles = {}", r.cycles_per_wave);
@@ -1086,13 +917,14 @@ mod tests {
     #[test]
     fn more_warps_hide_latency() {
         let k = compute_kernel(200);
-        let prog = linearize(&k);
+        let prog = decode(&linearize(&k));
         // Force a single resident block via shared memory so the warp
         // counts really are 1 vs 8.
-        let one = simulate(&prog, &launch_1d(16, 32), &ResourceUsage::new(32, 8, 12_000), &g80())
-            .unwrap();
+        let one =
+            simulate(&prog, &launch_1d(16, 32), &ResourceUsage::new(32, 8, 12_000), &g80(), None)
+                .unwrap();
         let eight =
-            simulate(&prog, &launch_1d(16, 256), &ResourceUsage::new(256, 8, 12_000), &g80())
+            simulate(&prog, &launch_1d(16, 256), &ResourceUsage::new(256, 8, 12_000), &g80(), None)
                 .unwrap();
         assert_eq!(one.occupancy.warps_per_sm(), 1);
         assert_eq!(eight.occupancy.warps_per_sm(), 8);
@@ -1112,17 +944,19 @@ mod tests {
     #[test]
     fn uncoalesced_memory_is_slower() {
         let co = simulate(
-            &linearize(&memory_kernel(100, true)),
+            &decode(&linearize(&memory_kernel(100, true))),
             &launch_1d(16, 256),
             &ResourceUsage::new(256, 10, 0),
             &g80(),
+            None,
         )
         .unwrap();
         let unco = simulate(
-            &linearize(&memory_kernel(100, false)),
+            &decode(&linearize(&memory_kernel(100, false))),
             &launch_1d(16, 256),
             &ResourceUsage::new(256, 10, 0),
             &g80(),
+            None,
         )
         .unwrap();
         assert!(
@@ -1142,19 +976,20 @@ mod tests {
     #[test]
     fn invalid_usage_propagates_launch_error() {
         let k = compute_kernel(1);
-        let prog = linearize(&k);
-        let err = simulate(&prog, &launch_1d(1, 512), &ResourceUsage::new(512, 17, 0), &g80())
-            .unwrap_err();
-        assert!(matches!(err, LaunchError::RegistersExhausted { .. }));
+        let prog = decode(&linearize(&k));
+        let err =
+            simulate(&prog, &launch_1d(1, 512), &ResourceUsage::new(512, 17, 0), &g80(), None)
+                .unwrap_err();
+        assert!(matches!(err, TimingError::Launch(LaunchError::RegistersExhausted { .. })));
     }
 
     #[test]
     fn waves_scale_with_grid() {
         let k = compute_kernel(10);
-        let prog = linearize(&k);
+        let prog = decode(&linearize(&k));
         let usage = ResourceUsage::new(256, 10, 0);
-        let small = simulate(&prog, &launch_1d(48, 256), &usage, &g80()).unwrap();
-        let big = simulate(&prog, &launch_1d(480, 256), &usage, &g80()).unwrap();
+        let small = simulate(&prog, &launch_1d(48, 256), &usage, &g80(), None).unwrap();
+        let big = simulate(&prog, &launch_1d(480, 256), &usage, &g80(), None).unwrap();
         assert_eq!(small.cycles_per_wave, big.cycles_per_wave);
         assert!((big.waves / small.waves - 10.0).abs() < 1e-9);
         assert!((big.time_ms / small.time_ms - 10.0).abs() < 1e-9);
@@ -1177,13 +1012,18 @@ mod tests {
             b.st_global(p, 0, acc);
             b.finish()
         }
-        let prog = linearize(&barrier_kernel());
+        let prog = decode(&linearize(&barrier_kernel()));
         // 256 threads/block; smem chosen so either 1 or 2 blocks fit.
-        let one_block =
-            simulate(&prog, &launch_1d(32, 256), &ResourceUsage::new(256, 10, 12_000), &g80())
-                .unwrap();
+        let one_block = simulate(
+            &prog,
+            &launch_1d(32, 256),
+            &ResourceUsage::new(256, 10, 12_000),
+            &g80(),
+            None,
+        )
+        .unwrap();
         let two_blocks =
-            simulate(&prog, &launch_1d(32, 256), &ResourceUsage::new(256, 10, 8_000), &g80())
+            simulate(&prog, &launch_1d(32, 256), &ResourceUsage::new(256, 10, 8_000), &g80(), None)
                 .unwrap();
         assert_eq!(one_block.occupancy.blocks_per_sm, 1);
         assert_eq!(two_blocks.occupancy.blocks_per_sm, 2);
@@ -1208,17 +1048,19 @@ mod tests {
             b.finish()
         }
         // Dependent rsqrt chain: sfu_latency each.
-        let prog = linearize(&sfu_kernel(64));
-        let r = simulate(&prog, &launch_1d(1, 32), &ResourceUsage::new(32, 8, 0), &g80()).unwrap();
+        let prog = decode(&linearize(&sfu_kernel(64)));
+        let r = simulate(&prog, &launch_1d(1, 32), &ResourceUsage::new(32, 8, 0), &g80(), None)
+            .unwrap();
         assert!(r.cycles_per_wave >= 64 * 36, "cycles = {}", r.cycles_per_wave);
     }
 
     #[test]
     fn report_invariants() {
         let k = memory_kernel(20, true);
-        let prog = linearize(&k);
-        let r = simulate(&prog, &launch_1d(16, 128), &ResourceUsage::new(128, 12, 256), &g80())
-            .unwrap();
+        let prog = decode(&linearize(&k));
+        let r =
+            simulate(&prog, &launch_1d(16, 128), &ResourceUsage::new(128, 12, 256), &g80(), None)
+                .unwrap();
         assert!(r.busy_cycles <= r.cycles_per_wave);
         assert!(r.issue_utilization() <= 1.0);
         assert!(r.bandwidth_utilization <= 1.0 + 1e-9);
@@ -1235,16 +1077,27 @@ mod tests {
         let usage = ResourceUsage::new(32, 10, 0);
         // A single warp running a dependent fmad chain: every gap is an
         // arithmetic-operand wait; no loads are in flight.
-        let compute =
-            simulate(&linearize(&compute_kernel(100)), &launch_1d(1, 32), &usage, &g80()).unwrap();
+        let compute = simulate(
+            &decode(&linearize(&compute_kernel(100))),
+            &launch_1d(1, 32),
+            &usage,
+            &g80(),
+            None,
+        )
+        .unwrap();
         assert!(compute.stall_arith_cycles > 0, "dependent chain must stall on operands");
         assert_eq!(compute.stall_mem_cycles, 0, "no global loads to wait on");
         assert_eq!(compute.stall_sfu_cycles, 0);
         // A single warp consuming each global load immediately: the
         // long-latency load dominates every operand wait.
-        let mem =
-            simulate(&linearize(&memory_kernel(100, true)), &launch_1d(1, 32), &usage, &g80())
-                .unwrap();
+        let mem = simulate(
+            &decode(&linearize(&memory_kernel(100, true))),
+            &launch_1d(1, 32),
+            &usage,
+            &g80(),
+            None,
+        )
+        .unwrap();
         assert!(
             mem.stall_mem_cycles > mem.stall_arith_cycles,
             "mem {} !> arith {}",
@@ -1291,8 +1144,12 @@ mod tests {
             b.finish()
         }
         let usage = ResourceUsage::new(32, 10, 0);
-        let dep = simulate(&linearize(&dependent()), &launch_1d(1, 32), &usage, &g80()).unwrap();
-        let pair = simulate(&linearize(&paired()), &launch_1d(1, 32), &usage, &g80()).unwrap();
+        let dep =
+            simulate(&decode(&linearize(&dependent())), &launch_1d(1, 32), &usage, &g80(), None)
+                .unwrap();
+        let pair =
+            simulate(&decode(&linearize(&paired())), &launch_1d(1, 32), &usage, &g80(), None)
+                .unwrap();
         assert!(
             pair.cycles_per_wave < dep.cycles_per_wave,
             "paired {} !< dependent {}",
@@ -1305,8 +1162,9 @@ mod tests {
 #[cfg(test)]
 mod family_tests {
     use super::*;
+    use crate::decode::decode;
     use gpu_ir::build::KernelBuilder;
-    use gpu_ir::linear::linearize;
+    use gpu_ir::linear::{linearize, LinearProgram};
     use gpu_ir::{Dim, Kernel, Launch};
 
     fn g80() -> MachineSpec {
@@ -1360,12 +1218,12 @@ mod family_tests {
         let usage = ResourceUsage::new(128, 10, 2_000);
         let trip_counts = [48u32, 11, 5, 1, 48];
         let kernels: Vec<Kernel> = trip_counts.iter().map(|&t| member(t)).collect();
-        let progs: Vec<_> = kernels.iter().map(linearize).collect();
-        let refs: Vec<&LinearProgram> = progs.iter().collect();
+        let progs: Vec<_> = kernels.iter().map(|k| decode(&linearize(k))).collect();
+        let refs: Vec<&DecodedProgram> = progs.iter().collect();
 
-        let family = simulate_family(&refs, &launch, &usage, &spec).unwrap();
+        let family = simulate_family(&refs, &launch, &usage, &spec, None).unwrap();
         for (i, prog) in progs.iter().enumerate() {
-            let standalone = simulate(prog, &launch, &usage, &spec).unwrap();
+            let standalone = simulate(prog, &launch, &usage, &spec, None).unwrap();
             assert_eq!(
                 family[i], standalone,
                 "family member with {} trips diverged from its standalone run",
@@ -1383,12 +1241,12 @@ mod family_tests {
         // (9, 8), so the synthetic master reports to nobody directly.
         let combos = [(9u32, 2u32), (4, 8), (4, 2), (9, 2), (2, 5)];
         let kernels: Vec<Kernel> = combos.iter().map(|&(a, b)| member2(a, b)).collect();
-        let progs: Vec<_> = kernels.iter().map(linearize).collect();
-        let refs: Vec<&LinearProgram> = progs.iter().collect();
+        let progs: Vec<_> = kernels.iter().map(|k| decode(&linearize(k))).collect();
+        let refs: Vec<&DecodedProgram> = progs.iter().collect();
 
-        let family = simulate_family(&refs, &launch, &usage, &spec).unwrap();
+        let family = simulate_family(&refs, &launch, &usage, &spec, None).unwrap();
         for (i, prog) in progs.iter().enumerate() {
-            let standalone = simulate(prog, &launch, &usage, &spec).unwrap();
+            let standalone = simulate(prog, &launch, &usage, &spec, None).unwrap();
             assert_eq!(
                 family[i], standalone,
                 "family member {:?} diverged from its standalone run",
@@ -1403,9 +1261,9 @@ mod family_tests {
         let launch = Launch::new(Dim::new_1d(64), Dim::new_1d(128));
         let usage = ResourceUsage::new(128, 10, 0);
         let k = member(7);
-        let prog = linearize(&k);
-        let family = simulate_family(&[&prog, &prog], &launch, &usage, &spec).unwrap();
-        let standalone = simulate(&prog, &launch, &usage, &spec).unwrap();
+        let prog = decode(&linearize(&k));
+        let family = simulate_family(&[&prog, &prog], &launch, &usage, &spec, None).unwrap();
+        let standalone = simulate(&prog, &launch, &usage, &spec, None).unwrap();
         assert_eq!(family, vec![standalone.clone(), standalone]);
     }
 
@@ -1414,7 +1272,7 @@ mod family_tests {
         let spec = g80();
         let launch = Launch::new(Dim::new_1d(64), Dim::new_1d(128));
         let usage = ResourceUsage::new(128, 10, 0);
-        let a = linearize(&member(4));
+        let a = decode(&linearize(&member(4)));
         let mut other = KernelBuilder::new("other");
         let p = other.param(0);
         let acc = other.mov(1.0f32);
@@ -1422,10 +1280,10 @@ mod family_tests {
             b.fmad_acc(acc, 2.0f32, acc);
         });
         other.st_global(p, 0, acc);
-        let b = linearize(&other.finish());
+        let b = decode(&linearize(&other.finish()));
         assert_eq!(
-            simulate_family(&[&a, &b], &launch, &usage, &spec).unwrap_err(),
-            FamilyError::NotAFamily
+            simulate_family(&[&a, &b], &launch, &usage, &spec, None).unwrap_err(),
+            TimingError::NotAFamily
         );
     }
 
@@ -1434,11 +1292,11 @@ mod family_tests {
         let spec = g80();
         let launch = Launch::new(Dim::new_1d(64), Dim::new_1d(128));
         let usage = ResourceUsage::new(128, 10, 0);
-        let a = linearize(&member(4));
-        let z = linearize(&member(0));
+        let a = decode(&linearize(&member(4)));
+        let z = decode(&linearize(&member(0)));
         assert_eq!(
-            simulate_family(&[&a, &z], &launch, &usage, &spec).unwrap_err(),
-            FamilyError::NotAFamily
+            simulate_family(&[&a, &z], &launch, &usage, &spec, None).unwrap_err(),
+            TimingError::NotAFamily
         );
     }
 
@@ -1461,11 +1319,11 @@ mod family_tests {
             b.st_global(p, 0, acc);
             b.finish()
         }
-        let a = linearize(&nested(3));
-        let b = linearize(&nested(5));
+        let a = decode(&linearize(&nested(3)));
+        let b = decode(&linearize(&nested(5)));
         assert_eq!(
-            simulate_family(&[&a, &b], &launch, &usage, &spec).unwrap_err(),
-            FamilyError::NotAFamily
+            simulate_family(&[&a, &b], &launch, &usage, &spec, None).unwrap_err(),
+            TimingError::NotAFamily
         );
     }
 
@@ -1474,10 +1332,10 @@ mod family_tests {
         let spec = g80();
         let launch = Launch::new(Dim::new_1d(1), Dim::new_1d(512));
         let usage = ResourceUsage::new(512, 17, 0);
-        let a = linearize(&member(4));
+        let a = decode(&linearize(&member(4)));
         assert!(matches!(
-            simulate_family(&[&a], &launch, &usage, &spec).unwrap_err(),
-            FamilyError::Launch(LaunchError::RegistersExhausted { .. })
+            simulate_family(&[&a], &launch, &usage, &spec, None).unwrap_err(),
+            TimingError::Launch(LaunchError::RegistersExhausted { .. })
         ));
     }
 
@@ -1491,7 +1349,6 @@ mod family_tests {
         assert_send_sync::<MachineSpec>();
         assert_send_sync::<ResourceUsage>();
         assert_send_sync::<Launch>();
-        assert_send_sync::<FamilyError>();
         assert_send_sync::<TimingError>();
     }
 }
@@ -1499,6 +1356,7 @@ mod family_tests {
 #[cfg(test)]
 mod fuel_tests {
     use super::*;
+    use crate::decode::decode;
     use gpu_ir::build::KernelBuilder;
     use gpu_ir::linear::linearize;
     use gpu_ir::{Dim, Kernel, Launch};
@@ -1525,28 +1383,26 @@ mod fuel_tests {
 
     #[test]
     fn a_runaway_kernel_terminates_with_fuel_exhausted() {
-        let prog = linearize(&long_kernel(100_000));
+        let prog = decode(&linearize(&long_kernel(100_000)));
         let usage = ResourceUsage::new(32, 8, 0);
-        let err =
-            simulate_fueled(&prog, &launch_1d(1, 32), &usage, &g80(), Some(1_000)).unwrap_err();
+        let err = simulate(&prog, &launch_1d(1, 32), &usage, &g80(), Some(1_000)).unwrap_err();
         assert_eq!(err, TimingError::FuelExhausted { fuel: 1_000 });
     }
 
     #[test]
     fn generous_fuel_reproduces_the_unfueled_report() {
-        let prog = linearize(&long_kernel(50));
+        let prog = decode(&linearize(&long_kernel(50)));
         let usage = ResourceUsage::new(32, 8, 0);
-        let unfueled = simulate(&prog, &launch_1d(4, 64), &usage, &g80()).unwrap();
-        let fueled =
-            simulate_fueled(&prog, &launch_1d(4, 64), &usage, &g80(), Some(1 << 30)).unwrap();
+        let unfueled = simulate(&prog, &launch_1d(4, 64), &usage, &g80(), None).unwrap();
+        let fueled = simulate(&prog, &launch_1d(4, 64), &usage, &g80(), Some(1 << 30)).unwrap();
         assert_eq!(unfueled, fueled);
     }
 
     #[test]
     fn launch_errors_take_precedence_over_fuel() {
-        let prog = linearize(&long_kernel(4));
+        let prog = decode(&linearize(&long_kernel(4)));
         let usage = ResourceUsage::new(512, 17, 0);
-        let err = simulate_fueled(&prog, &launch_1d(1, 512), &usage, &g80(), Some(10)).unwrap_err();
+        let err = simulate(&prog, &launch_1d(1, 512), &usage, &g80(), Some(10)).unwrap_err();
         assert!(matches!(err, TimingError::Launch(LaunchError::RegistersExhausted { .. })));
     }
 
@@ -1556,23 +1412,27 @@ mod fuel_tests {
         let launch = launch_1d(16, 128);
         let usage = ResourceUsage::new(128, 10, 0);
         let kernels: Vec<Kernel> = [12u32, 5, 3].iter().map(|&t| long_kernel(t)).collect();
-        let progs: Vec<_> = kernels.iter().map(linearize).collect();
-        let refs: Vec<&LinearProgram> = progs.iter().collect();
+        let progs: Vec<_> = kernels.iter().map(|k| decode(&linearize(k))).collect();
+        let refs: Vec<&DecodedProgram> = progs.iter().collect();
 
         // Generous fuel: bit-identical to the unfueled family run.
-        let generous = simulate_family_fueled(&refs, &launch, &usage, &spec, Some(1 << 30));
-        assert_eq!(generous.unwrap(), simulate_family(&refs, &launch, &usage, &spec).unwrap());
+        let generous = simulate_family(&refs, &launch, &usage, &spec, Some(1 << 30));
+        assert_eq!(
+            generous.unwrap(),
+            simulate_family(&refs, &launch, &usage, &spec, None).unwrap()
+        );
 
         // Starved fuel: the family run reports exhaustion rather than
         // silently truncating.
-        let starved = simulate_family_fueled(&refs, &launch, &usage, &spec, Some(10));
-        assert_eq!(starved.unwrap_err(), FamilyError::FuelExhausted { fuel: 10 });
+        let starved = simulate_family(&refs, &launch, &usage, &spec, Some(10));
+        assert_eq!(starved.unwrap_err(), TimingError::FuelExhausted { fuel: 10 });
     }
 }
 
 #[cfg(test)]
 mod replay_tests {
     use super::*;
+    use crate::decode::decode;
     use gpu_ir::build::KernelBuilder;
     use gpu_ir::linear::linearize;
     use gpu_ir::{Dim, Launch};
@@ -1604,9 +1464,12 @@ mod replay_tests {
         let spec = MachineSpec::geforce_8800_gtx();
         let launch = Launch::new(Dim::new_1d(16), Dim::new_1d(256));
         let usage = ResourceUsage::new(256, 8, 256);
-        let clean = simulate(&linearize(&conflicted(1)), &launch, &usage, &spec).unwrap();
-        let eight = simulate(&linearize(&conflicted(8)), &launch, &usage, &spec).unwrap();
-        let sixteen = simulate(&linearize(&conflicted(16)), &launch, &usage, &spec).unwrap();
+        let clean =
+            simulate(&decode(&linearize(&conflicted(1))), &launch, &usage, &spec, None).unwrap();
+        let eight =
+            simulate(&decode(&linearize(&conflicted(8))), &launch, &usage, &spec, None).unwrap();
+        let sixteen =
+            simulate(&decode(&linearize(&conflicted(16))), &launch, &usage, &spec, None).unwrap();
         assert!(eight.cycles_per_wave > clean.cycles_per_wave);
         assert!(sixteen.cycles_per_wave > eight.cycles_per_wave);
         // The replays occupy the issue port: busy cycles grow too.
@@ -1634,8 +1497,9 @@ mod legacy_parity_tests {
     //! `decoded_parity` differential suite.
 
     use super::*;
+    use crate::decode::decode;
     use gpu_ir::build::KernelBuilder;
-    use gpu_ir::linear::linearize;
+    use gpu_ir::linear::{linearize, LinearProgram};
     use gpu_ir::{Dim, Launch};
 
     fn mixed(trips: u32) -> LinearProgram {
@@ -1662,7 +1526,7 @@ mod legacy_parity_tests {
         let launch = Launch::new(Dim::new_1d(64), Dim::new_1d(128));
         let usage = ResourceUsage::new(128, 10, 2_000);
         let prog = mixed(17);
-        let new = simulate(&prog, &launch, &usage, &spec).unwrap();
+        let new = simulate(&decode(&prog), &launch, &usage, &spec, None).unwrap();
         let old = crate::legacy::timing::simulate(&prog, &launch, &usage, &spec).unwrap();
         assert_eq!(new, old);
     }
@@ -1674,7 +1538,9 @@ mod legacy_parity_tests {
         let usage = ResourceUsage::new(128, 10, 2_000);
         let progs: Vec<LinearProgram> = [13u32, 4, 1].iter().map(|&t| mixed(t)).collect();
         let refs: Vec<&LinearProgram> = progs.iter().collect();
-        let new = simulate_family(&refs, &launch, &usage, &spec).unwrap();
+        let decoded: Vec<DecodedProgram> = progs.iter().map(decode).collect();
+        let decoded_refs: Vec<&DecodedProgram> = decoded.iter().collect();
+        let new = simulate_family(&decoded_refs, &launch, &usage, &spec, None).unwrap();
         let old =
             crate::legacy::timing::simulate_family_fueled(&refs, &launch, &usage, &spec, None)
                 .unwrap();
@@ -1687,7 +1553,7 @@ mod legacy_parity_tests {
         let launch = Launch::new(Dim::new_1d(4), Dim::new_1d(64));
         let usage = ResourceUsage::new(64, 10, 0);
         let prog = mixed(40);
-        let new = simulate_fueled(&prog, &launch, &usage, &spec, Some(500)).unwrap_err();
+        let new = simulate(&decode(&prog), &launch, &usage, &spec, Some(500)).unwrap_err();
         let old = crate::legacy::timing::simulate_fueled(&prog, &launch, &usage, &spec, Some(500))
             .unwrap_err();
         assert_eq!(new, old);

@@ -1,17 +1,18 @@
 //! Execution tracing over the functional interpreter.
 //!
-//! [`trace_kernel`] runs one thread of one block and records every
-//! instruction it retires with its operand and result values — the tool
-//! a developer reaches for when a configuration computes the wrong
-//! answer and `-ptx` staring stops helping. Traces can be filtered and
-//! pretty-printed; memory traffic is summarised per space.
+//! [`trace_kernel`] runs a kernel and records the dynamic path its
+//! threads take, every retired instruction in order — the tool a
+//! developer reaches for when a configuration computes the wrong answer
+//! and `-ptx` staring stops helping. Control flow is warp-uniform, so
+//! one path stands for every thread. Traces can be pretty-printed;
+//! memory traffic is summarised per space.
 
 use gpu_arch::MemorySpace;
 use gpu_ir::linear::{LinOp, LinearProgram};
 use gpu_ir::{Launch, Op};
 
 use crate::error::SimError;
-use crate::interp::{run_kernel_with_budget, DeviceMemory};
+use crate::interp::{run_kernel, DeviceMemory};
 
 /// One retired instruction in a trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,12 +76,13 @@ impl Trace {
     }
 }
 
-/// Execute the whole launch and record the dynamic path of one thread
-/// (`tid` within block `cta`), keeping at most `limit` events.
+/// Execute the whole launch and record its dynamic path, keeping at
+/// most `limit` events.
 ///
-/// The run is a *complete* functional execution (all threads, so shared
-/// and global values the traced thread reads are correct); only the
-/// recording is restricted to the chosen thread.
+/// The path is the one every thread takes: control flow is
+/// warp-uniform and trip counts are static, so it is walked from the
+/// program alone. The launch then runs for real through
+/// [`run_kernel`], so `mem` reflects the execution that was traced.
 ///
 /// # Errors
 ///
@@ -90,8 +92,6 @@ pub fn trace_kernel(
     launch: &Launch,
     params: &[i32],
     mem: &mut DeviceMemory,
-    cta: (u32, u32),
-    tid: (u32, u32),
     limit: usize,
 ) -> Result<Trace, SimError> {
     // First, a dry pass for the summary and the dynamic path: walk the
@@ -161,8 +161,7 @@ pub fn trace_kernel(
 
     // Then the real functional run, so the caller's memory reflects the
     // execution they traced.
-    run_kernel_with_budget(prog, launch, params, mem, crate::interp::DEFAULT_STEP_BUDGET)?;
-    let _ = (cta, tid); // control flow is warp-uniform: every thread's path matches
+    run_kernel(prog, launch, params, mem)?;
     Ok(Trace { events, truncated, summary })
 }
 
@@ -195,7 +194,7 @@ mod tests {
     fn trace_counts_dynamic_events() {
         let (prog, launch) = traced_kernel();
         let mut mem = DeviceMemory::new(16);
-        let t = trace_kernel(&prog, &launch, &[0], &mut mem, (0, 0), (0, 0), 1000).expect("runs");
+        let t = trace_kernel(&prog, &launch, &[0], &mut mem, 1000).expect("runs");
         assert_eq!(t.summary.barriers, 3);
         assert_eq!(t.summary.loads[0], 3); // global
         assert_eq!(t.summary.stores[1], 3); // shared
@@ -211,7 +210,7 @@ mod tests {
     fn trace_limit_truncates_events_but_not_summary() {
         let (prog, launch) = traced_kernel();
         let mut mem = DeviceMemory::new(16);
-        let t = trace_kernel(&prog, &launch, &[0], &mut mem, (0, 0), (0, 0), 5).expect("runs");
+        let t = trace_kernel(&prog, &launch, &[0], &mut mem, 5).expect("runs");
         assert_eq!(t.events.len(), 5);
         assert!(t.truncated);
         assert_eq!(t.summary.retired, 17);
@@ -224,7 +223,7 @@ mod tests {
         for i in 0..4 {
             mem.global[i] = (i + 1) as f32;
         }
-        trace_kernel(&prog, &launch, &[0], &mut mem, (0, 0), (0, 0), 10).expect("runs");
+        trace_kernel(&prog, &launch, &[0], &mut mem, 10).expect("runs");
         // Thread 0 accumulated its input three times.
         assert_eq!(mem.global[4], 3.0);
     }
@@ -233,7 +232,7 @@ mod tests {
     fn head_renders_readably() {
         let (prog, launch) = traced_kernel();
         let mut mem = DeviceMemory::new(16);
-        let t = trace_kernel(&prog, &launch, &[0], &mut mem, (0, 0), (0, 0), 100).expect("runs");
+        let t = trace_kernel(&prog, &launch, &[0], &mut mem, 100).expect("runs");
         let head = t.head(3);
         assert_eq!(head.lines().count(), 3);
         assert!(head.contains("mov.b32"), "{head}");

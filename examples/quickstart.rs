@@ -36,9 +36,11 @@ fn main() {
     );
 
     // Timing simulation — the stand-in for a wall-clock run.
-    let prog = gpu_autotune::ir::linear::linearize(&candidate.kernel);
-    let report = gpu_autotune::sim::timing::simulate(&prog, &candidate.launch, &p.usage, &spec)
-        .expect("launchable");
+    let prog =
+        gpu_autotune::sim::decode::decode(&gpu_autotune::ir::linear::linearize(&candidate.kernel));
+    let report =
+        gpu_autotune::sim::timing::simulate(&prog, &candidate.launch, &p.usage, &spec, None)
+            .expect("launchable");
     println!("simulated time:       {}", fmt_ms(report.time_ms));
     println!("issue utilization:    {:.0}%", report.issue_utilization() * 100.0);
 

@@ -18,6 +18,12 @@ echo "==> cargo test (every workspace crate, dev profile)"
 # (arena/source positional identity, frame bookkeeping) stay armed.
 cargo test --workspace -q
 
+echo "==> perfbench (build the benchmark and run its tests)"
+# perfbench is a package of its own, outside the workspace, but it
+# compiles against optspace, gpu-sim and gpu-kernels internals: a core
+# API change that breaks it must fail the gate too.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> trace smoke (tune sad --trace-out/--metrics-out + validate)"
 # A full-space SAD search must export a JSONL trace whose every line
 # parses and a manifest that survives a serialize -> parse round trip;

@@ -808,15 +808,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         }
     };
     let prog = gpu_autotune::ir::linear::linearize(&kernel);
-    match gpu_autotune::sim::trace::trace_kernel(
-        &prog,
-        &launch,
-        &params,
-        &mut mem,
-        (0, 0),
-        (0, 0),
-        limit,
-    ) {
+    match gpu_autotune::sim::trace::trace_kernel(&prog, &launch, &params, &mut mem, limit) {
         Ok(t) => {
             println!("{}", t.head(limit));
             if t.truncated {

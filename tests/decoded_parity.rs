@@ -14,6 +14,7 @@ use gpu_autotune::kernels::matmul::MatMul;
 use gpu_autotune::kernels::mri_fhd::MriFhd;
 use gpu_autotune::kernels::sad::Sad;
 use gpu_autotune::optspace::candidate::Candidate;
+use gpu_autotune::sim::decode::decode;
 use gpu_autotune::sim::interp::DeviceMemory;
 use gpu_autotune::sim::{legacy, timing};
 use proptest::prelude::*;
@@ -42,7 +43,8 @@ fn assert_parity(cand: &Candidate, mem0: &DeviceMemory, params: &[i32]) {
     // simulate with; the rest are the paper's invalid executables.
     let Ok(eval) = cand.evaluate(&spec) else { return };
     let usage = eval.kernel_profile.usage;
-    let dec = timing::simulate_fueled(&prog, &cand.launch, &usage, &spec, None);
+    let decoded = decode(&prog);
+    let dec = timing::simulate(&decoded, &cand.launch, &usage, &spec, None);
     let leg = legacy::timing::simulate_fueled(&prog, &cand.launch, &usage, &spec, None);
     prop_assert_eq!(
         format!("{dec:?}"),
@@ -56,7 +58,7 @@ fn assert_parity(cand: &Candidate, mem0: &DeviceMemory, params: &[i32]) {
     if let Ok(rep) = dec {
         if rep.steps > 1 {
             let fuel = Some(rep.steps / 2);
-            let dec = timing::simulate_fueled(&prog, &cand.launch, &usage, &spec, fuel);
+            let dec = timing::simulate(&decoded, &cand.launch, &usage, &spec, fuel);
             let leg = legacy::timing::simulate_fueled(&prog, &cand.launch, &usage, &spec, fuel);
             prop_assert_eq!(
                 format!("{dec:?}"),
@@ -122,7 +124,7 @@ fn kernel_ending_at_a_barrier_matches_legacy() {
     let spec = MachineSpec::geforce_8800_gtx();
     let launch = Launch::new(Dim::new_1d(4), Dim::new_1d(64));
     let usage = ResourceUsage::new(64, 10, 0);
-    let dec = timing::simulate_fueled(&prog, &launch, &usage, &spec, None);
+    let dec = timing::simulate(&decode(&prog), &launch, &usage, &spec, None);
     let leg = legacy::timing::simulate_fueled(&prog, &launch, &usage, &spec, None);
     assert!(dec.is_ok(), "the decoded engine runs the kernel: {dec:?}");
     assert_eq!(format!("{dec:?}"), format!("{leg:?}"));

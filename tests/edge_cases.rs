@@ -78,10 +78,11 @@ fn empty_kernel_simulates_to_near_zero() {
     let b = KernelBuilder::new("empty");
     let prog = linearize(&b.finish());
     let r = gpu_autotune::sim::timing::simulate(
-        &prog,
+        &gpu_autotune::sim::decode::decode(&prog),
         &Launch::new(Dim::new_1d(16), Dim::new_1d(32)),
         &ResourceUsage::new(32, 2, 0),
         &g80(),
+        None,
     )
     .expect("valid");
     assert_eq!(r.instructions_issued, 0);

@@ -16,6 +16,7 @@ use gpu_autotune::kernels::{cp::Cp, matmul::MatMul, mri_fhd::MriFhd, App};
 use gpu_autotune::optspace::candidate::Candidate;
 use gpu_autotune::optspace::engine::{EngineConfig, EvalBudget, EvalEngine, LAUNCH_OVERHEAD_MS};
 use gpu_autotune::optspace::tuner::{ExhaustiveSearch, SearchStrategy};
+use gpu_autotune::sim::decode::decode;
 use gpu_autotune::sim::timing::{simulate, TimingReport};
 
 fn g80() -> MachineSpec {
@@ -27,8 +28,8 @@ fn g80() -> MachineSpec {
 /// exactly, cache or no cache.
 fn naive_simulate(c: &Candidate, spec: &MachineSpec) -> Option<TimingReport> {
     let e = c.evaluate(spec).ok()?;
-    let prog = linearize(&c.kernel);
-    let mut report = simulate(&prog, &c.launch, &e.kernel_profile.usage, spec).ok()?;
+    let prog = decode(&linearize(&c.kernel));
+    let mut report = simulate(&prog, &c.launch, &e.kernel_profile.usage, spec, None).ok()?;
     let inv = f64::from(c.invocations);
     report.time_ms = report.time_ms * inv + LAUNCH_OVERHEAD_MS * inv;
     report.total_cycles = (report.total_cycles as f64 * inv).round() as u64;

@@ -2,9 +2,11 @@
 //! timing simulator at debug-friendly problem sizes.
 
 use gpu_autotune::arch::MachineSpec;
+use gpu_autotune::ir::linear::linearize;
 use gpu_autotune::kernels::cp::{Cp, CpConfig};
 use gpu_autotune::kernels::matmul::{MatMul, MatMulConfig};
 use gpu_autotune::optspace::tuner::{ExhaustiveSearch, SearchStrategy};
+use gpu_autotune::sim::decode::decode;
 
 /// Figure 3 / section 5.3: "none of the 8x8 configurations perform
 /// better than any of the 16x16 configurations due to memory bandwidth
@@ -46,10 +48,11 @@ fn matmul_unroll_monotone_for_16x16() {
             let c = mm.candidate(&cfg);
             let e = c.evaluate(&spec).expect("valid");
             gpu_autotune::sim::timing::simulate(
-                &gpu_autotune::ir::linear::linearize(&c.kernel),
+                &decode(&linearize(&c.kernel)),
                 &c.launch,
                 &e.kernel_profile.usage,
                 &spec,
+                None,
             )
             .expect("valid")
             .time_ms
@@ -92,10 +95,11 @@ fn cp_tiling_optimum_at_8_with_uptick_at_16() {
             let c = cp.candidate(&CpConfig { block: 128, tiling: t, coalesced_output: true });
             let e = c.evaluate(&spec).expect("valid");
             gpu_autotune::sim::timing::simulate(
-                &gpu_autotune::ir::linear::linearize(&c.kernel),
+                &decode(&linearize(&c.kernel)),
                 &c.launch,
                 &e.kernel_profile.usage,
                 &spec,
+                None,
             )
             .expect("valid")
             .time_ms

@@ -120,10 +120,11 @@ proptest! {
         let spec = MachineSpec::geforce_8800_gtx();
         let launch = Launch::new(Dim::new_1d(16), Dim::new_1d(32));
         let report = gpu_autotune::sim::timing::simulate(
-            &linearize(&k),
+            &gpu_autotune::sim::decode::decode(&linearize(&k)),
             &launch,
             &ResourceUsage::new(32, 12, k.smem_bytes),
             &spec,
+            None,
         ).expect("valid");
         // One resident warp per SM here: per-warp issue slots equal the
         // per-thread dynamic instruction count.
