@@ -45,15 +45,16 @@ use gpu_ir::Launch;
 use gpu_sim::decode::DecodedProgram;
 use gpu_sim::timing::TimingReport;
 
-use super::cache;
+use super::cache::{self, KEY_SCHEME};
 use super::error::EvalError;
 use super::store::{report_from_json, report_to_json};
 use super::TimingEval;
 use crate::obs::{json, Json};
 use crate::space::Space;
 
-/// Version stamp of the checkpoint file layout.
-pub const CHECKPOINT_SCHEMA: u64 = 1;
+/// Version stamp of the checkpoint file layout. Schema 2 added the
+/// `key_scheme` stamp ([`KEY_SCHEME`]) of the result keys.
+pub const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// Default work units between periodic checkpoint writes.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 64;
@@ -192,7 +193,8 @@ pub struct LoadedCheckpoint {
 /// # Errors
 ///
 /// A human-readable message naming the path for unreadable files,
-/// unparseable JSON, or a schema/shape mismatch. Unlike the result
+/// unparseable JSON, a schema/shape mismatch, or results keyed under
+/// another key scheme (none of them could be served). Unlike the result
 /// store, a checkpoint is a single consistent snapshot — damage here is
 /// an error, not something to silently skip (the previous run's results
 /// may still be recoverable from its `--store-dir`).
@@ -203,9 +205,23 @@ pub fn load(path: impl AsRef<Path>) -> Result<LoadedCheckpoint, String> {
     let doc = json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
     let bad = |what: &str| format!("{}: malformed checkpoint ({what})", path.display());
     let schema = doc.get("schema").and_then(Json::as_u64).ok_or_else(|| bad("schema"))?;
-    if schema != CHECKPOINT_SCHEMA {
+    let key_scheme = match schema {
+        // Schema 1 predates the stamp; its results carry scheme-1 keys.
+        1 => 1,
+        CHECKPOINT_SCHEMA => {
+            doc.get("key_scheme").and_then(Json::as_u64).ok_or_else(|| bad("key_scheme"))?
+        }
+        _ => {
+            return Err(format!(
+                "{}: checkpoint schema {schema} (this build reads {CHECKPOINT_SCHEMA})",
+                path.display()
+            ))
+        }
+    };
+    if key_scheme != KEY_SCHEME {
         return Err(format!(
-            "{}: checkpoint schema {schema} (this build reads {CHECKPOINT_SCHEMA})",
+            "{}: checkpoint results are keyed under key scheme {key_scheme}, this build keys \
+             under scheme {KEY_SCHEME}; none could be replayed, so start a fresh run",
             path.display()
         ));
     }
@@ -351,6 +367,7 @@ impl Checkpointer {
                 .collect();
             Json::obj([
                 ("schema", Json::from(CHECKPOINT_SCHEMA)),
+                ("key_scheme", Json::from(KEY_SCHEME)),
                 ("meta", self.meta.to_json()),
                 ("units_done", Json::from(p.units_done)),
                 ("results", Json::Arr(results)),
@@ -500,6 +517,36 @@ mod tests {
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.meta, meta());
         assert_eq!(loaded.results[&42], report(1));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_keyed_under_another_scheme_is_refused_naming_both() {
+        let path =
+            std::env::temp_dir().join(format!("optspace-ck-scheme-{}.json", std::process::id()));
+        let ck = Checkpointer::new(&path, 8, meta());
+        ck.record(42, &report(1));
+        ck.write_now().unwrap();
+        let current = std::fs::read_to_string(&path).unwrap();
+        let stamp = format!(r#""key_scheme":{KEY_SCHEME}"#);
+        assert!(current.contains(&stamp), "{current}");
+        let later = KEY_SCHEME + 1;
+
+        for (text, written) in [
+            (current.replace(&stamp, &format!(r#""key_scheme":{later}"#)), later),
+            // A schema-1 file has no stamp: its keys are scheme 1.
+            (
+                current
+                    .replace(&format!("{stamp},"), "")
+                    .replace(&format!(r#""schema":{CHECKPOINT_SCHEMA}"#), r#""schema":1"#),
+                1,
+            ),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = load(&path).unwrap_err();
+            assert!(err.contains(&format!("key scheme {written}")), "{err}");
+            assert!(err.contains(&format!("scheme {KEY_SCHEME}")), "{err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

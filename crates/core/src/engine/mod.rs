@@ -13,10 +13,11 @@
 //!   and lost workers are respawned.
 //! * **Memo cache** — timing work is deduplicated by a content hash of
 //!   (linearized program, launch, resource usage, machine spec)
-//!   ([`cache`]). Configurations differing only in top-level trip
-//!   counts — any number of axes — form a *family* simulated in one
-//!   forked run (`gpu_sim::timing::simulate_family`), so each
-//!   MRI-FHD cluster of seven costs roughly one simulation. Failed
+//!   ([`cache`]), computed on the pool next to linearization and looked
+//!   up sequentially in discovery order. Configurations differing only
+//!   in top-level trip counts — any number of axes — form a *family*
+//!   simulated in one forked run (`gpu_sim::timing::simulate_family`),
+//!   so each MRI-FHD cluster of seven costs roughly one simulation. Failed
 //!   evaluations are never cached: a family containing a failing member
 //!   degrades to individual runs so the failure cannot poison its
 //!   siblings.
@@ -391,6 +392,11 @@ fn pool_to_eval(e: PoolError) -> EvalError {
 
 impl EvalEngine {
     /// Engine with explicit configuration.
+    // Inlined so the constructor is emitted next to its caller: a search
+    // process builds its engine once, cold, and an out-of-line copy can
+    // land on a code page nothing else has touched yet, a page fault
+    // that measured as a third of fine-bnb's ~25 µs set-up.
+    #[inline]
     pub fn new(config: EngineConfig) -> Self {
         Self { config, ..Default::default() }
     }
@@ -642,37 +648,51 @@ impl EvalEngine {
             None => eval,
         };
 
-        // Phase 1a: instantiate and linearize the selected candidates on
-        // the worker pool. For an eager slice source this merely borrows;
-        // for a lazy point source this is where kernel generation and the
-        // pass pipelines actually run — inside the pool, never
-        // materialized up front. Pool dispatch emits only Runtime-scope
-        // events, so the canonical (Search-scope) trace is unchanged.
-        let eligible: Vec<usize> = selected
+        // Phase 1a: instantiate, linearize and key the selected
+        // candidates on the worker pool. For an eager slice source this
+        // merely borrows; for a lazy point source this is where kernel
+        // generation and the pass pipelines actually run — inside the
+        // pool, never materialized up front. The exact and class keys
+        // come out of one walk over the fresh program, next to the
+        // linearization that produced it. Pool dispatch emits only
+        // Runtime-scope events, so the canonical (Search-scope) trace is
+        // unchanged.
+        let eligible: Vec<(usize, ResourceUsage)> = selected
             .iter()
-            .copied()
-            .filter(|&i| statics.get(i).is_some_and(Option::is_some))
+            .filter_map(|&i| statics.get(i)?.as_ref().map(|e| (i, e.kernel_profile.usage)))
             .collect();
+        let keyer = cache::KeyContext::new(spec);
+        let sink = self.observer();
         let prepared = pool::run_indexed_observed(
             self.config.jobs,
             eligible.len(),
             |k| {
-                let c = source.get(eligible[k]);
-                (linearize(&c.kernel), c.launch, c.invocations)
+                let (i, usage) = eligible[k];
+                let c = source.get(i);
+                let prog = linearize(&c.kernel);
+                let key_started = Instant::now();
+                let (exact, class) = keyer.keys(&prog, &c.launch, &usage);
+                if let Some(sink) = sink {
+                    sink.record_latency(
+                        LatencyLane::CacheLookup,
+                        key_started.elapsed().as_micros() as u64,
+                    );
+                }
+                (prog, c.launch, c.invocations, exact, class)
             },
-            self.observer(),
+            sink,
             "timing",
         );
 
-        // Phase 1b: key and deduplicate. `uniques` keeps discovery order,
-        // which makes every later ordering decision deterministic.
+        // Phase 1b: deduplicate by exact key, sequentially. `uniques`
+        // keeps discovery order, which makes every later ordering
+        // decision deterministic.
         let mut unique_of: HashMap<u64, usize> = HashMap::new();
         let mut uniques: Vec<UniqueSim> = Vec::new();
         // (candidate, unique, invocations)
         let mut assignments: Vec<(usize, usize, u32)> = Vec::new();
-        for (&i, prep) in eligible.iter().zip(prepared) {
-            let Some(e) = statics.get(i).and_then(|s| s.as_ref()) else { continue };
-            let (prog, launch, invocations) = match prep {
+        for (&(i, usage), prep) in eligible.iter().zip(prepared) {
+            let (prog, launch, invocations, exact, class) = match prep {
                 Ok(p) => p,
                 // The prepare worker died (a panicking generator, say):
                 // the candidate never reaches dedup, so quarantine it
@@ -683,16 +703,7 @@ impl EvalEngine {
                     continue;
                 }
             };
-            let usage = e.kernel_profile.usage;
-            let lookup_started = Instant::now();
-            let exact = cache::exact_key(&prog, &launch, &usage, spec);
             let hit = unique_of.get(&exact).copied();
-            if let Some(sink) = &self.sink {
-                sink.record_latency(
-                    LatencyLane::CacheLookup,
-                    lookup_started.elapsed().as_micros() as u64,
-                );
-            }
             let u = hit.unwrap_or(uniques.len());
             self.emit(
                 EventKind::Point,
@@ -700,7 +711,6 @@ impl EvalEngine {
                 vec![("candidate", Json::from(source.ordinal(i))), ("unique", Json::from(u))],
             );
             if hit.is_none() {
-                let class = cache::class_key(&prog, &launch, &usage, spec);
                 // Decode once per masked structure: the arena stores no
                 // trip counts, so every family member (and every probe
                 // corner sharing the class) reuses it verbatim — only

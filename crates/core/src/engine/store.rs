@@ -19,9 +19,11 @@
 //! ```
 //!
 //! where the payload is the compact hand-rolled-JSON encoding of
-//! `{"key": <u64>, "report": {...}}` (no serde — the workspace is
-//! offline). The magic starts with a NUL byte, which cannot occur inside
-//! JSON text, so a forward scan can re-synchronize after damage.
+//! `{"key": <u64>, "scheme": <u64>, "report": {...}}` (no serde — the
+//! workspace is offline). `scheme` is the [`KEY_SCHEME`] the key was
+//! computed under; records without it predate the field and carry
+//! scheme-1 keys. The magic starts with a NUL byte, which cannot occur
+//! inside JSON text, so a forward scan can re-synchronize after damage.
 //!
 //! # Crash safety
 //!
@@ -40,6 +42,11 @@
 //! (surfaced as `store_records_dropped` in `EngineMetrics`), and the
 //! scan resumes at the next magic marker. Loading never fails on
 //! damaged content — only on an unreadable directory.
+//!
+//! An intact record keyed under another key scheme is not damage: it is
+//! *ignored* (its key cannot match any key this build computes) and
+//! counted separately in [`ResultStore::records_ignored`], so a scheme
+//! bump visibly turns an older store cold instead of silently.
 
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
@@ -50,6 +57,7 @@ use std::sync::Mutex;
 use gpu_arch::{LimitingFactor, Occupancy};
 use gpu_sim::timing::TimingReport;
 
+use super::cache::KEY_SCHEME;
 use crate::obs::{json, Json};
 
 /// Record marker. The leading NUL byte cannot appear in JSON text, so
@@ -164,22 +172,38 @@ fn is_storable(r: &TimingReport) -> bool {
 
 /// Frame one `(key, report)` as an on-disk record.
 fn encode_record(key: u64, report: &TimingReport) -> Vec<u8> {
-    let payload = Json::obj([("key", Json::from(key)), ("report", report_to_json(report))])
-        .to_string_compact()
-        .into_bytes();
+    let payload = Json::obj([
+        ("key", Json::from(key)),
+        ("scheme", Json::from(KEY_SCHEME)),
+        ("report", report_to_json(report)),
+    ])
+    .to_string_compact();
+    frame(payload.as_bytes())
+}
+
+/// Wrap `payload` in the record header.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(HEADER_LEN + payload.len());
     rec.extend_from_slice(&MAGIC);
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    rec.extend_from_slice(&payload);
+    rec.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    rec.extend_from_slice(payload);
     rec
 }
 
-/// Try to decode one record at the start of `buf`. `Ok((key, report,
+/// One intact record.
+enum Record {
+    /// A result keyed under this build's [`KEY_SCHEME`].
+    Current(u64, TimingReport),
+    /// A record keyed under another scheme.
+    Foreign,
+}
+
+/// Try to decode one record at the start of `buf`. `Ok((record,
 /// consumed))` on success; any validation failure is `Err(())` and the
 /// caller re-synchronizes.
 #[allow(clippy::result_unit_err)]
-fn decode_record(buf: &[u8]) -> Result<(u64, TimingReport, usize), ()> {
+fn decode_record(buf: &[u8]) -> Result<(Record, usize), ()> {
     if buf.len() < HEADER_LEN || buf[..4] != MAGIC {
         return Err(());
     }
@@ -199,9 +223,16 @@ fn decode_record(buf: &[u8]) -> Result<(u64, TimingReport, usize), ()> {
     }
     let text = std::str::from_utf8(payload).map_err(|_| ())?;
     let doc = json::parse(text).map_err(|_| ())?;
+    let scheme = match doc.get("scheme") {
+        None => 1,
+        Some(s) => s.as_u64().ok_or(())?,
+    };
+    if scheme != KEY_SCHEME {
+        return Ok((Record::Foreign, end));
+    }
     let key = doc.get("key").and_then(Json::as_u64).ok_or(())?;
     let report = doc.get("report").and_then(report_from_json).ok_or(())?;
-    Ok((key, report, end))
+    Ok((Record::Current(key, report), end))
 }
 
 /// Find the next offset `>= from` where the magic marker starts.
@@ -210,15 +241,20 @@ fn find_magic(buf: &[u8], from: usize) -> Option<usize> {
 }
 
 /// Decode every record in one segment's bytes into `index`, skipping
-/// damage. Returns `(records_loaded, records_dropped)`.
-fn scan_segment(buf: &[u8], index: &mut HashMap<u64, TimingReport>) -> (usize, usize) {
-    let (mut loaded, mut dropped) = (0, 0);
+/// damage and foreign-scheme records. Returns `(records_loaded,
+/// records_ignored, records_dropped)`.
+fn scan_segment(buf: &[u8], index: &mut HashMap<u64, TimingReport>) -> (usize, usize, usize) {
+    let (mut loaded, mut ignored, mut dropped) = (0, 0, 0);
     let mut pos = 0;
     while pos < buf.len() {
         match decode_record(&buf[pos..]) {
-            Ok((key, report, consumed)) => {
+            Ok((Record::Current(key, report), consumed)) => {
                 index.insert(key, report);
                 loaded += 1;
+                pos += consumed;
+            }
+            Ok((Record::Foreign, consumed)) => {
+                ignored += 1;
                 pos += consumed;
             }
             Err(()) => {
@@ -227,7 +263,7 @@ fn scan_segment(buf: &[u8], index: &mut HashMap<u64, TimingReport>) -> (usize, u
             }
         }
     }
-    (loaded, dropped)
+    (loaded, ignored, dropped)
 }
 
 /// Append position of one shard's current segment.
@@ -249,6 +285,9 @@ pub struct StoreAudit {
     pub records: usize,
     /// Distinct keys in the index (≤ `records`).
     pub keys: usize,
+    /// Intact records keyed under another [`KEY_SCHEME`], skipped by
+    /// the loader.
+    pub ignored: usize,
     /// Damaged records skipped by the loader.
     pub dropped: usize,
     /// Total segment bytes scanned.
@@ -298,13 +337,15 @@ impl ResultStore {
         segments.sort();
 
         let mut index = HashMap::new();
-        let mut audit = StoreAudit { segments: 0, records: 0, keys: 0, dropped: 0, bytes: 0 };
+        let mut audit =
+            StoreAudit { segments: 0, records: 0, keys: 0, ignored: 0, dropped: 0, bytes: 0 };
         let mut shards = [ShardState::default(); SHARD_COUNT];
         for &(shard, idx, ref path) in &segments {
             let buf = fs::read(path)?;
-            let (loaded, dropped) = scan_segment(&buf, &mut index);
+            let (loaded, ignored, dropped) = scan_segment(&buf, &mut index);
             audit.segments += 1;
             audit.records += loaded;
+            audit.ignored += ignored;
             audit.dropped += dropped;
             audit.bytes += buf.len() as u64;
             if idx >= shards[shard].segment {
@@ -411,6 +452,12 @@ impl ResultStore {
     /// Damaged records skipped when this store was opened.
     pub fn records_dropped(&self) -> usize {
         self.audit.dropped
+    }
+
+    /// Intact records keyed under another key scheme, skipped when this
+    /// store was opened.
+    pub fn records_ignored(&self) -> usize {
+        self.audit.ignored
     }
 
     /// Records loaded when this store was opened (before new puts).
@@ -618,6 +665,39 @@ mod tests {
     }
 
     #[test]
+    fn records_under_another_key_scheme_are_ignored_not_dropped() {
+        let dir = tmpdir("scheme");
+        let store = ResultStore::open(&dir).unwrap();
+        store.put(4, &report(1));
+        store.flush().unwrap();
+        drop(store);
+
+        // Append, to the same segment, an intact record from before the
+        // scheme field existed (scheme 1) and one from a later scheme,
+        // both for a key the current record does not use.
+        let report_json = report_to_json(&report(2)).to_string_compact();
+        let seg = dir.join(segment_name(0, 0));
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes.extend(frame(format!(r#"{{"key":8,"report":{report_json}}}"#).as_bytes()));
+        let later = KEY_SCHEME + 1;
+        bytes.extend(frame(
+            format!(r#"{{"key":12,"scheme":{later},"report":{report_json}}}"#).as_bytes(),
+        ));
+        fs::write(&seg, &bytes).unwrap();
+
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.records_ignored(), 2);
+        assert_eq!(store.records_dropped(), 0, "a foreign scheme is not damage");
+        assert_eq!(store.records_loaded(), 1);
+        assert_eq!(store.get(4), Some(report(1)));
+        assert_eq!(store.get(8), None);
+        assert_eq!(store.get(12), None);
+        let audit = verify(&dir).unwrap();
+        assert_eq!((audit.records, audit.ignored, audit.dropped), (1, 2, 0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn verify_reports_segments_records_and_drops() {
         let dir = tmpdir("verify");
         let store = ResultStore::open(&dir).unwrap();
@@ -630,6 +710,7 @@ mod tests {
         let audit = verify(&dir).unwrap();
         assert_eq!(audit.records, 10);
         assert_eq!(audit.keys, 10);
+        assert_eq!(audit.ignored, 0);
         assert_eq!(audit.dropped, 0);
         assert!(audit.segments >= 1 && audit.bytes > 0);
         fs::remove_dir_all(&dir).unwrap();

@@ -93,6 +93,8 @@ pub struct StoreSummary {
     pub generation: u64,
     /// Records loaded into the index at open.
     pub records_loaded: u64,
+    /// Intact records keyed under another key scheme, skipped at open.
+    pub records_ignored: u64,
     /// Damaged records the corruption-tolerant loader skipped at open.
     pub records_dropped: u64,
     /// Unique simulations this run served from the store.
@@ -105,6 +107,7 @@ impl StoreSummary {
             ("path", Json::from(self.path.as_str())),
             ("generation", Json::from(self.generation)),
             ("records_loaded", Json::from(self.records_loaded)),
+            ("records_ignored", Json::from(self.records_ignored)),
             ("records_dropped", Json::from(self.records_dropped)),
             ("hits", Json::from(self.hits)),
         ])
@@ -116,6 +119,9 @@ impl StoreSummary {
             path: j.get("path")?.as_str()?.to_string(),
             generation: u("generation")?,
             records_loaded: u("records_loaded")?,
+            // Written before key schemes were versioned, when a store
+            // could hold no foreign records.
+            records_ignored: u("records_ignored").unwrap_or(0),
             records_dropped: u("records_dropped")?,
             hits: u("hits")?,
         })
@@ -469,6 +475,7 @@ mod tests {
             path: "/tmp/store".into(),
             generation: 3,
             records_loaded: 12,
+            records_ignored: 4,
             records_dropped: 1,
             hits: 12,
         });

@@ -55,7 +55,9 @@ impl Phase {
 pub enum LatencyLane {
     /// Wall time of one executed simulation unit.
     Sim,
-    /// Wall time of one memo-cache key computation + lookup.
+    /// Wall time of one memo-cache key computation (the exact and class
+    /// keys in one walk), recorded on the pool worker that linearizes
+    /// the candidate. The sequential dedup lookup itself is not timed.
     CacheLookup,
     /// Wall time of one persistent-store read or flush.
     StoreIo,

@@ -128,10 +128,11 @@ grep -Eq "^bound-pruned subspaces +[1-9]" "$tracedir/cp_bnb.txt" || {
 echo "==> persistence smoke (tune sad --store-dir, warm re-run, corruption)"
 # A warm store must serve every unique back as a store hit with zero
 # fresh simulations; a torn segment must cost only the damaged records,
-# never the run.
+# never the run. The cold run keys on two workers and the warm re-run,
+# a new process, on one: content keys must agree across both.
 cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
     --store-dir "$tracedir/store" > "$tracedir/cold.txt" 2> /dev/null
-cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
+cargo run --release -q -- tune sad --strategy exhaustive --jobs 1 \
     --store-dir "$tracedir/store" --profile > "$tracedir/warm.txt" 2> /dev/null
 grep -Eq "store hits +[1-9]" "$tracedir/warm.txt" || {
     echo "persistence smoke: expected store hits > 0 on the warm run" >&2
@@ -139,6 +140,12 @@ grep -Eq "store hits +[1-9]" "$tracedir/warm.txt" || {
 }
 grep -Eq "sims executed +0 " "$tracedir/warm.txt" || {
     echo "persistence smoke: expected zero fresh simulations on the warm run" >&2
+    exit 1
+}
+verify=$(cargo run --release -q -- store verify "$tracedir/store")
+echo "$verify"
+echo "$verify" | grep -q " 0 ignored" || {
+    echo "persistence smoke: the store this build wrote holds records it ignores" >&2
     exit 1
 }
 seg=$(ls "$tracedir/store"/*.seg | head -n 1)

@@ -50,8 +50,8 @@ use gpu_autotune::kernels::{by_name, AppInstantiator, SpaceSource, NAMES};
 use gpu_autotune::optspace::candidate::Candidate;
 use gpu_autotune::optspace::cli::{writable_parent, Args, EngineFlags};
 use gpu_autotune::optspace::engine::{
-    checkpoint, install_signal_handler, store, CheckpointMeta, Checkpointer, EvalBudget,
-    DEFAULT_CHECKPOINT_EVERY,
+    cache::KEY_SCHEME, checkpoint, install_signal_handler, store, CheckpointMeta, Checkpointer,
+    EvalBudget, DEFAULT_CHECKPOINT_EVERY,
 };
 use gpu_autotune::optspace::obs::StoreSummary;
 use gpu_autotune::optspace::obs::{
@@ -397,9 +397,11 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     let result_store = flags.engine.store.as_ref();
     if let Some(st) = result_store {
         eprintln!(
-            "result store {}: {} records loaded, {} dropped (generation {})",
+            "result store {}: {} records loaded, {} ignored (other key scheme), {} dropped \
+             (generation {})",
             st.dir().display(),
             st.records_loaded(),
+            st.records_ignored(),
             st.records_dropped(),
             st.generation(),
         );
@@ -538,6 +540,7 @@ fn cmd_tune(args: &[String]) -> ExitCode {
                     path: st.dir().display().to_string(),
                     generation: st.generation(),
                     records_loaded: st.records_loaded() as u64,
+                    records_ignored: st.records_ignored() as u64,
                     records_dropped: st.records_dropped() as u64,
                     hits: report.stats.store_hits as u64,
                 });
@@ -570,13 +573,15 @@ fn cmd_store(args: &[String]) -> ExitCode {
                 Ok(audit) => {
                     println!(
                         "store {dir}: {} segment{}, {} record{} ({} distinct key{}), \
-                         {} dropped, {} bytes",
+                         {} ignored (key scheme other than {}), {} dropped, {} bytes",
                         audit.segments,
                         if audit.segments == 1 { "" } else { "s" },
                         audit.records,
                         if audit.records == 1 { "" } else { "s" },
                         audit.keys,
                         if audit.keys == 1 { "" } else { "s" },
+                        audit.ignored,
+                        KEY_SCHEME,
                         audit.dropped,
                         audit.bytes,
                     );

@@ -119,6 +119,25 @@ fn resume_refuses_a_different_search() {
 }
 
 #[test]
+fn resume_refuses_a_checkpoint_keyed_under_another_scheme() {
+    let path = std::env::temp_dir()
+        .join(format!("gpu-autotune-cli-ck-scheme-{}.json", std::process::id()));
+    let ck = path.to_str().expect("temp path is UTF-8");
+    let search = ["tune", "cp", "--strategy", "random", "--seed", "1"];
+    interrupt(&search, ck);
+    let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    let scheme = gpu_autotune::optspace::engine::cache::KEY_SCHEME;
+    let stamp = format!(r#""key_scheme":{scheme}"#);
+    assert!(text.contains(&stamp), "{text}");
+    std::fs::write(&path, text.replace(&stamp, r#""key_scheme":1"#)).expect("rewritable");
+    assert_fails(
+        &[&search[..], &["--resume", ck]].concat(),
+        &format!("keyed under key scheme 1, this build keys under scheme {scheme}"),
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn bnb_guards_still_hold() {
     assert_fails(
         &["tune", "cp", "--strategy", "bnb", "--filter", "block=64"],
