@@ -1,26 +1,28 @@
 //! Crash-safe search checkpointing and deterministic resume.
 //!
-//! A checkpoint is a snapshot of everything a search has *paid for*:
-//! the run's identity, the work units completed, and the successful
-//! timing results keyed by their exact content hash. Because candidate
-//! enumeration, every strategy's proposals, and memo-cache discovery
-//! order are all deterministic, that map is sufficient to resume: a
-//! resumed run **replays the search from the start**, with
-//! [`ReplayEval`] serving checkpointed results instantly in place of
-//! fresh simulations. Every counter, event, and report therefore comes
-//! out byte-identical to an uninterrupted run at any `--jobs` — the
-//! replay changes *where results come from*, never *what the engine
-//! does with them*.
+//! A checkpoint is a directory holding everything a search has *paid
+//! for*: a `run.json` naming the run, and a [`ResultStore`] of the
+//! successful timing results keyed by their exact content key. Because
+//! candidate enumeration, every strategy's proposals, and memo-cache
+//! discovery order are all deterministic, those results are sufficient
+//! to resume: a resumed run **replays the search from the start**, and
+//! the engine serves every unique the checkpoint holds in place of a
+//! fresh simulation, accounted exactly as one. Every counter, event,
+//! and report therefore comes out byte-identical to an uninterrupted run
+//! at any `--jobs` — the replay changes *where results come from*, never
+//! *what the engine does with them*.
 //!
-//! # Write protocol
+//! # Layout and write protocol
 //!
-//! Checkpoints are published atomically: the snapshot is written to
-//! `<path>.tmp`, fsynced, then renamed over `<path>`. A crash mid-write
-//! leaves the previous checkpoint intact; a crash between checkpoints
-//! loses at most the last `--checkpoint-every` work units. The engine
-//! records results into the [`Checkpointer`] *after* each dispatch
-//! chunk completes, so a checkpoint never references a result that was
-//! still in flight.
+//! `run.json` holds [`CHECKPOINT_SCHEMA`], the [`KEY_SCHEME`] of the
+//! result keys, and the [`CheckpointMeta`]; it is written once, at
+//! creation (temp file, fsync, rename, fsync the directory). The engine
+//! `put`s each dispatch chunk's successes into the store *after* the
+//! chunk completes and flushes them at the chunk boundary, so a
+//! checkpoint never holds a result that was still in flight and its I/O
+//! grows linearly with the number of results. A crash tears at most the
+//! tail of a segment: the store's loader drops the damaged record, and
+//! the resumed run simulates it again.
 //!
 //! # Interruption
 //!
@@ -28,36 +30,33 @@
 //! [`install_signal_handler`] — a hand-rolled `signal(2)` binding; the
 //! workspace is offline and vendors no libc crate). The engine polls it
 //! between dispatch chunks and between search rounds, stops
-//! scheduling new work, and the CLI writes a final checkpoint and exits
-//! with status 130. SIGKILL needs no cooperation: the last published
-//! checkpoint is already consistent. [`Checkpointer::with_stop_after`]
-//! is the deterministic stand-in for SIGKILL in tests.
+//! scheduling new work, and the CLI syncs the checkpoint and exits with
+//! status 130. SIGKILL needs no cooperation: every flushed chunk is
+//! already on disk. [`Checkpointer::with_stop_after`] is the
+//! deterministic stand-in for SIGKILL in tests.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use gpu_arch::{MachineSpec, ResourceUsage};
-use gpu_ir::Launch;
-use gpu_sim::decode::DecodedProgram;
-use gpu_sim::timing::TimingReport;
-
-use super::cache::{self, KEY_SCHEME};
-use super::error::EvalError;
-use super::store::{report_from_json, report_to_json};
-use super::TimingEval;
+use super::cache::KEY_SCHEME;
+use super::store::{self, ResultStore};
 use crate::obs::{json, Json};
 use crate::space::Space;
 
-/// Version stamp of the checkpoint file layout. Schema 2 added the
-/// `key_scheme` stamp ([`KEY_SCHEME`]) of the result keys.
-pub const CHECKPOINT_SCHEMA: u64 = 2;
+/// Version stamp of the checkpoint layout. Schema 2 added the
+/// `key_scheme` stamp ([`KEY_SCHEME`]) of the result keys; schema 3
+/// made a checkpoint a directory: `run.json` plus result-store segments.
+pub const CHECKPOINT_SCHEMA: u64 = 3;
 
-/// Default work units between periodic checkpoint writes.
+/// Default work units per dispatch chunk, the interval at which a
+/// checkpoint is flushed and interruption is observed.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 64;
+
+/// The run-identity file inside a checkpoint directory.
+const RUN_FILE: &str = "run.json";
 
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
@@ -177,99 +176,154 @@ impl CheckpointMeta {
     }
 }
 
-/// A checkpoint file parsed back into memory.
-#[derive(Debug, Clone, Default)]
-pub struct LoadedCheckpoint {
-    /// Run identity the checkpoint was taken under.
-    pub meta: CheckpointMeta,
-    /// Work units completed when it was written.
-    pub units_done: usize,
-    /// Successful timing results by exact content key.
-    pub results: HashMap<u64, TimingReport>,
+/// Refuse a file where a checkpoint directory belongs, as checkpoints
+/// written by earlier builds were.
+fn not_a_file(dir: &Path) -> Result<(), String> {
+    if !dir.is_file() {
+        return Ok(());
+    }
+    Err(format!(
+        "{}: is a file, but checkpoints are now directories (run.json plus result segments); \
+         a checkpoint file from an earlier build cannot be resumed, so start a fresh run into \
+         a new directory",
+        dir.display()
+    ))
 }
 
-/// Parse a checkpoint file.
-///
-/// # Errors
-///
-/// A human-readable message naming the path for unreadable files,
-/// unparseable JSON, a schema/shape mismatch, or results keyed under
-/// another key scheme (none of them could be served). Unlike the result
-/// store, a checkpoint is a single consistent snapshot — damage here is
-/// an error, not something to silently skip (the previous run's results
-/// may still be recoverable from its `--store-dir`).
-pub fn load(path: impl AsRef<Path>) -> Result<LoadedCheckpoint, String> {
-    let path = path.as_ref();
-    let text =
-        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc = json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    let bad = |what: &str| format!("{}: malformed checkpoint ({what})", path.display());
-    let schema = doc.get("schema").and_then(Json::as_u64).ok_or_else(|| bad("schema"))?;
-    let key_scheme = match schema {
-        // Schema 1 predates the stamp; its results carry scheme-1 keys.
-        1 => 1,
-        CHECKPOINT_SCHEMA => {
-            doc.get("key_scheme").and_then(Json::as_u64).ok_or_else(|| bad("key_scheme"))?
-        }
-        _ => {
-            return Err(format!(
-                "{}: checkpoint schema {schema} (this build reads {CHECKPOINT_SCHEMA})",
-                path.display()
-            ))
-        }
-    };
-    if key_scheme != KEY_SCHEME {
-        return Err(format!(
-            "{}: checkpoint results are keyed under key scheme {key_scheme}, this build keys \
-             under scheme {KEY_SCHEME}; none could be replayed, so start a fresh run",
-            path.display()
-        ));
+/// Write `run.json` into `dir` atomically and durably.
+fn write_run_file(dir: &Path, meta: &CheckpointMeta) -> io::Result<()> {
+    let doc = Json::obj([
+        ("schema", Json::from(CHECKPOINT_SCHEMA)),
+        ("key_scheme", Json::from(KEY_SCHEME)),
+        ("meta", meta.to_json()),
+    ]);
+    let tmp = dir.join(format!("{RUN_FILE}.tmp"));
+    {
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(doc.to_string_compact().as_bytes())?;
+        file.write_all(b"\n")?;
+        file.sync_all()?;
     }
-    let meta = doc.get("meta").and_then(CheckpointMeta::from_json).ok_or_else(|| bad("meta"))?;
-    let units_done =
-        doc.get("units_done").and_then(Json::as_u64).ok_or_else(|| bad("units_done"))? as usize;
-    let mut results = HashMap::new();
-    for entry in doc.get("results").and_then(Json::as_arr).ok_or_else(|| bad("results"))? {
-        let key = entry.get("key").and_then(Json::as_u64).ok_or_else(|| bad("result key"))?;
-        let report =
-            entry.get("report").and_then(report_from_json).ok_or_else(|| bad("result report"))?;
-        results.insert(key, report);
-    }
-    Ok(LoadedCheckpoint { meta, units_done, results })
+    fs::rename(&tmp, dir.join(RUN_FILE))?;
+    fs::File::open(dir)?.sync_all()
 }
 
 /// Interior state of a [`Checkpointer`].
 #[derive(Debug, Default)]
 struct Progress {
-    results: HashMap<u64, TimingReport>,
     units_done: usize,
-    units_since_write: usize,
     stopped: bool,
 }
 
-/// Accumulates completed results during a search and publishes atomic
-/// checkpoint snapshots every N work units, on interruption, and on
-/// demand. Shared with the engine via `Arc`; all methods take `&self`.
+/// A checkpoint directory opened for a search: the engine records
+/// completed results into its [`store`](Self::store) chunk by chunk and
+/// serves the results it already holds. Shared with the engine via
+/// `Arc`; all methods take `&self`.
 #[derive(Debug)]
 pub struct Checkpointer {
-    path: PathBuf,
+    dir: PathBuf,
     every: usize,
     meta: CheckpointMeta,
+    store: ResultStore,
     stop_after: Option<usize>,
     progress: Mutex<Progress>,
 }
 
 impl Checkpointer {
-    /// Checkpointer writing snapshots to `path` every `every` completed
-    /// work units (clamped to ≥ 1).
-    pub fn new(path: impl Into<PathBuf>, every: usize, meta: CheckpointMeta) -> Self {
-        Self {
-            path: path.into(),
-            every: every.max(1),
-            meta,
-            stop_after: None,
-            progress: Mutex::new(Progress::default()),
+    /// Create a checkpoint for the run `meta` in `dir`, which must not
+    /// exist yet or be empty. Dispatch is chunked every `every` work
+    /// units (clamped to ≥ 1).
+    ///
+    /// # Errors
+    ///
+    /// A message naming `dir` when it already holds a checkpoint (which
+    /// must be continued with `--resume`), holds other files (which are
+    /// left untouched), is a file, or cannot be created or written.
+    pub fn create(
+        dir: impl Into<PathBuf>,
+        every: usize,
+        meta: CheckpointMeta,
+    ) -> Result<Self, String> {
+        let dir = dir.into();
+        not_a_file(&dir)?;
+        if dir.join(RUN_FILE).exists() {
+            return Err(format!(
+                "{}: a checkpoint already exists there; continue it with --resume {0}, or \
+                 remove it to start over",
+                dir.display()
+            ));
         }
+        if fs::read_dir(&dir).is_ok_and(|mut entries| entries.next().is_some()) {
+            return Err(format!(
+                "{}: directory is not empty and holds no checkpoint ({RUN_FILE}); refusing to \
+                 write a checkpoint into it",
+                dir.display()
+            ));
+        }
+        let cannot = |e: io::Error| format!("cannot create checkpoint {}: {e}", dir.display());
+        fs::create_dir_all(&dir).map_err(cannot)?;
+        write_run_file(&dir, &meta).map_err(cannot)?;
+        let store = ResultStore::open(&dir).map_err(cannot)?;
+        Ok(Self::open(dir, every, meta, store))
+    }
+
+    /// Reopen the checkpoint in `dir` to continue the run `meta`. Its
+    /// schema, key scheme and meta are checked before its results are
+    /// loaded; damaged result records are dropped (and simulated again),
+    /// as [`ResultStore::open`] drops them.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the path when `dir` is a file (the layout of
+    /// earlier builds), `run.json` is unreadable or malformed, the
+    /// checkpoint was written under another schema or key scheme (none
+    /// of its results could be served), or it belongs to another run.
+    pub fn resume(
+        dir: impl Into<PathBuf>,
+        every: usize,
+        meta: CheckpointMeta,
+    ) -> Result<Self, String> {
+        let dir = dir.into();
+        not_a_file(&dir)?;
+        let path = dir.join(RUN_FILE);
+        let text = fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let doc =
+            json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
+        let bad = |what: &str| format!("{}: malformed checkpoint ({what})", path.display());
+        let schema = doc.get("schema").and_then(Json::as_u64).ok_or_else(|| bad("schema"))?;
+        if schema != CHECKPOINT_SCHEMA {
+            return Err(format!(
+                "{}: checkpoint schema {schema} (this build reads {CHECKPOINT_SCHEMA})",
+                path.display()
+            ));
+        }
+        let key_scheme =
+            doc.get("key_scheme").and_then(Json::as_u64).ok_or_else(|| bad("key_scheme"))?;
+        if key_scheme != KEY_SCHEME {
+            return Err(format!(
+                "{}: checkpoint results are keyed under key scheme {key_scheme}, this build keys \
+                 under scheme {KEY_SCHEME}; none could be replayed, so start a fresh run",
+                path.display()
+            ));
+        }
+        let recorded =
+            doc.get("meta").and_then(CheckpointMeta::from_json).ok_or_else(|| bad("meta"))?;
+        if recorded != meta {
+            return Err(format!(
+                "{}: checkpoint belongs to a different run (app/strategy/settings/grid/space \
+                 mismatch); refusing to replay it",
+                dir.display()
+            ));
+        }
+        let store = ResultStore::open(&dir)
+            .map_err(|e| format!("cannot open checkpoint results in {}: {e}", dir.display()))?;
+        Ok(Self::open(dir, every, meta, store))
+    }
+
+    fn open(dir: PathBuf, every: usize, meta: CheckpointMeta, store: ResultStore) -> Self {
+        let every = every.max(1);
+        Self { dir, every, meta, store, stop_after: None, progress: Mutex::default() }
     }
 
     /// Deterministic SIGKILL stand-in: [`Self::should_stop`] turns true
@@ -279,61 +333,44 @@ impl Checkpointer {
         self
     }
 
-    /// Seed previously checkpointed results (resume path) so snapshots
-    /// taken by the resumed run stay cumulative.
-    pub fn seed(&self, results: &HashMap<u64, TimingReport>) {
-        let mut p = self.progress.lock().expect("checkpoint progress poisoned");
-        for (k, v) in results {
-            p.results.entry(*k).or_insert_with(|| v.clone());
-        }
+    /// The checkpoint directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
     }
 
-    /// The checkpoint file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The periodic write threshold (also the engine's dispatch chunk
-    /// size, so interruption latency is bounded by it).
+    /// The dispatch chunk size: the checkpoint is flushed and
+    /// interruption observed every this many work units.
     pub fn every(&self) -> usize {
         self.every
     }
 
-    /// The run identity stamped into every snapshot.
+    /// The run identity recorded in `run.json`.
     pub fn meta(&self) -> &CheckpointMeta {
         &self.meta
     }
 
-    /// Record one successful result (engine calls this after the unit's
-    /// dispatch chunk completes — never for in-flight work).
-    pub fn record(&self, key: u64, report: &TimingReport) {
-        let mut p = self.progress.lock().expect("checkpoint progress poisoned");
-        p.results.entry(key).or_insert_with(|| report.clone());
+    /// The checkpoint's results: the engine `put`s completed results
+    /// here, and its load counters describe what a resume restored.
+    pub fn store(&self) -> &ResultStore {
+        &self.store
     }
 
-    /// Count `n` completed work units, publishing a snapshot when the
-    /// periodic threshold is crossed.
+    /// Count `n` completed work units and flush the results recorded
+    /// for them.
     ///
     /// # Errors
     ///
-    /// I/O failures writing the snapshot (the engine reports and keeps
-    /// running — a failed periodic checkpoint must not kill the search).
+    /// I/O failures appending to the segments (the engine reports and
+    /// keeps running — a failed flush must not kill the search).
     pub fn units_finished(&self, n: usize) -> io::Result<()> {
-        let due = {
+        {
             let mut p = self.progress.lock().expect("checkpoint progress poisoned");
             p.units_done += n;
-            p.units_since_write += n;
-            if let Some(cap) = self.stop_after {
-                if p.units_done >= cap {
-                    p.stopped = true;
-                }
+            if self.stop_after.is_some_and(|cap| p.units_done >= cap) {
+                p.stopped = true;
             }
-            p.units_since_write >= self.every
-        };
-        if due {
-            self.write_now()?;
         }
-        Ok(())
+        self.store.flush()
     }
 
     /// Whether the engine should stop scheduling new work: the process
@@ -347,100 +384,32 @@ impl Checkpointer {
         self.progress.lock().expect("checkpoint progress poisoned").units_done
     }
 
-    /// Publish a snapshot now: serialize, write `<path>.tmp`, fsync,
-    /// rename over `<path>`.
+    /// Delete the checkpoint of a completed run: its segments, then
+    /// `run.json`, then the directory if nothing else is left in it.
+    /// Nothing is deleted recursively.
     ///
     /// # Errors
     ///
-    /// I/O failures creating, writing, syncing, or renaming the file.
-    pub fn write_now(&self) -> io::Result<()> {
-        let doc = {
-            let mut p = self.progress.lock().expect("checkpoint progress poisoned");
-            p.units_since_write = 0;
-            let mut keys: Vec<u64> = p.results.keys().copied().collect();
-            keys.sort_unstable();
-            let results: Vec<Json> = keys
-                .iter()
-                .map(|k| {
-                    Json::obj([("key", Json::from(*k)), ("report", report_to_json(&p.results[k]))])
-                })
-                .collect();
-            Json::obj([
-                ("schema", Json::from(CHECKPOINT_SCHEMA)),
-                ("key_scheme", Json::from(KEY_SCHEME)),
-                ("meta", self.meta.to_json()),
-                ("units_done", Json::from(p.units_done)),
-                ("results", Json::Arr(results)),
-            ])
-        };
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(doc.to_string_compact().as_bytes())?;
-            file.write_all(b"\n")?;
-            file.sync_all()?;
+    /// I/O failures listing or deleting those entries.
+    pub fn remove(&self) -> io::Result<()> {
+        for entry in fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            if store::parse_segment_name(&entry.file_name().to_string_lossy()).is_some() {
+                fs::remove_file(entry.path())?;
+            }
         }
-        fs::rename(&tmp, &self.path)
-    }
-}
-
-/// A [`TimingEval`] that serves checkpointed results by exact content
-/// key and delegates everything else to the wrapped evaluator. The
-/// engine still runs its full dispatch/retry/accounting machinery — a
-/// served result is indistinguishable from a fresh simulation, which is
-/// exactly what makes resumed reports byte-identical.
-pub struct ReplayEval<'a> {
-    inner: &'a dyn TimingEval,
-    results: Arc<HashMap<u64, TimingReport>>,
-}
-
-impl<'a> ReplayEval<'a> {
-    /// Wrap `inner`, serving from `results` first.
-    pub fn new(inner: &'a dyn TimingEval, results: Arc<HashMap<u64, TimingReport>>) -> Self {
-        Self { inner, results }
-    }
-}
-
-impl TimingEval for ReplayEval<'_> {
-    fn simulate(
-        &self,
-        prog: &DecodedProgram,
-        launch: &Launch,
-        usage: &ResourceUsage,
-        spec: &MachineSpec,
-    ) -> Result<TimingReport, EvalError> {
-        match self.results.get(&cache::exact_key(&prog.source, launch, usage, spec)) {
-            Some(rep) => Ok(rep.clone()),
-            None => self.inner.simulate(prog, launch, usage, spec),
+        fs::remove_file(self.dir.join(RUN_FILE))?;
+        if fs::read_dir(&self.dir)?.next().is_none() {
+            fs::remove_dir(&self.dir)?;
         }
-    }
-
-    fn simulate_family(
-        &self,
-        progs: &[&DecodedProgram],
-        launch: &Launch,
-        usage: &ResourceUsage,
-        spec: &MachineSpec,
-    ) -> Option<Vec<TimingReport>> {
-        // Units are checkpointed atomically, so a family is either fully
-        // present (serve it as one "forked run", matching the original
-        // accounting) or fully absent. A partial hit — possible only
-        // with a checkpoint from some other search shape — falls through
-        // to a real family run, which returns the same reports anyway.
-        let served: Option<Vec<TimingReport>> = progs
-            .iter()
-            .map(|p| self.results.get(&cache::exact_key(&p.source, launch, usage, spec)).cloned())
-            .collect();
-        match served {
-            Some(reports) => Some(reports),
-            None => self.inner.simulate_family(progs, launch, usage, spec),
-        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::timing::TimingReport;
 
     fn report(seed: u64) -> TimingReport {
         use gpu_arch::{LimitingFactor, Occupancy};
@@ -476,116 +445,103 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_write_load_round_trips() {
-        let path =
-            std::env::temp_dir().join(format!("optspace-ck-roundtrip-{}.json", std::process::id()));
-        let ck = Checkpointer::new(&path, 8, meta());
-        ck.record(42, &report(1));
-        ck.record(7, &report(2));
-        ck.units_finished(2).unwrap();
-        ck.write_now().unwrap();
-
-        let loaded = load(&path).unwrap();
-        assert_eq!(loaded.meta, meta());
-        assert_eq!(loaded.units_done, 2);
-        assert_eq!(loaded.results.len(), 2);
-        assert_eq!(loaded.results[&42], report(1));
-        assert_eq!(loaded.results[&7], report(2));
-        std::fs::remove_file(&path).unwrap();
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("optspace-ck-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
-    fn a_checkpoint_with_a_search_state_section_still_loads() {
-        // Earlier builds wrote a `state` section (a bnb frontier
-        // snapshot) into every checkpoint; resume never needed it.
-        let path =
-            std::env::temp_dir().join(format!("optspace-ck-state-{}.json", std::process::id()));
-        let ck = Checkpointer::new(&path, 8, meta());
-        ck.record(42, &report(1));
-        ck.write_now().unwrap();
-        let mut doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let Json::Obj(fields) = &mut doc else { panic!("a checkpoint is an object") };
-        fields.push((
-            "state".into(),
-            json::parse(
-                r#"{"incumbent_rank":3,"incumbent_ms":1.5,"frontier":[],"completed_ranks":[0]}"#,
-            )
-            .unwrap(),
-        ));
-        std::fs::write(&path, doc.to_string_compact()).unwrap();
-        let loaded = load(&path).unwrap();
-        assert_eq!(loaded.meta, meta());
-        assert_eq!(loaded.results[&42], report(1));
-        std::fs::remove_file(&path).unwrap();
+    fn checkpoint_write_load_round_trips() {
+        let dir = tmpdir("roundtrip");
+        let ck = Checkpointer::create(&dir, 8, meta()).unwrap();
+        ck.store().put(42, &report(1));
+        ck.store().put(7, &report(2));
+        ck.units_finished(2).unwrap();
+        assert_eq!(ck.units_done(), 2);
+        drop(ck);
+
+        let loaded = Checkpointer::resume(&dir, 8, meta()).unwrap();
+        assert_eq!(loaded.meta(), &meta());
+        assert_eq!(loaded.store().records_loaded(), 2);
+        assert_eq!(loaded.store().get(42), Some(report(1)));
+        assert_eq!(loaded.store().get(7), Some(report(2)));
+        loaded.remove().unwrap();
+        assert!(!dir.exists(), "an emptied checkpoint directory is removed");
     }
 
     #[test]
     fn a_checkpoint_keyed_under_another_scheme_is_refused_naming_both() {
-        let path =
-            std::env::temp_dir().join(format!("optspace-ck-scheme-{}.json", std::process::id()));
-        let ck = Checkpointer::new(&path, 8, meta());
-        ck.record(42, &report(1));
-        ck.write_now().unwrap();
-        let current = std::fs::read_to_string(&path).unwrap();
+        let dir = tmpdir("scheme");
+        drop(Checkpointer::create(&dir, 8, meta()).unwrap());
+        let run = dir.join(RUN_FILE);
+        let current = fs::read_to_string(&run).unwrap();
         let stamp = format!(r#""key_scheme":{KEY_SCHEME}"#);
         assert!(current.contains(&stamp), "{current}");
         let later = KEY_SCHEME + 1;
-
-        for (text, written) in [
-            (current.replace(&stamp, &format!(r#""key_scheme":{later}"#)), later),
-            // A schema-1 file has no stamp: its keys are scheme 1.
-            (
-                current
-                    .replace(&format!("{stamp},"), "")
-                    .replace(&format!(r#""schema":{CHECKPOINT_SCHEMA}"#), r#""schema":1"#),
-                1,
-            ),
-        ] {
-            std::fs::write(&path, text).unwrap();
-            let err = load(&path).unwrap_err();
-            assert!(err.contains(&format!("key scheme {written}")), "{err}");
-            assert!(err.contains(&format!("scheme {KEY_SCHEME}")), "{err}");
-        }
-        std::fs::remove_file(&path).unwrap();
+        fs::write(&run, current.replace(&stamp, &format!(r#""key_scheme":{later}"#))).unwrap();
+        let err = Checkpointer::resume(&dir, 8, meta()).unwrap_err();
+        assert!(err.contains(&format!("key scheme {later}")), "{err}");
+        assert!(err.contains(&format!("scheme {KEY_SCHEME}")), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn periodic_write_fires_on_the_unit_threshold() {
-        let path =
-            std::env::temp_dir().join(format!("optspace-ck-periodic-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let ck = Checkpointer::new(&path, 4, meta());
-        ck.record(1, &report(1));
-        ck.units_finished(3).unwrap();
-        assert!(!path.exists(), "below threshold: no snapshot yet");
+    fn chunks_are_flushed_as_they_finish() {
+        let dir = tmpdir("flush");
+        let ck = Checkpointer::create(&dir, 4, meta()).unwrap();
+        ck.store().put(1, &report(1));
+        assert_eq!(store::verify(&dir).unwrap().records, 0, "nothing on disk before the boundary");
         ck.units_finished(1).unwrap();
-        assert!(path.exists(), "threshold crossed: snapshot published");
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(store::verify(&dir).unwrap().records, 1, "the chunk boundary flushes");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn stop_after_trips_should_stop_deterministically() {
-        let path =
-            std::env::temp_dir().join(format!("optspace-ck-stop-{}.json", std::process::id()));
-        let ck = Checkpointer::new(&path, 1000, meta()).with_stop_after(5);
+        let dir = tmpdir("stop");
+        let ck = Checkpointer::create(&dir, 1000, meta()).unwrap().with_stop_after(5);
         assert!(!ck.should_stop());
         ck.units_finished(4).unwrap();
         assert!(!ck.should_stop());
         ck.units_finished(1).unwrap();
         assert!(ck.should_stop());
-        let _ = std::fs::remove_file(&path);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn load_rejects_damage_with_the_path_in_the_message() {
-        let path =
-            std::env::temp_dir().join(format!("optspace-ck-damaged-{}.json", std::process::id()));
-        std::fs::write(&path, "{ not json").unwrap();
-        let err = load(&path).unwrap_err();
-        assert!(err.contains(&path.display().to_string()), "message names the path: {err}");
-        let missing = load(path.with_extension("missing")).unwrap_err();
+    fn resume_rejects_damage_with_the_path_in_the_message() {
+        let dir = tmpdir("damaged");
+        drop(Checkpointer::create(&dir, 8, meta()).unwrap());
+        let run = dir.join(RUN_FILE);
+        fs::write(&run, "{ not json").unwrap();
+        let err = Checkpointer::resume(&dir, 8, meta()).unwrap_err();
+        assert!(err.contains(&run.display().to_string()), "message names the path: {err}");
+        let missing = Checkpointer::resume(dir.join("missing"), 8, meta()).unwrap_err();
         assert!(missing.contains("cannot read"), "{missing}");
-        std::fs::remove_file(&path).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_result_is_dropped_and_the_rest_restored() {
+        let dir = tmpdir("torn");
+        let ck = Checkpointer::create(&dir, 8, meta()).unwrap();
+        // One shard, so the tear hits the last record written.
+        for k in 0..4u64 {
+            ck.store().put(k * 4, &report(k));
+        }
+        ck.store().sync().unwrap();
+        drop(ck);
+        let seg = dir.join("s0-0000.seg");
+        let bytes = fs::read(&seg).unwrap();
+        fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
+
+        let ck = Checkpointer::resume(&dir, 8, meta()).unwrap();
+        assert_eq!(ck.store().records_dropped(), 1);
+        assert_eq!(ck.store().records_loaded(), 3);
+        for k in 0..3u64 {
+            assert_eq!(ck.store().get(k * 4), Some(report(k)));
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

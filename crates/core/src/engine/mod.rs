@@ -68,8 +68,8 @@ use crate::space::CandidateSource;
 
 pub use budget::EvalBudget;
 pub use checkpoint::{
-    install_signal_handler, interrupted, CheckpointMeta, Checkpointer, LoadedCheckpoint,
-    ReplayEval, CHECKPOINT_SCHEMA, DEFAULT_CHECKPOINT_EVERY,
+    install_signal_handler, interrupted, CheckpointMeta, Checkpointer, CHECKPOINT_SCHEMA,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 pub use error::{EvalError, EvalErrorKind, Quarantine};
 pub use fault::{FaultPlan, InjectedFault};
@@ -333,13 +333,10 @@ pub struct EvalEngine {
     /// cache dispatches fresh simulations and updated write-behind with
     /// this call's successes.
     store: Option<Arc<store::ResultStore>>,
-    /// Optional checkpoint accumulator: completed results are recorded
-    /// after each dispatch chunk and snapshots published every N units.
+    /// Optional checkpoint: completed results are recorded into it
+    /// after each dispatch chunk, and the results it already holds are
+    /// replayed in place of fresh simulations.
     checkpoint: Option<Arc<checkpoint::Checkpointer>>,
-    /// Optional resume map: when set, the timing evaluator is wrapped in
-    /// a [`checkpoint::ReplayEval`] serving these results in place of
-    /// fresh simulations, so a resumed search replays byte-identically.
-    replay: Option<Arc<HashMap<u64, TimingReport>>>,
     /// Always-on convergence recorder, fed from the single-threaded
     /// result-reassembly loop (so the curve is deterministic at any
     /// `jobs`). Shared by clones: a batched search accumulates one
@@ -361,6 +358,9 @@ struct UniqueSim {
     usage: ResourceUsage,
     exact: u64,
     class: cache::ClassKey,
+    /// The checkpoint's result for `exact`, replayed in place of the
+    /// simulation that produced it.
+    replay: Option<TimingReport>,
 }
 
 /// A unit of simulation work dispatched to the pool.
@@ -431,25 +431,14 @@ impl EvalEngine {
         self.store.as_ref()
     }
 
-    /// Attach a checkpointer: dispatch is chunked so completed results
-    /// are recorded (and snapshots published) every N work units, and
-    /// the engine stops scheduling new work once
+    /// Attach a checkpoint: dispatch is chunked so completed results are
+    /// recorded and flushed every N work units, results the checkpoint
+    /// already holds are replayed as the fresh simulations they stand
+    /// for (which makes a resumed search byte-identical to the original),
+    /// and the engine stops scheduling new work once
     /// [`checkpoint::Checkpointer::should_stop`] turns true.
     pub fn with_checkpoint(mut self, ck: Arc<checkpoint::Checkpointer>) -> Self {
         self.checkpoint = Some(ck);
-        self
-    }
-
-    /// The attached checkpointer, if any.
-    pub fn checkpoint(&self) -> Option<&Arc<checkpoint::Checkpointer>> {
-        self.checkpoint.as_ref()
-    }
-
-    /// Attach a resume map (a loaded checkpoint's results): every timing
-    /// evaluation is first looked up here by exact content key, so the
-    /// resumed search replays the original byte-identically.
-    pub fn with_replay(mut self, results: Arc<HashMap<u64, TimingReport>>) -> Self {
-        self.replay = Some(results);
         self
     }
 
@@ -634,20 +623,6 @@ impl EvalEngine {
         let mut simulated: Vec<Option<TimingReport>> = vec![None; source.len()];
         let plan = self.config.fault_plan;
 
-        // Resume: wrap the evaluator so checkpointed results are served
-        // in place of fresh simulations. Everything downstream — unit
-        // grouping, retry rounds, accounting, events — is oblivious to
-        // where a result came from, which is what makes a resumed run
-        // byte-identical to an uninterrupted one.
-        let replay_holder;
-        let eval: &dyn TimingEval = match &self.replay {
-            Some(map) => {
-                replay_holder = checkpoint::ReplayEval::new(eval, Arc::clone(map));
-                &replay_holder
-            }
-            None => eval,
-        };
-
         // Phase 1a: instantiate, linearize and key the selected
         // candidates on the worker pool. For an eager slice source this
         // merely borrows; for a lazy point source this is where kernel
@@ -687,6 +662,7 @@ impl EvalEngine {
         // Phase 1b: deduplicate by exact key, sequentially. `uniques`
         // keeps discovery order, which makes every later ordering
         // decision deterministic.
+        let fuel = self.config.sim_fuel;
         let mut unique_of: HashMap<u64, usize> = HashMap::new();
         let mut uniques: Vec<UniqueSim> = Vec::new();
         // (candidate, unique, invocations)
@@ -743,28 +719,30 @@ impl EvalEngine {
                         ],
                     );
                 }
-                uniques.push(UniqueSim { prog: decoded, launch, usage, exact, class });
+                // A unique the checkpoint holds is replayed by `run_unit`
+                // as the fresh simulation it stands for, so resumed and
+                // uninterrupted runs account alike.
+                let replay = self.checkpoint.as_ref().and_then(|ck| serve(ck.store(), exact, fuel));
+                uniques.push(UniqueSim { prog: decoded, launch, usage, exact, class, replay });
                 unique_of.insert(exact, u);
             }
             assignments.push((i, u, invocations));
         }
 
         // Phase 1c: consult the persistent result store before anything
-        // is scheduled. A store-resolved unique never becomes a work
-        // unit — on a fully warm store the pool dispatches nothing.
-        // Replayed keys are exempt: a resume must account them exactly
-        // as the original run did (fresh simulations), or the resumed
-        // report would drift from the uninterrupted one.
+        // is scheduled, for the uniques the checkpoint does not replay. A
+        // store-resolved unique never becomes a work unit — on a fully
+        // warm store the pool dispatches nothing.
         let mut outcomes_of: Vec<Option<Result<TimingReport, EvalError>>> =
             (0..uniques.len()).map(|_| None).collect();
         let mut from_store: Vec<bool> = vec![false; uniques.len()];
         if let Some(store) = &self.store {
             for (u, uq) in uniques.iter().enumerate() {
-                if self.replay.as_ref().is_some_and(|r| r.contains_key(&uq.exact)) {
+                if uq.replay.is_some() {
                     continue;
                 }
                 let read_started = Instant::now();
-                let cached = store.get(uq.exact);
+                let cached = serve(store, uq.exact, fuel);
                 if let Some(sink) = &self.sink {
                     sink.record_latency(
                         LatencyLane::StoreIo,
@@ -846,12 +824,12 @@ impl EvalEngine {
         let mut attempts_of: Vec<u32> = vec![0; uniques.len()];
         let mut round_units = units;
         let mut attempt: u32 = 1;
-        // Dispatch in chunks when a checkpointer is attached. The unit
-        // list is fixed before dispatch and units are independent, so
+        // Dispatch in chunks when a checkpoint is attached. The unit list
+        // is fixed before dispatch and units are independent, so
         // outcomes are identical at any chunk size — chunking only
         // creates the between-chunk points where completed results are
-        // recorded, snapshots published, and interruption observed.
-        let chunk = self.checkpoint.as_ref().map_or(usize::MAX, |ck| ck.every().max(1));
+        // recorded and flushed, and interruption observed.
+        let chunk = self.checkpoint.as_ref().map_or(usize::MAX, |ck| ck.every());
         'rounds: while !round_units.is_empty() {
             if attempt >= 2 {
                 self.emit(
@@ -942,17 +920,17 @@ impl EvalEngine {
                     for unit in &round_units[start..end] {
                         for &u in unit.members() {
                             if let Some(Ok(rep)) = &outcomes_of[u] {
-                                ck.record(uniques[u].exact, rep);
+                                ck.store().put(uniques[u].exact, rep);
                             }
                         }
                     }
                     if let Err(e) = ck.units_finished(end - start) {
-                        eprintln!("checkpoint {}: periodic write failed: {e}", ck.path().display());
+                        eprintln!("checkpoint {}: flush failed: {e}", ck.dir().display());
                     }
                     if ck.should_stop() {
                         // Stop scheduling; undispatched units stay None
                         // (treated like budget-truncated work). The CLI
-                        // publishes the final snapshot and exits.
+                        // syncs the checkpoint and exits.
                         break 'rounds;
                     }
                 }
@@ -1098,11 +1076,20 @@ impl EvalEngine {
     }
 }
 
+/// A stored (or checkpointed) result, served only if a fresh simulation
+/// under this run's fuel limit would finish too: the simulator refuses a
+/// step once `steps >= fuel`, so exactly when `steps <= fuel`. A result
+/// past the limit is a miss, simulated and quarantined as on a cold run.
+fn serve(store: &store::ResultStore, key: u64, fuel: Option<u64>) -> Option<TimingReport> {
+    store.get(key).filter(|r| fuel.is_none_or(|f| r.steps <= f))
+}
+
 /// One work unit's outcome: per-unique results, simulations executed,
 /// and faults injected.
 type UnitOutcome = (Vec<(usize, Result<TimingReport, EvalError>)>, usize, usize);
 
-/// Execute one work unit.
+/// Execute one work unit. A unique with a checkpointed result replays
+/// it, counted as the simulation that produced it.
 fn run_unit(
     unit: &WorkUnit,
     uniques: &[UniqueSim],
@@ -1111,6 +1098,10 @@ fn run_unit(
     plan: Option<&FaultPlan>,
     attempt: u32,
 ) -> UnitOutcome {
+    let simulate = |uq: &UniqueSim| match &uq.replay {
+        Some(rep) => Ok(rep.clone()),
+        None => eval.simulate(&uq.prog, &uq.launch, &uq.usage, spec),
+    };
     match unit {
         WorkUnit::Single(u) => {
             let uq = &uniques[*u];
@@ -1120,12 +1111,20 @@ fn run_unit(
                     return (vec![(*u, Err(err))], 0, 1);
                 }
             }
-            (vec![(*u, eval.simulate(&uq.prog, &uq.launch, &uq.usage, spec))], 1, 0)
+            (vec![(*u, simulate(uq))], 1, 0)
         }
         WorkUnit::Family(members) => {
+            // Units are checkpointed whole, so a family is replayed whole
+            // (as the one forked run that produced it) or not at all.
             let first = &uniques[members[0]];
-            let progs: Vec<&DecodedProgram> = members.iter().map(|&m| &uniques[m].prog).collect();
-            match eval.simulate_family(&progs, &first.launch, &first.usage, spec) {
+            let replayed: Option<Vec<TimingReport>> =
+                members.iter().map(|&m| uniques[m].replay.clone()).collect();
+            let forked = replayed.or_else(|| {
+                let progs: Vec<&DecodedProgram> =
+                    members.iter().map(|&m| &uniques[m].prog).collect();
+                eval.simulate_family(&progs, &first.launch, &first.usage, spec)
+            });
+            match forked {
                 Some(reports) => {
                     (members.iter().copied().zip(reports.into_iter().map(Ok)).collect(), 1, 0)
                 }
@@ -1133,13 +1132,7 @@ fn run_unit(
                 // families, or the shared run failed: simulate each
                 // member on its own, attributing failures individually.
                 None => (
-                    members
-                        .iter()
-                        .map(|&m| {
-                            let uq = &uniques[m];
-                            (m, eval.simulate(&uq.prog, &uq.launch, &uq.usage, spec))
-                        })
-                        .collect(),
+                    members.iter().map(|&m| (m, simulate(&uniques[m]))).collect(),
                     members.len(),
                     0,
                 ),
@@ -1584,6 +1577,31 @@ mod fault_tests {
         assert_eq!(q.error, EvalError::FuelExhausted { fuel: 20_000 });
         assert_eq!(q.attempts, 1, "fuel exhaustion is permanent, not retried");
         assert_eq!(stats.quarantined, 1);
+    }
+
+    #[test]
+    fn a_persisted_result_is_served_exactly_when_a_fresh_run_fits_the_fuel() {
+        let spec = g80();
+        let c = candidate(16, 2, 1);
+        let usage = c.evaluate(&spec).unwrap().kernel_profile.usage;
+        let prog = gpu_sim::decode::decode(&linearize(&c.kernel));
+        let run = |fuel| gpu_sim::timing::simulate(&prog, &c.launch, &usage, &spec, fuel);
+        let report = run(None).unwrap();
+        let steps = report.steps;
+        assert_eq!(run(Some(steps)), Ok(report.clone()));
+        assert_eq!(
+            run(Some(steps - 1)),
+            Err(gpu_sim::timing::TimingError::FuelExhausted { fuel: steps - 1 })
+        );
+
+        let dir =
+            std::env::temp_dir().join(format!("optspace-engine-fuel-serve-{}", std::process::id()));
+        let store = store::ResultStore::open(&dir).unwrap();
+        store.put(9, &report);
+        assert_eq!(serve(&store, 9, None), Some(report.clone()));
+        assert_eq!(serve(&store, 9, Some(steps)), Some(report));
+        assert_eq!(serve(&store, 9, Some(steps - 1)), None);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

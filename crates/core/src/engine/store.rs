@@ -87,9 +87,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Serialize a timing report to the JSON shape stored on disk (also
-/// used verbatim by checkpoint files).
-pub fn report_to_json(r: &TimingReport) -> Json {
+/// Serialize a timing report to the JSON shape stored on disk.
+fn report_to_json(r: &TimingReport) -> Json {
     let occ = Json::obj([
         ("blocks_per_sm", Json::from(r.occupancy.blocks_per_sm)),
         ("warps_per_block", Json::from(r.occupancy.warps_per_block)),
@@ -116,7 +115,7 @@ pub fn report_to_json(r: &TimingReport) -> Json {
 
 /// Parse a timing report from its stored JSON shape. `None` when any
 /// field is missing or mistyped (the caller treats that as damage).
-pub fn report_from_json(j: &Json) -> Option<TimingReport> {
+fn report_from_json(j: &Json) -> Option<TimingReport> {
     let u = |key: &str| j.get(key).and_then(Json::as_u64);
     let f = |key: &str| j.get(key).and_then(Json::as_f64);
     let occ = j.get("occupancy")?;
@@ -420,9 +419,9 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Fsync every shard's current segment (used before a checkpoint is
-    /// published, so the checkpoint never references results the store
-    /// might lose).
+    /// Flush, then fsync every shard's current segment, so every result
+    /// put so far survives a crash of the machine (used before a run
+    /// reports success or exits interrupted).
     ///
     /// # Errors
     ///
@@ -492,7 +491,9 @@ fn segment_name(shard: usize, index: u32) -> String {
     format!("s{shard}-{index:04}.seg")
 }
 
-fn parse_segment_name(name: &str) -> Option<(usize, u32)> {
+/// `(shard, index)` of a segment file name, or `None` for any other
+/// file (a checkpoint removes exactly the files this accepts).
+pub(super) fn parse_segment_name(name: &str) -> Option<(usize, u32)> {
     let rest = name.strip_prefix('s')?.strip_suffix(".seg")?;
     let (shard, idx) = rest.split_once('-')?;
     let shard: usize = shard.parse().ok()?;

@@ -269,8 +269,7 @@ impl Space {
     /// Decode a full-grid rank back into its point, or `None` when the
     /// rank is outside the grid. The point's ordinal is `rank` itself
     /// (as for [`probe_point`](Self::probe_point)); constraints are
-    /// **not** checked — callers restoring checkpointed ranks already
-    /// know they were admitted when recorded.
+    /// **not** checked — the caller knows which ranks it admitted.
     pub fn point_at_grid_rank(&self, rank: usize) -> Option<Point> {
         if rank >= self.grid_len() || self.core.axes.is_empty() {
             return None;
@@ -283,23 +282,16 @@ impl Space {
         })
     }
 
-    /// Rebuild a [`PartialPoint`] from a per-axis binding vector (as
-    /// returned by [`PartialPoint::bindings`]), or `None` when the
-    /// vector's length does not match the axis count or a bound index
-    /// is outside its axis's domain. This is the checkpoint/resume
-    /// round-trip for branch-and-bound frontier nodes.
-    pub fn partial_from_bindings(&self, bindings: &[Option<usize>]) -> Option<PartialPoint> {
-        if bindings.len() != self.core.axes.len() {
-            return None;
-        }
-        for (b, a) in bindings.iter().zip(&self.core.axes) {
-            if let Some(idx) = b {
-                if *idx >= a.values.len() {
-                    return None;
-                }
-            }
-        }
-        Some(PartialPoint { bound: bindings.to_vec(), core: Arc::clone(&self.core) })
+    /// Mixed-radix rank of a full grid assignment (one value index per
+    /// axis), in enumeration order: last axis fastest.
+    pub(crate) fn rank_of(&self, counters: &[usize]) -> usize {
+        self.core.rank_of(counters)
+    }
+
+    /// Inverse of [`rank_of`](Self::rank_of): one value index per axis
+    /// of a full-grid rank.
+    pub(crate) fn counters_of(&self, rank: usize) -> Vec<usize> {
+        self.core.counters_of(rank)
     }
 }
 
@@ -488,13 +480,6 @@ impl PartialPoint {
     /// while it is unbound or out of range.
     pub fn binding(&self, axis: usize) -> Option<usize> {
         self.bound.get(axis).copied().flatten()
-    }
-
-    /// The per-axis binding vector: `Some(value index)` where bound,
-    /// `None` where unbound. Serializable form of this subspace — feed
-    /// it back through [`Space::partial_from_bindings`] to restore.
-    pub fn bindings(&self) -> &[Option<usize>] {
-        &self.bound
     }
 
     /// Bind axis `name` to `value`, narrowing the subspace. Returns
@@ -1088,19 +1073,6 @@ mod tests {
             assert_eq!(s.probe_point(p.values().to_vec()).ordinal(), rank);
         }
         assert!(s.point_at_grid_rank(s.grid_len()).is_none());
-    }
-
-    #[test]
-    fn partial_bindings_round_trip() {
-        let s = toy_space();
-        let part = s.partial().bind("unroll", Value::U32(4)).unwrap();
-        let restored = s.partial_from_bindings(part.bindings()).expect("valid bindings");
-        assert_eq!(restored.bindings(), part.bindings());
-        assert_eq!(restored.first_grid_rank(), part.first_grid_rank());
-        assert_eq!(restored.grid_count(), part.grid_count());
-        // Length and domain mismatches are rejected, not panicked on.
-        assert!(s.partial_from_bindings(&[None, None]).is_none());
-        assert!(s.partial_from_bindings(&[Some(7), None, None]).is_none());
     }
 
     #[test]

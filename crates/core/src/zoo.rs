@@ -73,26 +73,12 @@ fn assert_budget(budget: usize) {
     assert!(budget >= 1, "a budgeted strategy needs a budget >= 1");
 }
 
-/// Mixed-radix decode of a full-grid rank into per-axis value indices
-/// (last axis varies fastest, matching the space's enumeration order).
-fn decode(mut rank: usize, radices: &[usize]) -> Vec<usize> {
-    let mut coords = vec![0usize; radices.len()];
-    for (i, &r) in radices.iter().enumerate().rev() {
-        coords[i] = rank % r;
-        rank /= r;
-    }
-    coords
-}
-
-/// Mixed-radix encode, the inverse of [`decode`].
-fn encode(coords: &[usize], radices: &[usize]) -> usize {
-    coords.iter().zip(radices).fold(0usize, |rank, (&c, &r)| rank * r + c)
-}
-
 /// The structured view every grid-walking strategy shares: dense
 /// candidate indices mapped onto the axis grid, with validity taken
 /// from the static phase (an invalid point is a wall, not a state).
 struct Topology {
+    /// The space whose mixed-radix grid ranks `dense_of` maps.
+    space: Space,
     /// Axis domain sizes (mixed radix).
     radices: Vec<usize>,
     /// Per dense index, axis value-index coordinates.
@@ -120,11 +106,11 @@ impl Topology {
         // dense report index (the same mapping branch-and-bound uses).
         for (dense, p) in space.partial().completions().enumerate() {
             dense_of.insert(p.ordinal(), dense);
-            coords.push(decode(p.ordinal(), &radices));
+            coords.push(space.counters_of(p.ordinal()));
         }
         let is_valid: Vec<bool> = statics.iter().map(Option::is_some).collect();
         let valid = is_valid.iter().enumerate().filter_map(|(i, &v)| v.then_some(i)).collect();
-        Self { radices, coords, dense_of, valid, is_valid }
+        Self { space: space.clone(), radices, coords, dense_of, valid, is_valid }
     }
 
     /// Valid grid-adjacent neighbors (±1 value step on exactly one
@@ -142,7 +128,7 @@ impl Topology {
                 }
                 let mut n = coords.clone();
                 n[axis] = moved as usize;
-                if let Some(&d) = self.dense_of.get(&encode(&n, &self.radices)) {
+                if let Some(&d) = self.dense_of.get(&self.space.rank_of(&n)) {
                     if self.is_valid[d] {
                         out.push(d);
                     }
@@ -561,7 +547,7 @@ impl IterativeStrategy for Genetic {
                         }
                     }
                 }
-                if let Some(&d) = topo.dense_of.get(&encode(&child, &topo.radices)) {
+                if let Some(&d) = topo.dense_of.get(&topo.space.rank_of(&child)) {
                     if topo.is_valid[d] && !self.proposed.contains(&d) && !batch.contains(&d) {
                         batch.push(d);
                     }
@@ -676,14 +662,6 @@ mod tests {
         assert_eq!(topo.neighbors(3), vec![1, 2]);
         // (2,0) has neighbor (1,0) only; (2,1) excluded.
         assert_eq!(topo.neighbors(4), vec![2]);
-    }
-
-    #[test]
-    fn decode_encode_round_trip() {
-        let radices = [3usize, 2, 4];
-        for rank in 0..24 {
-            assert_eq!(encode(&decode(rank, &radices), &radices), rank);
-        }
     }
 
     #[test]

@@ -162,10 +162,31 @@ diff -u "$tracedir/cold_best.txt" "$tracedir/damaged_best.txt" || {
     echo "persistence smoke: best configuration changed after corruption" >&2
     exit 1
 }
+# A stored result a tighter --sim-fuel would refuse must be simulated
+# again, not served: over a store filled without a limit, the limited
+# run quarantines and finds what the cold limited run does.
+mri=(tune mri --strategy exhaustive --jobs 2 --sim-fuel 200000)
+cargo run --release -q -- "${mri[@]}" > "$tracedir/mri_cold.txt"
+cargo run --release -q -- tune mri --strategy exhaustive --jobs 2 \
+    --store-dir "$tracedir/mri_store" > /dev/null 2>&1
+cargo run --release -q -- "${mri[@]}" --store-dir "$tracedir/mri_store" \
+    > "$tracedir/mri_warm.txt" 2> /dev/null
+grep -E "^(DEGRADED|best configuration):" "$tracedir/mri_cold.txt" > "$tracedir/mri_cold_lines.txt"
+grep -E "^(DEGRADED|best configuration):" "$tracedir/mri_warm.txt" > "$tracedir/mri_warm_lines.txt"
+grep -q "^DEGRADED:" "$tracedir/mri_cold_lines.txt" || {
+    echo "persistence smoke: --sim-fuel 200000 no longer quarantines any MRI configuration" >&2
+    exit 1
+}
+diff -u "$tracedir/mri_cold_lines.txt" "$tracedir/mri_warm_lines.txt" || {
+    echo "persistence smoke: a warm store changed the fuel-limited MRI result" >&2
+    exit 1
+}
 
 echo "==> resume smoke (tune sad/cp --checkpoint/--stop-after-units, --resume)"
 # An interrupted run (exit 130, no stdout report) resumed from its
 # checkpoint must print a report byte-identical to an uninterrupted run.
+# The checkpoint is a directory whose results the result store's own
+# verifier reads back intact, and a completed run removes it.
 cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
     > "$tracedir/uninterrupted.txt"
 set +e
@@ -182,12 +203,26 @@ if [ -s "$tracedir/interrupted.txt" ]; then
     echo "resume smoke: interrupted run must not print a stdout report" >&2
     exit 1
 fi
+verify=$(cargo run --release -q -- store verify "$tracedir/sad.ck")
+echo "$verify"
+echo "$verify" | grep -Eq ", [1-9][0-9]* records? " || {
+    echo "resume smoke: the interrupted run's checkpoint holds no results" >&2
+    exit 1
+}
+echo "$verify" | grep -q " 0 ignored " && echo "$verify" | grep -q " 0 dropped," || {
+    echo "resume smoke: the checkpoint holds ignored or damaged records" >&2
+    exit 1
+}
 cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
     --resume "$tracedir/sad.ck" > "$tracedir/resumed.txt" 2> /dev/null
 diff -u "$tracedir/uninterrupted.txt" "$tracedir/resumed.txt" || {
     echo "resume smoke: resumed report differs from the uninterrupted run" >&2
     exit 1
 }
+if [ -e "$tracedir/sad.ck" ]; then
+    echo "resume smoke: the completed run left its checkpoint behind" >&2
+    exit 1
+fi
 # The same holds for a feedback-driven strategy: resume replays its
 # proposals from the start.
 anneal=(tune cp --strategy anneal --budget 12 --seed 1 --jobs 2)

@@ -31,9 +31,9 @@
 //!     --metrics-out <path>                  write the run manifest as JSON
 //!     --profile                             print the profile summary table
 //!     --store-dir <dir>                     persistent result store (crash-safe)
-//!     --checkpoint <path>                   write resumable checkpoints (any strategy)
-//!     --checkpoint-every N                  units between checkpoints (default 64)
-//!     --resume <path>                       resume an interrupted checkpointed run
+//!     --checkpoint <dir>                    checkpoint into a new directory (any strategy)
+//!     --checkpoint-every N                  units between checkpoint flushes (default 64)
+//!     --resume <dir>                        resume an interrupted checkpointed run
 //!     --stop-after-units N                  deterministic stop for testing resume
 //! gpu-autotune store verify <dir>           audit a result store's segments
 //! gpu-autotune parse <file.gik>             analyse a textual kernel
@@ -42,6 +42,7 @@
 //!                                           convergence, phases, utilization
 //! ```
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -50,8 +51,8 @@ use gpu_autotune::kernels::{by_name, AppInstantiator, SpaceSource, NAMES};
 use gpu_autotune::optspace::candidate::Candidate;
 use gpu_autotune::optspace::cli::{writable_parent, Args, EngineFlags};
 use gpu_autotune::optspace::engine::{
-    cache::KEY_SCHEME, checkpoint, install_signal_handler, store, CheckpointMeta, Checkpointer,
-    EvalBudget, DEFAULT_CHECKPOINT_EVERY,
+    cache::KEY_SCHEME, install_signal_handler, store, CheckpointMeta, Checkpointer, EvalBudget,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 use gpu_autotune::optspace::obs::StoreSummary;
 use gpu_autotune::optspace::obs::{
@@ -81,8 +82,8 @@ commands:
              [--filter axis=value]... [--sample N] [--sample-seed S]
              [--trace-out <path>] [--trace-format jsonl|chrome]
              [--metrics-out <path>] [--profile]
-             [--store-dir <dir>] [--checkpoint <path>] [--checkpoint-every N]
-             [--resume <path>] [--stop-after-units N]
+             [--store-dir <dir>] [--checkpoint <dir>] [--checkpoint-every N]
+             [--resume <dir>] [--stop-after-units N]
   store verify <dir>          audit a persistent result store: segments,
                               records, and corrupt records dropped
   parse <file>                parse a textual kernel and print its analyses
@@ -284,12 +285,21 @@ impl TuneFlags {
             max_sims: args.number("--max-sims", "a number")?,
             deadline_ms: args.positive("--deadline-ms", "a positive number")?,
         };
-        let resume = args.text("--resume", "a checkpoint path")?;
-        // A resumed run keeps checkpointing to the file it resumed from
-        // unless an explicit --checkpoint redirects it.
-        let checkpoint = args.text("--checkpoint", "a path")?.or_else(|| resume.clone());
-        if let Some(path) = &checkpoint {
-            writable_parent(path)?;
+        let resume = args.text("--resume", "a checkpoint directory")?;
+        // A resumed run keeps checkpointing into the checkpoint it
+        // resumes: its results are the ones being replayed.
+        let checkpoint = args.text("--checkpoint", "a directory")?;
+        if let (Some(dir), Some(from)) = (&checkpoint, &resume) {
+            if Path::new(dir) != Path::new(from) {
+                return Err(format!(
+                    "--checkpoint {dir}: a resumed run keeps checkpointing into --resume \
+                     {from}; drop --checkpoint"
+                ));
+            }
+        }
+        let checkpoint = checkpoint.or_else(|| resume.clone());
+        if let Some(dir) = &checkpoint {
+            writable_parent(dir)?;
         }
         let stop_after = args.positive("--stop-after-units", "a number >= 1")?;
         if stop_after.is_some() && checkpoint.is_none() {
@@ -325,6 +335,13 @@ impl TuneFlags {
             engine: args.engine_flags()?,
         };
         flags.engine.config.budget = budget;
+        // A completed run deletes its checkpoint's segments, which must
+        // not be the store's.
+        if let (Some(dir), Some(st)) = (&flags.checkpoint, &flags.engine.store) {
+            if Path::new(dir) == st.dir() {
+                return Err(format!("--checkpoint {dir} must not be the --store-dir directory"));
+            }
+        }
         Ok(flags)
     }
 }
@@ -406,49 +423,6 @@ fn cmd_tune(args: &[String]) -> ExitCode {
             st.generation(),
         );
     }
-    let meta = CheckpointMeta::new(
-        app_name,
-        &identity,
-        (grid != "default").then_some(grid.as_str()),
-        &space,
-    );
-    let checkpointer = match &flags.checkpoint {
-        Some(path) => {
-            let mut ck = Checkpointer::new(path.clone(), flags.checkpoint_every, meta.clone());
-            if let Some(n) = flags.stop_after {
-                ck = ck.with_stop_after(n);
-            }
-            if let Some(resume) = &flags.resume {
-                let loaded = match checkpoint::load(resume) {
-                    Ok(l) => l,
-                    Err(e) => {
-                        eprintln!("--resume: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if loaded.meta != meta {
-                    eprintln!(
-                        "--resume {resume}: checkpoint belongs to a different run \
-                         (app/strategy/settings/grid/space mismatch); refusing to replay it"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "resume {resume}: {} units done, {} results restored",
-                    loaded.units_done,
-                    loaded.results.len(),
-                );
-                ck.seed(&loaded.results);
-                engine = engine.with_replay(Arc::new(loaded.results));
-            }
-            let ck = Arc::new(ck);
-            engine = engine.with_checkpoint(Arc::clone(&ck));
-            install_signal_handler();
-            Some(ck)
-        }
-        None => None,
-    };
-
     let points = match selection.apply(&space) {
         Ok(p) => p,
         Err(e) => {
@@ -462,6 +436,45 @@ fn cmd_tune(args: &[String]) -> ExitCode {
             println!("selection matched no configurations; the report will be empty");
         }
     }
+    let meta = CheckpointMeta::new(
+        app_name,
+        &identity,
+        (grid != "default").then_some(grid.as_str()),
+        &space,
+    );
+    let checkpointer = match &flags.checkpoint {
+        Some(dir) => {
+            let opened = match &flags.resume {
+                Some(_) => Checkpointer::resume(dir, flags.checkpoint_every, meta),
+                None => Checkpointer::create(dir, flags.checkpoint_every, meta),
+            };
+            let mut ck = match opened {
+                Ok(ck) => ck,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            if flags.resume.is_some() {
+                let st = ck.store();
+                eprintln!(
+                    "resume {dir}: {} results restored, {} ignored (other key scheme), {} dropped",
+                    st.records_loaded(),
+                    st.records_ignored(),
+                    st.records_dropped(),
+                );
+            }
+            if let Some(n) = flags.stop_after {
+                ck = ck.with_stop_after(n);
+            }
+            let ck = Arc::new(ck);
+            engine = engine.with_checkpoint(Arc::clone(&ck));
+            install_signal_handler();
+            Some(ck)
+        }
+        None => None,
+    };
+
     let source = SpaceSource::new(app.as_ref(), points);
     let labels = source.labels();
     let report = if let Some(mut searcher) = iterative {
@@ -475,9 +488,9 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     } else {
         BranchAndBound.run_space(&engine, &space, &AppInstantiator(app.as_ref()), device)
     };
-    // An interrupted (or stop-after-tripped) run publishes its final
-    // checkpoint and exits 130 without printing a report: the partial
-    // results live in the checkpoint, not on stdout.
+    // An interrupted (or stop-after-tripped) run syncs its checkpoint
+    // and exits 130 without printing a report: the partial results live
+    // in the checkpoint, not on stdout.
     if let Some(ck) = &checkpointer {
         if ck.should_stop() {
             if let Some(st) = result_store {
@@ -485,18 +498,18 @@ fn cmd_tune(args: &[String]) -> ExitCode {
                     eprintln!("result store {}: sync failed: {e}", st.dir().display());
                 }
             }
-            return match ck.write_now() {
+            return match ck.store().sync() {
                 Ok(()) => {
                     eprintln!(
                         "interrupted after {} units: checkpoint -> {}; continue with \
                          --resume {1}",
                         ck.units_done(),
-                        ck.path().display(),
+                        ck.dir().display(),
                     );
                     ExitCode::from(130)
                 }
                 Err(e) => {
-                    eprintln!("cannot write checkpoint {}: {e}", ck.path().display());
+                    eprintln!("cannot sync checkpoint {}: {e}", ck.dir().display());
                     ExitCode::FAILURE
                 }
             };
@@ -511,10 +524,9 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     if let Some(ck) = &checkpointer {
         // The run completed: the checkpoint has served its purpose and
         // a later unrelated run must not accidentally resume from it.
-        match std::fs::remove_file(ck.path()) {
-            Ok(()) => eprintln!("run complete: checkpoint {} removed", ck.path().display()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => eprintln!("cannot remove checkpoint {}: {e}", ck.path().display()),
+        match ck.remove() {
+            Ok(()) => eprintln!("run complete: checkpoint {} removed", ck.dir().display()),
+            Err(e) => eprintln!("cannot remove checkpoint {}: {e}", ck.dir().display()),
         }
     }
     if let Some(sink) = sink {

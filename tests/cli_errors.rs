@@ -5,6 +5,8 @@
 //! (`optspace::cli`); `crates/bench/tests/cli_errors.rs` audits them
 //! with the same wording.
 
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Run the front end with `args`; assert a non-zero exit and that
@@ -84,9 +86,30 @@ fn iterative_strategies_reject_narrowing() {
     );
 }
 
-/// Run `tune` with `args`, stopping it deterministically after one
-/// work unit so that only its checkpoint at `ck` remains.
+/// A fresh checkpoint path under the temp dir, unique per test.
+fn ck_dir(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("gpu-autotune-cli-ck-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_file(&dir);
+    dir
+}
+
+/// The file names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .expect("directory readable")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Run `tune` with `args` into a fresh checkpoint at `ck`, stopping it
+/// deterministically after one work unit so that only the checkpoint
+/// remains.
 fn interrupt(args: &[&str], ck: &str) {
+    let _ = fs::remove_dir_all(ck);
     let out = Command::new(env!("CARGO_BIN_EXE_gpu-autotune"))
         .args(args)
         .args(["--checkpoint", ck, "--checkpoint-every", "1", "--stop-after-units", "1"])
@@ -100,13 +123,26 @@ fn interrupt(args: &[&str], ck: &str) {
     );
 }
 
+/// Run the front end with `args`; assert it succeeds.
+fn assert_succeeds(args: &[&str]) {
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_gpu-autotune")).args(args).output().expect("binary runs");
+    assert!(
+        out.status.success(),
+        "`gpu-autotune {}` failed: {}",
+        args.join(" "),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+const SEARCH: [&str; 6] = ["tune", "cp", "--strategy", "random", "--seed", "1"];
+
 #[test]
 fn resume_refuses_a_different_search() {
-    let path =
-        std::env::temp_dir().join(format!("gpu-autotune-cli-ck-{}.json", std::process::id()));
+    let path = ck_dir("search");
     let ck = path.to_str().expect("temp path is UTF-8");
     let refusal = "checkpoint belongs to a different run";
-    interrupt(&["tune", "cp", "--strategy", "random", "--seed", "1"], ck);
+    interrupt(&SEARCH, ck);
     assert_fails(&["tune", "cp", "--strategy", "random", "--seed", "2", "--resume", ck], refusal);
     let anneal = ["tune", "cp", "--strategy", "anneal"];
     interrupt(&[&anneal[..], &["--budget", "12", "--seed", "1"]].concat(), ck);
@@ -115,26 +151,97 @@ fn resume_refuses_a_different_search() {
     }
     interrupt(&["tune", "cp", "--strategy", "pareto"], ck);
     assert_fails(&["tune", "cp", "--strategy", "pareto", "--no-screen", "--resume", ck], refusal);
-    let _ = std::fs::remove_file(&path);
+    let _ = fs::remove_dir_all(&path);
 }
 
 #[test]
 fn resume_refuses_a_checkpoint_keyed_under_another_scheme() {
-    let path = std::env::temp_dir()
-        .join(format!("gpu-autotune-cli-ck-scheme-{}.json", std::process::id()));
+    let path = ck_dir("scheme");
     let ck = path.to_str().expect("temp path is UTF-8");
-    let search = ["tune", "cp", "--strategy", "random", "--seed", "1"];
-    interrupt(&search, ck);
-    let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    interrupt(&SEARCH, ck);
+    let run = path.join("run.json");
+    let text = fs::read_to_string(&run).expect("run.json written");
     let scheme = gpu_autotune::optspace::engine::cache::KEY_SCHEME;
     let stamp = format!(r#""key_scheme":{scheme}"#);
     assert!(text.contains(&stamp), "{text}");
-    std::fs::write(&path, text.replace(&stamp, r#""key_scheme":1"#)).expect("rewritable");
+    fs::write(&run, text.replace(&stamp, r#""key_scheme":1"#)).expect("rewritable");
     assert_fails(
-        &[&search[..], &["--resume", ck]].concat(),
+        &[&SEARCH[..], &["--resume", ck]].concat(),
         &format!("keyed under key scheme 1, this build keys under scheme {scheme}"),
     );
-    let _ = std::fs::remove_file(&path);
+    let _ = fs::remove_dir_all(&path);
+}
+
+#[test]
+fn resume_refuses_a_checkpoint_file_from_an_earlier_build() {
+    let path = ck_dir("file");
+    let ck = path.to_str().expect("temp path is UTF-8");
+    fs::write(&path, r#"{"schema":2,"key_scheme":2,"meta":{},"units_done":1,"results":[]}"#)
+        .expect("write an old-format checkpoint");
+    assert_fails(&[&SEARCH[..], &["--resume", ck]].concat(), ck);
+    assert_fails(&[&SEARCH[..], &["--resume", ck]].concat(), "checkpoints are now directories");
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn checkpoint_refuses_a_directory_holding_other_files_and_leaves_them() {
+    let path = ck_dir("foreign");
+    fs::create_dir_all(&path).expect("create");
+    fs::write(path.join("notes.txt"), "keep me").expect("write");
+    let ck = path.to_str().expect("temp path is UTF-8");
+    assert_fails(
+        &[&SEARCH[..], &["--checkpoint", ck]].concat(),
+        "is not empty and holds no checkpoint",
+    );
+    assert_eq!(listing(&path), ["notes.txt"]);
+    assert_eq!(fs::read_to_string(path.join("notes.txt")).expect("kept"), "keep me");
+    let _ = fs::remove_dir_all(&path);
+}
+
+#[test]
+fn checkpoint_refuses_an_existing_checkpoint_and_points_to_resume() {
+    let path = ck_dir("exists");
+    let ck = path.to_str().expect("temp path is UTF-8");
+    interrupt(&SEARCH, ck);
+    let before = listing(&path);
+    assert_fails(&[&SEARCH[..], &["--checkpoint", ck]].concat(), &format!("--resume {ck}"));
+    assert_eq!(listing(&path), before, "the refused run touched the checkpoint");
+    let _ = fs::remove_dir_all(&path);
+}
+
+#[test]
+fn a_checkpoint_is_never_redirected_or_shared_with_the_store() {
+    let from = ck_dir("redirect-from");
+    let to = ck_dir("redirect-to");
+    let (a, b) = (from.to_str().expect("UTF-8"), to.to_str().expect("UTF-8"));
+    interrupt(&SEARCH, a);
+    assert_fails(
+        &[&SEARCH[..], &["--resume", a, "--checkpoint", b]].concat(),
+        "a resumed run keeps checkpointing into",
+    );
+    assert!(!to.exists(), "the refused redirect created its target");
+    let _ = fs::remove_dir_all(&from);
+    assert_fails(
+        &[&SEARCH[..], &["--checkpoint", b, "--store-dir", b]].concat(),
+        "must not be the --store-dir directory",
+    );
+    let _ = fs::remove_dir_all(&to);
+}
+
+#[test]
+fn a_completed_run_removes_only_its_own_checkpoint() {
+    let path = ck_dir("complete");
+    let ck = path.to_str().expect("temp path is UTF-8");
+    interrupt(&SEARCH, ck);
+    assert!(listing(&path).iter().any(|f| f.ends_with(".seg")), "results were recorded");
+    assert_succeeds(&[&SEARCH[..], &["--resume", ck]].concat());
+    assert!(!path.exists(), "an emptied checkpoint directory is removed");
+
+    interrupt(&SEARCH, ck);
+    fs::write(path.join("notes.txt"), "keep me").expect("write");
+    assert_succeeds(&[&SEARCH[..], &["--resume", ck]].concat());
+    assert_eq!(listing(&path), ["notes.txt"], "only the checkpoint's own files are removed");
+    let _ = fs::remove_dir_all(&path);
 }
 
 #[test]

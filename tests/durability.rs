@@ -11,16 +11,18 @@
 //!   `--jobs` 1, 2, and 8.
 //! * **Warm store** — a second run over the same space with the same
 //!   store completes with zero fresh simulations: every unique comes
-//!   back as a store hit and the report matches the cold run.
+//!   back as a store hit and the report matches the cold run. Under a
+//!   tighter `--sim-fuel`, a stored result the limit would have refused
+//!   is simulated again, so the report matches the cold limited run.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use gpu_autotune::arch::{LimitingFactor, MachineSpec, Occupancy};
-use gpu_autotune::kernels::{sad::Sad, App, AppInstantiator, SpaceSource};
+use gpu_autotune::kernels::{mri_fhd::MriFhd, sad::Sad, App, AppInstantiator, SpaceSource};
 use gpu_autotune::optspace::engine::{
-    checkpoint, CheckpointMeta, Checkpointer, EngineConfig, EvalEngine, ResultStore,
+    CheckpointMeta, Checkpointer, EngineConfig, EvalEngine, ResultStore,
 };
 use gpu_autotune::optspace::obs::{EventSink, Trace};
 use gpu_autotune::optspace::tuner::{
@@ -192,7 +194,7 @@ fn search_sad(strategy: &str, engine: &EvalEngine) -> SearchReport {
 #[test]
 fn killed_and_resumed_runs_are_byte_identical_at_any_worker_count() {
     let dir = scratch("resume");
-    let ck_path = dir.join("ck.json");
+    let ck_path = dir.join("ck");
     let strategies =
         ["exhaustive", "pareto", "random", "bnb", "hill", "anneal", "genetic", "surrogate"];
     for strategy in strategies {
@@ -213,29 +215,30 @@ fn killed_and_resumed_runs_are_byte_identical_at_any_worker_count() {
             // in-process stand-in for SIGKILL: the partial report is
             // discarded and only the checkpoint file survives).
             let stop_at = 4usize;
-            let ck =
-                Arc::new(Checkpointer::new(&ck_path, 2, meta.clone()).with_stop_after(stop_at));
+            let ck = Arc::new(
+                Checkpointer::create(&ck_path, 2, meta.clone())
+                    .expect("create the checkpoint")
+                    .with_stop_after(stop_at),
+            );
             let (partial, _) = run(&|e| e.with_checkpoint(Arc::clone(&ck)));
             assert!(ck.should_stop(), "{strategy}: the stop-after must have tripped");
             assert!(
                 partial.evaluated_count() < reference.evaluated_count(),
                 "{strategy}: the stop must cut the search short"
             );
-            ck.write_now().expect("publish the final checkpoint");
+            ck.store().sync().expect("publish the final checkpoint");
+            assert!(ck.units_done() >= stop_at);
+            drop(ck);
 
             // Load and resume: replay serves the checkpointed results,
             // the rest run live, and the final report must be
             // indistinguishable from never having been interrupted.
-            let loaded = checkpoint::load(&ck_path).expect("checkpoint loads");
-            assert_eq!(loaded.meta, meta);
-            assert!(loaded.units_done >= stop_at);
-            assert!(!loaded.results.is_empty(), "{strategy}: some results were checkpointed");
-            let resume_ck = Arc::new(Checkpointer::new(&ck_path, 2, meta.clone()));
-            resume_ck.seed(&loaded.results);
-            let results = Arc::new(loaded.results);
-            let (resumed, res_trace) = run(&|e| {
-                e.with_replay(Arc::clone(&results)).with_checkpoint(Arc::clone(&resume_ck))
-            });
+            let resume_ck = Arc::new(
+                Checkpointer::resume(&ck_path, 2, meta.clone()).expect("checkpoint loads"),
+            );
+            assert_eq!(resume_ck.meta(), &meta);
+            assert!(!resume_ck.store().is_empty(), "{strategy}: some results were checkpointed");
+            let (resumed, res_trace) = run(&|e| e.with_checkpoint(Arc::clone(&resume_ck)));
 
             assert_reports_match(&resumed, &reference);
             assert_eq!(
@@ -248,7 +251,7 @@ fn killed_and_resumed_runs_are_byte_identical_at_any_worker_count() {
                 reference.metrics.deterministic_json().to_string_compact(),
                 "{strategy}: deterministic metrics differ after resume at {jobs} jobs"
             );
-            let _ = fs::remove_file(&ck_path);
+            resume_ck.remove().expect("remove the checkpoint");
         }
     }
 }
@@ -257,7 +260,7 @@ fn killed_and_resumed_runs_are_byte_identical_at_any_worker_count() {
 fn resume_replays_injected_faults_identically() {
     use gpu_autotune::optspace::engine::FaultPlan;
     let dir = scratch("resume-faults");
-    let ck_path = dir.join("ck.json");
+    let ck_path = dir.join("ck");
     let meta = CheckpointMeta::new("sad", "exhaustive", None, &Sad::test_problem().space());
     let plan = FaultPlan { seed: 7, rate_per_mille: 300, transient_per_mille: 500 };
     let with_faults =
@@ -268,16 +271,18 @@ fn resume_replays_injected_faults_identically() {
     let reference = ExhaustiveSearch.run_with(&engine, &Sad::test_problem().candidates(), &g80());
     let ref_trace = sink.drain();
 
-    let ck = Arc::new(Checkpointer::new(&ck_path, 4, meta.clone()).with_stop_after(10));
+    let ck = Arc::new(
+        Checkpointer::create(&ck_path, 4, meta.clone()).expect("create").with_stop_after(10),
+    );
     let engine = EvalEngine::new(with_faults(2)).with_checkpoint(Arc::clone(&ck));
     let _partial = ExhaustiveSearch.run_with(&engine, &Sad::test_problem().candidates(), &g80());
-    ck.write_now().expect("publish");
+    ck.store().sync().expect("publish");
+    drop((engine, ck));
 
-    let loaded = checkpoint::load(&ck_path).expect("loads");
+    let loaded = Arc::new(Checkpointer::resume(&ck_path, 4, meta).expect("loads"));
     let sink = Arc::new(EventSink::new());
-    let engine = EvalEngine::new(with_faults(2))
-        .with_sink(Arc::clone(&sink))
-        .with_replay(Arc::new(loaded.results));
+    let engine =
+        EvalEngine::new(with_faults(2)).with_sink(Arc::clone(&sink)).with_checkpoint(loaded);
     let resumed = ExhaustiveSearch.run_with(&engine, &Sad::test_problem().candidates(), &g80());
 
     assert_reports_match(&resumed, &reference);
@@ -335,4 +340,38 @@ fn warm_store_survives_a_corrupt_segment() {
         damaged.records_dropped(),
         "the drop count surfaces in the engine stats"
     );
+}
+
+#[test]
+fn a_warm_store_respects_a_tighter_fuel_limit() {
+    // A result is served only if a fresh simulation under this run's
+    // fuel limit would have finished: a fuel-limited run over a store
+    // filled without a limit must quarantine what the cold fuel-limited
+    // run quarantines, and find the same best configuration.
+    let dir = scratch("fuel");
+    let cands = MriFhd::test_problem().candidates();
+    let run = |sim_fuel: Option<u64>, store: Option<&Arc<ResultStore>>| {
+        let mut engine = EvalEngine::new(EngineConfig { jobs: 2, sim_fuel, ..Default::default() });
+        if let Some(store) = store {
+            engine = engine.with_store(Arc::clone(store));
+        }
+        ExhaustiveSearch.run_with(&engine, &cands, &g80())
+    };
+    let store = Arc::new(ResultStore::open(&dir).expect("open store"));
+    let unlimited = run(None, Some(&store));
+    store.sync().expect("persist");
+    // A limit half the simulations exceed.
+    let mut steps: Vec<u64> = unlimited.simulated.iter().flatten().map(|r| r.steps).collect();
+    steps.sort_unstable();
+    let fuel = steps[steps.len() / 2];
+
+    let cold = run(Some(fuel), None);
+    assert!(!cold.quarantined.is_empty(), "the limit must quarantine something");
+    assert!(cold.best.is_some(), "the limit must leave something to time");
+    let warm_store = Arc::new(ResultStore::open(&dir).expect("reopen store"));
+    let warm = run(Some(fuel), Some(&warm_store));
+    assert!(warm.stats.store_hits > 0, "results within the limit are still served");
+    assert_eq!(warm.quarantined, cold.quarantined);
+    assert_eq!(warm.simulated, cold.simulated);
+    assert_eq!(warm.best, cold.best);
 }
