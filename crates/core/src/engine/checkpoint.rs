@@ -16,30 +16,34 @@
 //!
 //! `run.json` holds [`CHECKPOINT_SCHEMA`], the [`KEY_SCHEME`] of the
 //! result keys, and the [`CheckpointMeta`]; it is written once, at
-//! creation (temp file, fsync, rename, fsync the directory). The engine
-//! `put`s each dispatch chunk's successes into the store *after* the
-//! chunk completes and flushes them at the chunk boundary, so a
-//! checkpoint never holds a result that was still in flight and its I/O
-//! grows linearly with the number of results. A crash tears at most the
-//! tail of a segment: the store's loader drops the damaged record, and
-//! the resumed run simulates it again.
+//! creation (temp file, fsync, rename, fsync the directory). Each work
+//! unit [records](Checkpointer::record) its successes into the store on
+//! the worker that ran it, as soon as the unit finishes, and flushes
+//! them, so a checkpoint never holds a result that was still in flight
+//! and its I/O grows linearly with the number of results. A crash tears
+//! at most the tail of a segment: the store's loader drops the damaged
+//! record, and the resumed run simulates it again.
 //!
 //! # Interruption
 //!
 //! SIGINT/SIGTERM set a process-global flag (see
 //! [`install_signal_handler`] — a hand-rolled `signal(2)` binding; the
-//! workspace is offline and vendors no libc crate). The engine polls it
-//! between dispatch chunks and between search rounds, stops
-//! scheduling new work, and the CLI syncs the checkpoint and exits with
-//! status 130. SIGKILL needs no cooperation: every flushed chunk is
-//! already on disk. [`Checkpointer::with_stop_after`] is the
-//! deterministic stand-in for SIGKILL in tests.
+//! workspace is offline and vendors no libc crate). Every work unit asks
+//! [`Checkpointer::admit`] before it runs, so once the flag is set no
+//! further unit starts; the engine ends its retry rounds, the strategy
+//! its search rounds, and the CLI syncs the checkpoint and exits with
+//! status 130. SIGKILL needs no cooperation: every finished unit is
+//! already on disk, and only the units in flight are lost.
+//! [`Checkpointer::with_stop_after`] is the deterministic stand-in for
+//! SIGKILL in tests.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+
+use gpu_sim::timing::TimingReport;
 
 use super::cache::KEY_SCHEME;
 use super::store::{self, ResultStore};
@@ -50,10 +54,6 @@ use crate::space::Space;
 /// `key_scheme` stamp ([`KEY_SCHEME`]) of the result keys; schema 3
 /// made a checkpoint a directory: `run.json` plus result-store segments.
 pub const CHECKPOINT_SCHEMA: u64 = 3;
-
-/// Default work units per dispatch chunk, the interval at which a
-/// checkpoint is flushed and interruption is observed.
-pub const DEFAULT_CHECKPOINT_EVERY: usize = 64;
 
 /// The run-identity file inside a checkpoint directory.
 const RUN_FILE: &str = "run.json";
@@ -213,16 +213,17 @@ fn write_run_file(dir: &Path, meta: &CheckpointMeta) -> io::Result<()> {
 struct Progress {
     units_done: usize,
     stopped: bool,
+    /// Set by the first failed flush, which alone is reported.
+    flush_failed: bool,
 }
 
-/// A checkpoint directory opened for a search: the engine records
-/// completed results into its [`store`](Self::store) chunk by chunk and
+/// A checkpoint directory opened for a search: the engine records each
+/// finished work unit's results into its [`store`](Self::store) and
 /// serves the results it already holds. Shared with the engine via
 /// `Arc`; all methods take `&self`.
 #[derive(Debug)]
 pub struct Checkpointer {
     dir: PathBuf,
-    every: usize,
     meta: CheckpointMeta,
     store: ResultStore,
     stop_after: Option<usize>,
@@ -231,19 +232,14 @@ pub struct Checkpointer {
 
 impl Checkpointer {
     /// Create a checkpoint for the run `meta` in `dir`, which must not
-    /// exist yet or be empty. Dispatch is chunked every `every` work
-    /// units (clamped to ≥ 1).
+    /// exist yet or be empty.
     ///
     /// # Errors
     ///
     /// A message naming `dir` when it already holds a checkpoint (which
     /// must be continued with `--resume`), holds other files (which are
     /// left untouched), is a file, or cannot be created or written.
-    pub fn create(
-        dir: impl Into<PathBuf>,
-        every: usize,
-        meta: CheckpointMeta,
-    ) -> Result<Self, String> {
+    pub fn create(dir: impl Into<PathBuf>, meta: CheckpointMeta) -> Result<Self, String> {
         let dir = dir.into();
         not_a_file(&dir)?;
         if dir.join(RUN_FILE).exists() {
@@ -264,7 +260,7 @@ impl Checkpointer {
         fs::create_dir_all(&dir).map_err(cannot)?;
         write_run_file(&dir, &meta).map_err(cannot)?;
         let store = ResultStore::open(&dir).map_err(cannot)?;
-        Ok(Self::open(dir, every, meta, store))
+        Ok(Self::open(dir, meta, store))
     }
 
     /// Reopen the checkpoint in `dir` to continue the run `meta`. Its
@@ -278,11 +274,7 @@ impl Checkpointer {
     /// earlier builds), `run.json` is unreadable or malformed, the
     /// checkpoint was written under another schema or key scheme (none
     /// of its results could be served), or it belongs to another run.
-    pub fn resume(
-        dir: impl Into<PathBuf>,
-        every: usize,
-        meta: CheckpointMeta,
-    ) -> Result<Self, String> {
+    pub fn resume(dir: impl Into<PathBuf>, meta: CheckpointMeta) -> Result<Self, String> {
         let dir = dir.into();
         not_a_file(&dir)?;
         let path = dir.join(RUN_FILE);
@@ -318,16 +310,15 @@ impl Checkpointer {
         }
         let store = ResultStore::open(&dir)
             .map_err(|e| format!("cannot open checkpoint results in {}: {e}", dir.display()))?;
-        Ok(Self::open(dir, every, meta, store))
+        Ok(Self::open(dir, meta, store))
     }
 
-    fn open(dir: PathBuf, every: usize, meta: CheckpointMeta, store: ResultStore) -> Self {
-        let every = every.max(1);
-        Self { dir, every, meta, store, stop_after: None, progress: Mutex::default() }
+    fn open(dir: PathBuf, meta: CheckpointMeta, store: ResultStore) -> Self {
+        Self { dir, meta, store, stop_after: None, progress: Mutex::default() }
     }
 
-    /// Deterministic SIGKILL stand-in: [`Self::should_stop`] turns true
-    /// once `n` work units have completed.
+    /// Deterministic SIGKILL stand-in: exactly `n` work units are
+    /// admitted, and [`Self::should_stop`] turns true with the `n`th.
     pub fn with_stop_after(mut self, n: usize) -> Self {
         self.stop_after = Some(n);
         self
@@ -338,39 +329,48 @@ impl Checkpointer {
         &self.dir
     }
 
-    /// The dispatch chunk size: the checkpoint is flushed and
-    /// interruption observed every this many work units.
-    pub fn every(&self) -> usize {
-        self.every
-    }
-
     /// The run identity recorded in `run.json`.
     pub fn meta(&self) -> &CheckpointMeta {
         &self.meta
     }
 
-    /// The checkpoint's results: the engine `put`s completed results
-    /// here, and its load counters describe what a resume restored.
+    /// The checkpoint's results: the engine [records](Self::record)
+    /// finished units here, and its load counters describe what a resume
+    /// restored.
     pub fn store(&self) -> &ResultStore {
         &self.store
     }
 
-    /// Count `n` completed work units and flush the results recorded
-    /// for them.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures appending to the segments (the engine reports and
-    /// keeps running — a failed flush must not kill the search).
-    pub fn units_finished(&self, n: usize) -> io::Result<()> {
-        {
+    /// Ask to run one work unit. Counts the unit and returns `true`,
+    /// unless the process was interrupted or the stop threshold was
+    /// already reached: then the unit must not run.
+    pub fn admit(&self) -> bool {
+        if interrupted() {
+            return false;
+        }
+        let mut p = self.progress.lock().expect("checkpoint progress poisoned");
+        if p.stopped {
+            return false;
+        }
+        p.units_done += 1;
+        p.stopped = self.stop_after.is_some_and(|cap| p.units_done >= cap);
+        true
+    }
+
+    /// Record a finished unit's successful results, by exact content key,
+    /// and flush them to the segments. A flush failure is reported on
+    /// stderr once per checkpoint and the search goes on: a failed flush
+    /// must not kill it, and the results stay served from memory.
+    pub fn record<'a>(&self, results: impl IntoIterator<Item = (u64, &'a TimingReport)>) {
+        for (key, report) in results {
+            self.store.put(key, report);
+        }
+        if let Err(e) = self.store.flush() {
             let mut p = self.progress.lock().expect("checkpoint progress poisoned");
-            p.units_done += n;
-            if self.stop_after.is_some_and(|cap| p.units_done >= cap) {
-                p.stopped = true;
+            if !std::mem::replace(&mut p.flush_failed, true) {
+                eprintln!("checkpoint {}: flush failed: {e}", self.dir.display());
             }
         }
-        self.store.flush()
     }
 
     /// Whether the engine should stop scheduling new work: the process
@@ -379,7 +379,8 @@ impl Checkpointer {
         interrupted() || self.progress.lock().expect("checkpoint progress poisoned").stopped
     }
 
-    /// Work units completed so far.
+    /// Work units admitted so far; each has finished once the engine
+    /// call that admitted it returns.
     pub fn units_done(&self) -> usize {
         self.progress.lock().expect("checkpoint progress poisoned").units_done
     }
@@ -409,7 +410,6 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::timing::TimingReport;
 
     fn report(seed: u64) -> TimingReport {
         use gpu_arch::{LimitingFactor, Occupancy};
@@ -454,14 +454,15 @@ mod tests {
     #[test]
     fn checkpoint_write_load_round_trips() {
         let dir = tmpdir("roundtrip");
-        let ck = Checkpointer::create(&dir, 8, meta()).unwrap();
-        ck.store().put(42, &report(1));
-        ck.store().put(7, &report(2));
-        ck.units_finished(2).unwrap();
+        let ck = Checkpointer::create(&dir, meta()).unwrap();
+        assert!(ck.admit());
+        ck.record([(42, &report(1))]);
+        assert!(ck.admit());
+        ck.record([(7, &report(2))]);
         assert_eq!(ck.units_done(), 2);
         drop(ck);
 
-        let loaded = Checkpointer::resume(&dir, 8, meta()).unwrap();
+        let loaded = Checkpointer::resume(&dir, meta()).unwrap();
         assert_eq!(loaded.meta(), &meta());
         assert_eq!(loaded.store().records_loaded(), 2);
         assert_eq!(loaded.store().get(42), Some(report(1)));
@@ -473,51 +474,66 @@ mod tests {
     #[test]
     fn a_checkpoint_keyed_under_another_scheme_is_refused_naming_both() {
         let dir = tmpdir("scheme");
-        drop(Checkpointer::create(&dir, 8, meta()).unwrap());
+        drop(Checkpointer::create(&dir, meta()).unwrap());
         let run = dir.join(RUN_FILE);
         let current = fs::read_to_string(&run).unwrap();
         let stamp = format!(r#""key_scheme":{KEY_SCHEME}"#);
         assert!(current.contains(&stamp), "{current}");
         let later = KEY_SCHEME + 1;
         fs::write(&run, current.replace(&stamp, &format!(r#""key_scheme":{later}"#))).unwrap();
-        let err = Checkpointer::resume(&dir, 8, meta()).unwrap_err();
+        let err = Checkpointer::resume(&dir, meta()).unwrap_err();
         assert!(err.contains(&format!("key scheme {later}")), "{err}");
         assert!(err.contains(&format!("scheme {KEY_SCHEME}")), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn chunks_are_flushed_as_they_finish() {
+    fn each_recorded_unit_is_flushed_at_once() {
         let dir = tmpdir("flush");
-        let ck = Checkpointer::create(&dir, 4, meta()).unwrap();
-        ck.store().put(1, &report(1));
-        assert_eq!(store::verify(&dir).unwrap().records, 0, "nothing on disk before the boundary");
-        ck.units_finished(1).unwrap();
-        assert_eq!(store::verify(&dir).unwrap().records, 1, "the chunk boundary flushes");
+        let ck = Checkpointer::create(&dir, meta()).unwrap();
+        ck.record([(1, &report(1)), (2, &report(2))]);
+        assert_eq!(store::verify(&dir).unwrap().records, 2, "the unit's results are on disk");
+        ck.record([(3, &report(3))]);
+        assert_eq!(store::verify(&dir).unwrap().records, 3, "so are the next unit's");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn stop_after_trips_should_stop_deterministically() {
+    fn stop_after_admits_exactly_n_units() {
         let dir = tmpdir("stop");
-        let ck = Checkpointer::create(&dir, 1000, meta()).unwrap().with_stop_after(5);
+        let ck = Checkpointer::create(&dir, meta()).unwrap().with_stop_after(5);
+        for _ in 0..4 {
+            assert!(ck.admit());
+        }
         assert!(!ck.should_stop());
-        ck.units_finished(4).unwrap();
-        assert!(!ck.should_stop());
-        ck.units_finished(1).unwrap();
+        assert!(ck.admit(), "the fifth unit runs");
         assert!(ck.should_stop());
+        assert!(!ck.admit(), "the sixth does not");
+        assert_eq!(ck.units_done(), 5);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_flush_is_noted_once_and_the_results_stay_served() {
+        let dir = tmpdir("unflushable");
+        let ck = Checkpointer::create(&dir, meta()).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        ck.record([(1, &report(1))]);
+        assert!(ck.progress.lock().unwrap().flush_failed);
+        ck.record([(2, &report(2))]);
+        assert_eq!(ck.store().get(1), Some(report(1)));
+        assert_eq!(ck.store().get(2), Some(report(2)));
     }
 
     #[test]
     fn resume_rejects_damage_with_the_path_in_the_message() {
         let dir = tmpdir("damaged");
-        drop(Checkpointer::create(&dir, 8, meta()).unwrap());
+        drop(Checkpointer::create(&dir, meta()).unwrap());
         let run = dir.join(RUN_FILE);
         fs::write(&run, "{ not json").unwrap();
-        let err = Checkpointer::resume(&dir, 8, meta()).unwrap_err();
+        let err = Checkpointer::resume(&dir, meta()).unwrap_err();
         assert!(err.contains(&run.display().to_string()), "message names the path: {err}");
-        let missing = Checkpointer::resume(dir.join("missing"), 8, meta()).unwrap_err();
+        let missing = Checkpointer::resume(dir.join("missing"), meta()).unwrap_err();
         assert!(missing.contains("cannot read"), "{missing}");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -525,7 +541,7 @@ mod tests {
     #[test]
     fn a_damaged_result_is_dropped_and_the_rest_restored() {
         let dir = tmpdir("torn");
-        let ck = Checkpointer::create(&dir, 8, meta()).unwrap();
+        let ck = Checkpointer::create(&dir, meta()).unwrap();
         // One shard, so the tear hits the last record written.
         for k in 0..4u64 {
             ck.store().put(k * 4, &report(k));
@@ -536,7 +552,7 @@ mod tests {
         let bytes = fs::read(&seg).unwrap();
         fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
 
-        let ck = Checkpointer::resume(&dir, 8, meta()).unwrap();
+        let ck = Checkpointer::resume(&dir, meta()).unwrap();
         assert_eq!(ck.store().records_dropped(), 1);
         assert_eq!(ck.store().records_loaded(), 3);
         for k in 0..3u64 {

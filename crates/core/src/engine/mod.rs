@@ -9,8 +9,8 @@
 //! * **Worker pool** — both phases fan out over a fixed-size
 //!   `std::thread` pool ([`pool`]); results are reassembled by candidate
 //!   index, so reports are identical to a sequential run no matter how
-//!   many workers are configured. Per-candidate work is panic-isolated
-//!   and lost workers are respawned.
+//!   many workers are configured. Per-candidate work is panic-isolated:
+//!   a panic costs its candidate, never its worker.
 //! * **Memo cache** — timing work is deduplicated by a content hash of
 //!   (linearized program, launch, resource usage, machine spec)
 //!   ([`cache`]), computed on the pool next to linearization and looked
@@ -69,7 +69,6 @@ use crate::space::CandidateSource;
 pub use budget::EvalBudget;
 pub use checkpoint::{
     install_signal_handler, interrupted, CheckpointMeta, Checkpointer, CHECKPOINT_SCHEMA,
-    DEFAULT_CHECKPOINT_EVERY,
 };
 pub use error::{EvalError, EvalErrorKind, Quarantine};
 pub use fault::{FaultPlan, InjectedFault};
@@ -333,9 +332,9 @@ pub struct EvalEngine {
     /// cache dispatches fresh simulations and updated write-behind with
     /// this call's successes.
     store: Option<Arc<store::ResultStore>>,
-    /// Optional checkpoint: completed results are recorded into it
-    /// after each dispatch chunk, and the results it already holds are
-    /// replayed in place of fresh simulations.
+    /// Optional checkpoint: each work unit is admitted by it and records
+    /// its results into it as it finishes, and the results it already
+    /// holds are replayed in place of fresh simulations.
     checkpoint: Option<Arc<checkpoint::Checkpointer>>,
     /// Always-on convergence recorder, fed from the single-threaded
     /// result-reassembly loop (so the curve is deterministic at any
@@ -431,11 +430,10 @@ impl EvalEngine {
         self.store.as_ref()
     }
 
-    /// Attach a checkpoint: dispatch is chunked so completed results are
-    /// recorded and flushed every N work units, results the checkpoint
-    /// already holds are replayed as the fresh simulations they stand
-    /// for (which makes a resumed search byte-identical to the original),
-    /// and the engine stops scheduling new work once
+    /// Attach a checkpoint: every work unit is recorded and flushed as
+    /// it finishes, results the checkpoint already holds are replayed as
+    /// the fresh simulations they stand for (which makes a resumed
+    /// search byte-identical to the original), and no unit starts once
     /// [`checkpoint::Checkpointer::should_stop`] turns true.
     pub fn with_checkpoint(mut self, ck: Arc<checkpoint::Checkpointer>) -> Self {
         self.checkpoint = Some(ck);
@@ -505,7 +503,7 @@ impl EvalEngine {
         self.emit(EventKind::Begin, "phase.static", vec![("candidates", Json::from(source.len()))]);
         stats.static_evals += source.len();
         let max_attempts = self.config.retry.max_attempts.max(1);
-        let mut results: Vec<Result<Evaluated, EvalError>> = pool::run_indexed_observed(
+        let mut results: Vec<Result<Evaluated, EvalError>> = pool::run_indexed(
             self.config.jobs,
             source.len(),
             |i| eval.evaluate(&source.get(i), spec),
@@ -536,7 +534,7 @@ impl EvalEngine {
                     ("count", Json::from(retry.len())),
                 ],
             );
-            let redo = pool::run_indexed_observed(
+            let redo = pool::run_indexed(
                 self.config.jobs,
                 retry.len(),
                 |k| eval.evaluate(&source.get(retry[k]), spec),
@@ -638,7 +636,7 @@ impl EvalEngine {
             .collect();
         let keyer = cache::KeyContext::new(spec);
         let sink = self.observer();
-        let prepared = pool::run_indexed_observed(
+        let prepared = pool::run_indexed(
             self.config.jobs,
             eligible.len(),
             |k| {
@@ -815,22 +813,22 @@ impl EvalEngine {
         }
 
         // Phase 4: run the units on the pool in deterministic retry
-        // rounds. Round 1 dispatches every unit; each later round
-        // re-dispatches (as singles) only the uniques whose failure was
-        // transient, until the retry policy is exhausted. Failed results
-        // are never stored as reusable cache entries — a retried unique
-        // is always re-simulated from scratch.
+        // rounds, one pool call per round. Round 1 dispatches every unit;
+        // each later round re-dispatches (as singles) only the uniques
+        // whose failure was transient, until the retry policy is
+        // exhausted. Failed results are never stored as reusable cache
+        // entries — a retried unique is always re-simulated from scratch.
+        // With a checkpoint attached, each unit asks it for admission
+        // before running (a refused unit stays `None`, like
+        // budget-truncated work) and records its successes into it as
+        // soon as it finishes.
         let max_attempts = self.config.retry.max_attempts.max(1);
         let mut attempts_of: Vec<u32> = vec![0; uniques.len()];
         let mut round_units = units;
         let mut attempt: u32 = 1;
-        // Dispatch in chunks when a checkpoint is attached. The unit list
-        // is fixed before dispatch and units are independent, so
-        // outcomes are identical at any chunk size — chunking only
-        // creates the between-chunk points where completed results are
-        // recorded and flushed, and interruption observed.
-        let chunk = self.checkpoint.as_ref().map_or(usize::MAX, |ck| ck.every());
-        'rounds: while !round_units.is_empty() {
+        let ck = self.checkpoint.as_deref();
+        let observer = self.observer();
+        while !round_units.is_empty() {
             if attempt >= 2 {
                 self.emit(
                     EventKind::Point,
@@ -842,99 +840,82 @@ impl EvalEngine {
                     ],
                 );
             }
-            let mut retry: Vec<usize> = Vec::new();
-            let mut start = 0;
-            while start < round_units.len() {
-                let end = round_units.len().min(start.saturating_add(chunk));
-                let observer = self.observer();
-                let outcomes = pool::run_indexed_observed(
-                    self.config.jobs,
-                    end - start,
-                    |k| {
-                        let sim_started = Instant::now();
-                        let out = run_unit(
-                            &round_units[start + k],
-                            &uniques,
-                            eval,
-                            spec,
-                            plan.as_ref(),
-                            attempt,
+            let outcomes = pool::run_indexed(
+                self.config.jobs,
+                round_units.len(),
+                |k| {
+                    if ck.is_some_and(|ck| !ck.admit()) {
+                        return None;
+                    }
+                    let sim_started = Instant::now();
+                    let out =
+                        run_unit(&round_units[k], &uniques, eval, spec, plan.as_ref(), attempt);
+                    if let Some(sink) = observer {
+                        sink.record_latency(
+                            LatencyLane::Sim,
+                            sim_started.elapsed().as_micros() as u64,
                         );
-                        if let Some(sink) = observer {
-                            sink.record_latency(
-                                LatencyLane::Sim,
-                                sim_started.elapsed().as_micros() as u64,
-                            );
-                        }
-                        out
-                    },
-                    observer,
-                    "timing",
-                );
-                for (k, pooled) in outcomes.into_iter().enumerate() {
-                    let k = start + k;
-                    match pooled {
-                        Ok((reports, sims_run, injected)) => {
-                            stats.unique_sims += sims_run;
-                            stats.injected_faults += injected;
-                            // A family unit that came back from a single
-                            // forked run actually collapsed its members —
-                            // count the collapse (a degraded family runs its
-                            // members individually and is not a fork).
-                            if let WorkUnit::Family(members) = &round_units[k] {
-                                if sims_run == 1 {
-                                    stats.family_forks += 1;
-                                    stats.family_members += members.len();
-                                    self.emit(
-                                        EventKind::Point,
-                                        "family.fork",
-                                        vec![("members", Json::from(members.len()))],
-                                    );
-                                }
-                            }
-                            for (u, r) in reports {
-                                attempts_of[u] = attempt;
-                                if matches!(&r, Err(e) if e.is_transient())
-                                    && attempt < max_attempts
-                                {
-                                    retry.push(u);
-                                }
-                                outcomes_of[u] = Some(r);
+                    }
+                    if let Some(ck) = ck {
+                        ck.record(
+                            out.0
+                                .iter()
+                                .filter_map(|(u, r)| Some((uniques[*u].exact, r.as_ref().ok()?))),
+                        );
+                    }
+                    Some(out)
+                },
+                observer,
+                "timing",
+            );
+            let mut retry: Vec<usize> = Vec::new();
+            for (k, pooled) in outcomes.into_iter().enumerate() {
+                match pooled {
+                    // Refused by the checkpoint: never ran.
+                    Ok(None) => {}
+                    Ok(Some((reports, sims_run, injected))) => {
+                        stats.unique_sims += sims_run;
+                        stats.injected_faults += injected;
+                        // A family unit that came back from a single
+                        // forked run actually collapsed its members —
+                        // count the collapse (a degraded family runs its
+                        // members individually and is not a fork).
+                        if let WorkUnit::Family(members) = &round_units[k] {
+                            if sims_run == 1 {
+                                stats.family_forks += 1;
+                                stats.family_members += members.len();
+                                self.emit(
+                                    EventKind::Point,
+                                    "family.fork",
+                                    vec![("members", Json::from(members.len()))],
+                                );
                             }
                         }
-                        // The whole unit's worker vanished: every member is
-                        // transiently lost.
-                        Err(perr) => {
-                            let err = pool_to_eval(perr);
-                            for &u in round_units[k].members() {
-                                attempts_of[u] = attempt;
-                                if attempt < max_attempts {
-                                    retry.push(u);
-                                }
-                                outcomes_of[u] = Some(Err(err.clone()));
+                        for (u, r) in reports {
+                            attempts_of[u] = attempt;
+                            if matches!(&r, Err(e) if e.is_transient()) && attempt < max_attempts {
+                                retry.push(u);
                             }
+                            outcomes_of[u] = Some(r);
+                        }
+                    }
+                    // The unit panicked or its worker died: every member
+                    // is transiently lost.
+                    Err(perr) => {
+                        let err = pool_to_eval(perr);
+                        for &u in round_units[k].members() {
+                            attempts_of[u] = attempt;
+                            if attempt < max_attempts {
+                                retry.push(u);
+                            }
+                            outcomes_of[u] = Some(Err(err.clone()));
                         }
                     }
                 }
-                if let Some(ck) = &self.checkpoint {
-                    for unit in &round_units[start..end] {
-                        for &u in unit.members() {
-                            if let Some(Ok(rep)) = &outcomes_of[u] {
-                                ck.store().put(uniques[u].exact, rep);
-                            }
-                        }
-                    }
-                    if let Err(e) = ck.units_finished(end - start) {
-                        eprintln!("checkpoint {}: flush failed: {e}", ck.dir().display());
-                    }
-                    if ck.should_stop() {
-                        // Stop scheduling; undispatched units stay None
-                        // (treated like budget-truncated work). The CLI
-                        // syncs the checkpoint and exits.
-                        break 'rounds;
-                    }
-                }
-                start = end;
+            }
+            if self.stop_requested() {
+                // Stop scheduling; the CLI syncs the checkpoint and exits.
+                break;
             }
             retry.sort_unstable();
             retry.dedup();

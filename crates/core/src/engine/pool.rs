@@ -1,18 +1,18 @@
-//! A fault-tolerant fixed-size worker pool over `std::thread` and
-//! channels.
+//! A fixed-size worker pool over scoped `std::thread`s.
 //!
 //! The engine's workloads are embarrassingly parallel maps over an index
-//! range, so the pool is exactly that: `jobs` scoped threads pull
-//! indices from a shared atomic counter, run the closure, and send
-//! `(index, result)` back over an `mpsc` channel. Results are
-//! reassembled **by index**, so the output order — and therefore every
-//! report built from it — is independent of worker scheduling.
+//! range, so the pool is exactly that: `jobs` scoped threads claim
+//! indices from a shared atomic counter, run the closure on each, and
+//! send `(index, result)` back over an `mpsc` channel. Results are put
+//! back **by index**, so the output order — and therefore every report
+//! built from it — is independent of worker scheduling.
 //!
 //! Unlike a plain map, the pool never lets one bad index take the
-//! process down: each call is wrapped in `catch_unwind`, a worker that
-//! dies is respawned while work remains, and any index that fails to
-//! report comes back as a [`PoolError`] in its slot instead of a panic
-//! at reassembly.
+//! process down: each call runs under `catch_unwind`, so a panic costs
+//! its index (an [`PoolError::Panicked`] in its slot) and never the
+//! worker. A worker thread that dies anyway leaves the index it held as
+//! [`PoolError::WorkerLost`]; the other workers claim the rest, so the
+//! map always completes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,25 +50,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-enum Msg<T> {
-    Item(usize, Result<T, PoolError>),
-    /// A worker is gone. `clean` distinguishes "ran out of work" from
-    /// "died mid-item" (only the latter warrants a respawn).
-    Exit {
-        clean: bool,
-    },
-}
-
 /// Run `f(i)` under `catch_unwind`, reporting its wall time to the sink
 /// as a runtime `pool.item` event and busy-time accounting.
-fn run_item<T, F>(f: &F, i: usize, obs: Option<(&EventSink, &'static str)>) -> Result<T, PoolError>
+fn run_item<T, F>(f: &F, i: usize, sink: Option<&EventSink>, phase: &str) -> Result<T, PoolError>
 where
     F: Fn(usize) -> T + Sync,
 {
     let started = Instant::now();
     let item =
         catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| PoolError::Panicked(panic_message(p)));
-    if let Some((sink, phase)) = obs {
+    if let Some(sink) = sink {
         let wall_us = started.elapsed().as_micros() as u64;
         sink.add_busy_us(wall_us);
         sink.runtime(
@@ -86,23 +77,13 @@ where
 
 /// Evaluate `f(0..n)` on `jobs` worker threads and return the results in
 /// index order. `jobs <= 1` runs inline on the calling thread with no
-/// thread or channel overhead — the strictly sequential reference path.
+/// thread overhead — the strictly sequential reference path.
 ///
 /// A panicking index yields `Err(PoolError::Panicked)` in its slot; all
-/// other indices are unaffected.
-pub fn run_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<Result<T, PoolError>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_impl(jobs, n, f, |_| false, None)
-}
-
-/// [`run_indexed`] with runtime observability: per-item wall times,
-/// worker busy time, and spawn/respawn events flow into `sink` as
-/// runtime-scope records tagged with `phase`. Results are identical to
-/// [`run_indexed`] — observation never changes scheduling.
-pub fn run_indexed_observed<T, F>(
+/// other indices are unaffected. With a `sink`, per-item wall times,
+/// worker busy time and worker spawns flow into it as runtime-scope
+/// records tagged with `phase`; observation never changes the results.
+pub fn run_indexed<T, F>(
     jobs: usize,
     n: usize,
     f: F,
@@ -113,112 +94,45 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_impl(jobs, n, f, |_| false, sink.map(|s| (s, phase)))
-}
-
-/// [`run_indexed`] with an induced-worker-loss predicate, for testing
-/// the respawn path deterministically: when `lose(i)` is true the worker
-/// that claimed index `i` dies on the spot — index `i` reports
-/// `Err(PoolError::WorkerLost)` and a replacement worker is spawned to
-/// continue the remaining indices.
-pub fn run_indexed_with_faults<T, F, L>(
-    jobs: usize,
-    n: usize,
-    f: F,
-    lose: L,
-) -> Vec<Result<T, PoolError>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    L: Fn(usize) -> bool + Sync,
-{
-    run_impl(jobs, n, f, lose, None)
-}
-
-fn run_impl<T, F, L>(
-    jobs: usize,
-    n: usize,
-    f: F,
-    lose: L,
-    obs: Option<(&EventSink, &'static str)>,
-) -> Vec<Result<T, PoolError>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    L: Fn(usize) -> bool + Sync,
-{
     if jobs <= 1 || n <= 1 {
-        return (0..n)
-            .map(|i| {
-                if lose(i) {
-                    return Err(PoolError::WorkerLost);
-                }
-                run_item(&f, i, obs)
-            })
-            .collect();
+        return (0..n).map(|i| run_item(&f, i, sink, phase)).collect();
     }
     let next = AtomicUsize::new(0);
-    let worker_ids = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Msg<T>>();
+    let (tx, rx) = mpsc::channel();
+    let mut out: Vec<Option<Result<T, PoolError>>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let spawn_worker = |respawn: bool| {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            let lose = &lose;
-            let worker = worker_ids.fetch_add(1, Ordering::Relaxed);
-            if let Some((sink, phase)) = obs {
-                if respawn {
-                    sink.note_respawn();
-                } else {
+        let workers: Vec<_> = (0..jobs.min(n))
+            .map(|worker| {
+                if let Some(sink) = sink {
                     sink.note_spawn();
+                    sink.runtime(
+                        EventKind::Point,
+                        "pool.spawn",
+                        vec![("phase", Json::from(phase)), ("worker", Json::from(worker))],
+                    );
                 }
-                sink.runtime(
-                    EventKind::Point,
-                    if respawn { "pool.respawn" } else { "pool.spawn" },
-                    vec![("phase", Json::from(phase)), ("worker", Json::from(worker))],
-                );
-            }
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    let _ = tx.send(Msg::Exit { clean: true });
-                    break;
-                }
-                if lose(i) {
-                    // Die holding index i: no Item message, unclean exit.
-                    let _ = tx.send(Msg::Exit { clean: false });
-                    break;
-                }
-                let item = run_item(f, i, obs);
-                if tx.send(Msg::Item(i, item)).is_err() {
-                    break;
-                }
-            });
-        };
-        let mut live = jobs.min(n);
-        for _ in 0..live {
-            spawn_worker(false);
-        }
-        let mut out: Vec<Option<Result<T, PoolError>>> = (0..n).map(|_| None).collect();
-        while live > 0 {
-            match rx.recv() {
-                Ok(Msg::Item(i, item)) => out[i] = Some(item),
-                Ok(Msg::Exit { clean }) => {
-                    // Respawn a worker lost mid-item while indices remain
-                    // unclaimed, so one crash can't serialize the rest of
-                    // the map.
-                    if !clean && next.load(Ordering::Relaxed) < n {
-                        spawn_worker(true);
-                    } else {
-                        live -= 1;
+                let (tx, next, f) = (tx.clone(), &next, &f);
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
                     }
-                }
-                Err(_) => break,
-            }
+                    let _ = tx.send((i, run_item(f, i, sink, phase)));
+                })
+            })
+            .collect();
+        drop(tx);
+        // Ends once every worker has exited, however it exited.
+        for (i, item) in rx {
+            out[i] = Some(item);
         }
-        out.into_iter().map(|v| v.unwrap_or(Err(PoolError::WorkerLost))).collect()
-    })
+        // Joined by hand, so a worker that died does not take the pool
+        // down with it.
+        for worker in workers {
+            let _ = worker.join();
+        }
+    });
+    out.into_iter().map(|v| v.unwrap_or(Err(PoolError::WorkerLost))).collect()
 }
 
 #[cfg(test)]
@@ -232,7 +146,7 @@ mod tests {
     #[test]
     fn results_come_back_in_index_order() {
         for jobs in [1, 2, 4, 8] {
-            let got = oks(run_indexed(jobs, 100, |i| i * i));
+            let got = oks(run_indexed(jobs, 100, |i| i * i, None, "test"));
             let want: Vec<usize> = (0..100).map(|i| i * i).collect();
             assert_eq!(got, want, "jobs = {jobs}");
         }
@@ -240,27 +154,34 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs_work() {
-        assert_eq!(oks(run_indexed(4, 0, |i| i)), Vec::<usize>::new());
-        assert_eq!(oks(run_indexed(4, 1, |i| i + 10)), vec![10]);
+        assert_eq!(oks(run_indexed(4, 0, |i| i, None, "test")), Vec::<usize>::new());
+        assert_eq!(oks(run_indexed(4, 1, |i| i + 10, None, "test")), vec![10]);
     }
 
     #[test]
     fn every_index_is_evaluated_exactly_once() {
         use std::sync::atomic::AtomicU32;
         let calls: Vec<AtomicU32> = (0..57).map(|_| AtomicU32::new(0)).collect();
-        run_indexed(3, 57, |i| calls[i].fetch_add(1, Ordering::Relaxed));
+        run_indexed(3, 57, |i| calls[i].fetch_add(1, Ordering::Relaxed), None, "test");
         assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
-    fn a_panicking_index_is_isolated() {
-        for jobs in [1, 2, 4] {
-            let got = run_indexed(jobs, 10, |i| {
-                if i == 3 {
-                    panic!("boom at {i}");
-                }
-                i * 2
-            });
+    fn a_panicking_index_is_isolated_and_costs_no_worker() {
+        for jobs in [1usize, 2, 4] {
+            let sink = EventSink::new();
+            let got = run_indexed(
+                jobs,
+                10,
+                |i| {
+                    if i == 3 {
+                        panic!("boom at {i}");
+                    }
+                    i * 2
+                },
+                Some(&sink),
+                "test",
+            );
             for (i, r) in got.iter().enumerate() {
                 if i == 3 {
                     assert_eq!(r, &Err(PoolError::Panicked("boom at 3".into())), "jobs={jobs}");
@@ -268,37 +189,19 @@ mod tests {
                     assert_eq!(r, &Ok(i * 2), "jobs={jobs}");
                 }
             }
+            // The panic is caught inside the worker, which goes on to
+            // claim further indices: no worker beyond the first `jobs`
+            // (none at all inline).
+            let spawned = if jobs > 1 { jobs as u64 } else { 0 };
+            assert_eq!(sink.runtime_counters().workers_spawned, spawned, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn lost_workers_are_respawned_and_the_map_completes() {
-        // Kill the claiming worker on three different indices — with two
-        // workers this forces respawns, and every other index must still
-        // report.
-        for jobs in [1, 2, 3] {
-            let got = run_indexed_with_faults(jobs, 40, |i| i + 1, |i| i % 13 == 5);
-            for (i, r) in got.iter().enumerate() {
-                if i % 13 == 5 {
-                    assert_eq!(r, &Err(PoolError::WorkerLost), "jobs={jobs} i={i}");
-                } else {
-                    assert_eq!(r, &Ok(i + 1), "jobs={jobs} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn losing_every_worker_still_terminates() {
-        let got = run_indexed_with_faults(4, 8, |i| i, |_| true);
-        assert!(got.iter().all(|r| r == &Err(PoolError::WorkerLost)));
     }
 
     #[test]
     fn observation_reports_items_and_spawns_without_changing_results() {
         for jobs in [1usize, 4] {
             let sink = EventSink::new();
-            let got = oks(run_indexed_observed(jobs, 20, |i| i * 3, Some(&sink), "timing"));
+            let got = oks(run_indexed(jobs, 20, |i| i * 3, Some(&sink), "timing"));
             assert_eq!(got, (0..20).map(|i| i * 3).collect::<Vec<_>>(), "jobs = {jobs}");
             let trace = sink.drain();
             assert_eq!(trace.named("pool.item").len(), 20, "jobs = {jobs}");

@@ -110,8 +110,6 @@ pub struct RuntimeMetrics {
     pub worker_busy_us: u64,
     /// Worker threads spawned.
     pub workers_spawned: u64,
-    /// Worker threads respawned after an unclean death.
-    pub workers_respawned: u64,
     /// Wall time per executed simulation unit.
     pub sim_duration_hist: Histogram,
     /// Wall time per memo-cache key computation + lookup.
@@ -131,7 +129,6 @@ impl RuntimeMetrics {
             timing_wall_us: c.timing_wall_us,
             worker_busy_us: c.worker_busy_us,
             workers_spawned: c.workers_spawned,
-            workers_respawned: c.workers_respawned,
             sim_duration_hist: c.sim_duration_hist,
             cache_lookup_hist: c.cache_lookup_hist,
             store_io_hist: c.store_io_hist,
@@ -157,7 +154,6 @@ impl RuntimeMetrics {
             ("timing_wall_us", Json::from(self.timing_wall_us)),
             ("worker_busy_us", Json::from(self.worker_busy_us)),
             ("workers_spawned", Json::from(self.workers_spawned)),
-            ("workers_respawned", Json::from(self.workers_respawned)),
             ("worker_utilization", Json::from(self.worker_utilization())),
             ("sim_duration_hist", self.sim_duration_hist.to_json()),
             ("cache_lookup_hist", self.cache_lookup_hist.to_json()),
@@ -175,8 +171,9 @@ impl RuntimeMetrics {
             static_wall_us: u("static_wall_us")?,
             timing_wall_us: u("timing_wall_us")?,
             worker_busy_us: u("worker_busy_us")?,
+            // Manifests of earlier builds also carry a
+            // `workers_respawned` count; it is ignored.
             workers_spawned: u("workers_spawned")?,
-            workers_respawned: u("workers_respawned")?,
             // Absent in snapshots written before latency histograms
             // existed: empty histograms.
             sim_duration_hist: Histogram::from_json_opt(j.get("sim_duration_hist"))?,
@@ -476,7 +473,6 @@ mod tests {
             timing_wall_us: 456,
             worker_busy_us: 400,
             workers_spawned: 8,
-            workers_respawned: 0,
             sim_duration_hist: Histogram::default(),
             cache_lookup_hist: Histogram::default(),
             store_io_hist: Histogram::default(),
@@ -498,7 +494,6 @@ mod tests {
             timing_wall_us: 90,
             worker_busy_us: 150,
             workers_spawned: 2,
-            workers_respawned: 1,
             sim_duration_hist: {
                 let mut h = Histogram::default();
                 h.record(5);
@@ -514,6 +509,24 @@ mod tests {
             },
         });
         let text = m.to_json().to_string_compact();
+        let back = EngineMetrics::from_json(&super::super::json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, m);
+    }
+
+    #[test]
+    fn snapshots_with_a_workers_respawned_count_still_parse() {
+        // Earlier builds counted worker respawns; their manifests must
+        // still read back, with the count ignored.
+        let m = EngineMetrics::from_stats(&sample_stats()).with_runtime(RuntimeMetrics {
+            jobs: 2,
+            workers_spawned: 2,
+            ..Default::default()
+        });
+        let text = m
+            .to_json()
+            .to_string_compact()
+            .replace("\"workers_spawned\":2,", "\"workers_spawned\":2,\"workers_respawned\":1,");
+        assert!(text.contains("workers_respawned"));
         let back = EngineMetrics::from_json(&super::super::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, m);
     }

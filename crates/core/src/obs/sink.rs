@@ -77,10 +77,8 @@ pub struct RuntimeCounters {
     pub timing_wall_us: u64,
     /// Summed per-item worker busy time across both phases, µs.
     pub worker_busy_us: u64,
-    /// Worker threads spawned (initial complement).
+    /// Worker threads spawned.
     pub workers_spawned: u64,
-    /// Worker threads respawned after an unclean death.
-    pub workers_respawned: u64,
     /// Latency histogram of [`LatencyLane::Sim`].
     pub sim_duration_hist: Histogram,
     /// Latency histogram of [`LatencyLane::CacheLookup`].
@@ -102,7 +100,6 @@ pub struct EventSink {
     timing_wall_us: AtomicU64,
     worker_busy_us: AtomicU64,
     workers_spawned: AtomicU64,
-    workers_respawned: AtomicU64,
     latency: [[AtomicU64; HIST_BUCKETS]; LANES],
 }
 
@@ -123,7 +120,6 @@ impl EventSink {
             timing_wall_us: AtomicU64::new(0),
             worker_busy_us: AtomicU64::new(0),
             workers_spawned: AtomicU64::new(0),
-            workers_respawned: AtomicU64::new(0),
             latency: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
         }
     }
@@ -179,11 +175,6 @@ impl EventSink {
         self.workers_spawned.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one worker respawn.
-    pub fn note_respawn(&self) {
-        self.workers_respawned.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record one latency sample (lock-free; workers call this from the
     /// hot simulation path).
     pub fn record_latency(&self, lane: LatencyLane, us: u64) {
@@ -205,7 +196,6 @@ impl EventSink {
             timing_wall_us: self.timing_wall_us.load(Ordering::Relaxed),
             worker_busy_us: self.worker_busy_us.load(Ordering::Relaxed),
             workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
             sim_duration_hist: self.latency_hist(LatencyLane::Sim),
             cache_lookup_hist: self.latency_hist(LatencyLane::CacheLookup),
             store_io_hist: self.latency_hist(LatencyLane::StoreIo),
@@ -335,13 +325,11 @@ mod tests {
         sink.add_busy_us(70);
         sink.note_spawn();
         sink.note_spawn();
-        sink.note_respawn();
         let c = sink.runtime_counters();
         assert_eq!(c.static_wall_us, 100);
         assert_eq!(c.timing_wall_us, 300);
         assert_eq!(c.worker_busy_us, 70);
         assert_eq!(c.workers_spawned, 2);
-        assert_eq!(c.workers_respawned, 1);
     }
 
     #[test]

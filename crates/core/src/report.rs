@@ -192,9 +192,6 @@ pub fn profile_table(m: &EngineMetrics) -> String {
             String::new(),
         );
         row("workers spawned", rt.workers_spawned.to_string(), String::new());
-        if rt.workers_respawned > 0 {
-            row("workers respawned", rt.workers_respawned.to_string(), String::new());
-        }
     }
     let lat = |h: &Histogram| {
         format!("p50 {} / p95 {}", fmt_us(h.percentile_us(0.5)), fmt_us(h.percentile_us(0.95)))

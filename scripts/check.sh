@@ -192,7 +192,7 @@ cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
 set +e
 cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
     --checkpoint "$tracedir/sad.ck" --stop-after-units 100 \
-    > "$tracedir/interrupted.txt" 2> /dev/null
+    > "$tracedir/interrupted.txt" 2> "$tracedir/interrupted.err"
 status=$?
 set -e
 if [ "$status" -ne 130 ]; then
@@ -203,6 +203,12 @@ if [ -s "$tracedir/interrupted.txt" ]; then
     echo "resume smoke: interrupted run must not print a stdout report" >&2
     exit 1
 fi
+# --stop-after-units N admits exactly N work units.
+grep -q "^interrupted after 100 units:" "$tracedir/interrupted.err" || {
+    echo "resume smoke: expected \`interrupted after 100 units\` on stderr, got:" >&2
+    cat "$tracedir/interrupted.err" >&2
+    exit 1
+}
 verify=$(cargo run --release -q -- store verify "$tracedir/sad.ck")
 echo "$verify"
 echo "$verify" | grep -Eq ", [1-9][0-9]* records? " || {
@@ -229,7 +235,7 @@ anneal=(tune cp --strategy anneal --budget 12 --seed 1 --jobs 2)
 cargo run --release -q -- "${anneal[@]}" > "$tracedir/anneal_uninterrupted.txt"
 set +e
 cargo run --release -q -- "${anneal[@]}" --checkpoint "$tracedir/anneal.ck" \
-    --checkpoint-every 1 --stop-after-units 4 > "$tracedir/anneal_interrupted.txt" 2> /dev/null
+    --stop-after-units 4 > "$tracedir/anneal_interrupted.txt" 2> /dev/null
 status=$?
 set -e
 if [ "$status" -ne 130 ]; then
@@ -246,6 +252,21 @@ diff -u "$tracedir/anneal_uninterrupted.txt" "$tracedir/anneal_resumed.txt" || {
     echo "resume smoke: resumed anneal report differs from the uninterrupted run" >&2
     exit 1
 }
+
+echo "==> checkpoint dispatch smoke (tune sad --checkpoint spawns no extra workers)"
+# A checkpoint records each unit as it finishes inside the same pool
+# call: the checkpointed run spawns exactly the workers the plain run of
+# the trace smoke spawned.
+cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
+    --checkpoint "$tracedir/spawn.ck" --metrics-out "$tracedir/manifest_ck.json" \
+    > /dev/null 2>&1
+plain_spawned=$(grep -o '"workers_spawned": *[0-9]*' "$tracedir/manifest.json")
+ck_spawned=$(grep -o '"workers_spawned": *[0-9]*' "$tracedir/manifest_ck.json")
+echo "plain $plain_spawned, checkpointed $ck_spawned"
+if [ -z "$plain_spawned" ] || [ "$plain_spawned" != "$ck_spawned" ]; then
+    echo "checkpoint dispatch smoke: the checkpointed run spawned a different number of workers" >&2
+    exit 1
+fi
 
 echo "==> strategy-zoo smoke (tune cp --strategy hill|anneal|genetic|surrogate)"
 # Every iterative strategy must complete a small seeded search on the

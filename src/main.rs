@@ -32,7 +32,6 @@
 //!     --profile                             print the profile summary table
 //!     --store-dir <dir>                     persistent result store (crash-safe)
 //!     --checkpoint <dir>                    checkpoint into a new directory (any strategy)
-//!     --checkpoint-every N                  units between checkpoint flushes (default 64)
 //!     --resume <dir>                        resume an interrupted checkpointed run
 //!     --stop-after-units N                  deterministic stop for testing resume
 //! gpu-autotune store verify <dir>           audit a result store's segments
@@ -52,7 +51,6 @@ use gpu_autotune::optspace::candidate::Candidate;
 use gpu_autotune::optspace::cli::{writable_parent, Args, EngineFlags};
 use gpu_autotune::optspace::engine::{
     cache::KEY_SCHEME, install_signal_handler, store, CheckpointMeta, Checkpointer, EvalBudget,
-    DEFAULT_CHECKPOINT_EVERY,
 };
 use gpu_autotune::optspace::obs::StoreSummary;
 use gpu_autotune::optspace::obs::{
@@ -82,8 +80,8 @@ commands:
              [--filter axis=value]... [--sample N] [--sample-seed S]
              [--trace-out <path>] [--trace-format jsonl|chrome]
              [--metrics-out <path>] [--profile]
-             [--store-dir <dir>] [--checkpoint <dir>] [--checkpoint-every N]
-             [--resume <dir>] [--stop-after-units N]
+             [--store-dir <dir>] [--checkpoint <dir>] [--resume <dir>]
+             [--stop-after-units N]
   store verify <dir>          audit a persistent result store: segments,
                               records, and corrupt records dropped
   parse <file>                parse a textual kernel and print its analyses
@@ -274,7 +272,6 @@ struct TuneFlags {
     metrics_out: Option<String>,
     profile: bool,
     checkpoint: Option<String>,
-    checkpoint_every: usize,
     resume: Option<String>,
     stop_after: Option<usize>,
 }
@@ -326,9 +323,6 @@ impl TuneFlags {
             metrics_out: args.output("--metrics-out")?,
             profile: args.switch("--profile"),
             checkpoint,
-            checkpoint_every: args
-                .positive("--checkpoint-every", "a number >= 1")?
-                .unwrap_or(DEFAULT_CHECKPOINT_EVERY),
             resume,
             stop_after,
             // Last, so the store is opened only after every other flag is read.
@@ -445,8 +439,8 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     let checkpointer = match &flags.checkpoint {
         Some(dir) => {
             let opened = match &flags.resume {
-                Some(_) => Checkpointer::resume(dir, flags.checkpoint_every, meta),
-                None => Checkpointer::create(dir, flags.checkpoint_every, meta),
+                Some(_) => Checkpointer::resume(dir, meta),
+                None => Checkpointer::create(dir, meta),
             };
             let mut ck = match opened {
                 Ok(ck) => ck,

@@ -112,7 +112,7 @@ fn interrupt(args: &[&str], ck: &str) {
     let _ = fs::remove_dir_all(ck);
     let out = Command::new(env!("CARGO_BIN_EXE_gpu-autotune"))
         .args(args)
-        .args(["--checkpoint", ck, "--checkpoint-every", "1", "--stop-after-units", "1"])
+        .args(["--checkpoint", ck, "--stop-after-units", "1"])
         .output()
         .expect("binary runs");
     assert_eq!(
@@ -259,4 +259,17 @@ fn stop_after_units_requires_checkpointing() {
         &["tune", "cp", "--stop-after-units", "5"],
         "--stop-after-units requires --checkpoint or --resume",
     );
+}
+
+#[test]
+fn checkpoint_every_is_not_a_flag() {
+    // A checkpoint records every unit as it finishes: there is no flush
+    // interval to set.
+    let ck = ck_dir("every");
+    let ck_s = ck.to_str().expect("utf-8 temp path");
+    assert_fails(
+        &["tune", "cp", "--checkpoint", ck_s, "--checkpoint-every", "1"],
+        "unknown flag `--checkpoint-every`",
+    );
+    assert!(!ck.exists(), "a refused command creates no checkpoint");
 }
