@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_arch::MachineSpec;
 use gpu_ir::analysis::{dynamic_counts, instruction_mix, register_pressure};
 use gpu_ir::linear::linearize;
-use gpu_kernels::matmul::{MatMul, MatMulConfig};
+use gpu_kernels::matmul::{MatMul, MatMulConfig, MatMulFine, MatMulFineConfig};
 use optspace::metrics::profile_kernel;
 use optspace::pareto::{pareto_indices, Point};
 use rand::rngs::StdRng;
@@ -41,6 +41,42 @@ fn bench_analyses(c: &mut Criterion) {
     g.finish();
 }
 
+/// Generation and static evaluation, the two layers a fine-grid search
+/// pays per point, on the heaviest corners of the fine matmul grid: the
+/// largest inner and outer unroll, with and without spilling, and a
+/// remainder-unrolled shape.
+fn bench_fine_points(c: &mut Criterion) {
+    let fine = MatMulFine::reduced_problem();
+    let spec = MachineSpec::geforce_8800_gtx();
+    let cfg = |tile, rect, unroll, ounroll, spill| MatMulFineConfig {
+        tile,
+        rect,
+        unroll,
+        ounroll,
+        prefetch: true,
+        spill,
+    };
+    let points = [
+        cfg(16, 4, 63, 16, false),
+        cfg(16, 4, 63, 16, true),
+        cfg(32, 2, 63, 16, true),
+        cfg(16, 8, 7, 15, true),
+    ];
+    let mut g = c.benchmark_group("fine matmul generate + profile_kernel");
+    for cfg in &points {
+        let label = cfg.to_string();
+        g.bench_with_input(BenchmarkId::new("generate", &label), cfg, |b, cfg| {
+            b.iter(|| black_box(fine.generate(black_box(cfg))))
+        });
+        let kernel = fine.generate(cfg);
+        let launch = fine.launch(cfg);
+        g.bench_with_input(BenchmarkId::new("profile_kernel", &label), &kernel, |b, k| {
+            b.iter(|| black_box(profile_kernel(black_box(k), &launch, &spec)))
+        });
+    }
+    g.finish();
+}
+
 fn bench_pareto(c: &mut Criterion) {
     let mut g = c.benchmark_group("pareto");
     for n in [100usize, 1_000, 10_000] {
@@ -54,5 +90,5 @@ fn bench_pareto(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_analyses, bench_pareto);
+criterion_group!(benches, bench_analyses, bench_fine_points, bench_pareto);
 criterion_main!(benches);

@@ -12,8 +12,6 @@
 //! a loop contributes `trips * (body + LOOP_OVERHEAD_INSTRS)` dynamic
 //! instructions and `trips * body_blocking_units` blocking units.
 
-use std::collections::HashSet;
-
 use crate::instr::Instr;
 use crate::kernel::{Kernel, Stmt};
 use crate::types::VReg;
@@ -43,24 +41,44 @@ impl DynCounts {
 }
 
 /// Tracks grouping of consecutive independent long-latency loads.
-#[derive(Default)]
 struct UnitState {
     /// Whether the previous statement continued a load unit.
     open: bool,
-    /// Destinations defined inside the open unit; a following load that
-    /// reads one of these is *dependent* and starts a new unit.
-    unit_defs: HashSet<VReg>,
+    /// Number of the current unit; every close starts a new one.
+    unit: u32,
+    /// Per register, the unit that last defined it: the registers with
+    /// `unit_of_def[r] == unit` are the destinations defined inside the
+    /// open unit, and a following load that reads one of these is
+    /// *dependent* and starts a new unit. Dense by register index, so
+    /// closing a unit is O(1).
+    unit_of_def: Vec<u32>,
 }
 
 impl UnitState {
+    fn new(num_vregs: u32) -> Self {
+        Self { open: false, unit: 1, unit_of_def: vec![0; num_vregs as usize] }
+    }
+
     fn close(&mut self) {
         self.open = false;
-        self.unit_defs.clear();
+        self.unit += 1;
+    }
+
+    fn defined_in_unit(&self, r: VReg) -> bool {
+        self.unit_of_def.get(r.index()) == Some(&self.unit)
+    }
+
+    fn define(&mut self, r: VReg) {
+        if r.index() >= self.unit_of_def.len() {
+            // A register past `num_vregs` (unverified IR): grow.
+            self.unit_of_def.resize(r.index() + 1, 0);
+        }
+        self.unit_of_def[r.index()] = self.unit;
     }
 }
 
 fn instr_extends_unit(i: &Instr, st: &UnitState) -> bool {
-    st.open && i.uses().all(|r| !st.unit_defs.contains(&r))
+    st.open && i.uses().all(|r| !st.defined_in_unit(r))
 }
 
 /// Which instruction classes delimit regions.
@@ -92,7 +110,7 @@ fn walk(stmts: &[Stmt], counts: &mut DynCounts, st: &mut UnitState, rules: Block
                         counts.blocking_units += 1;
                     }
                     if let Some(d) = i.dst {
-                        st.unit_defs.insert(d);
+                        st.define(d);
                     }
                 } else {
                     st.close();
@@ -105,11 +123,12 @@ fn walk(stmts: &[Stmt], counts: &mut DynCounts, st: &mut UnitState, rules: Block
                 counts.syncs += 1;
             }
             Stmt::Loop(l) => {
-                // Grouping does not extend across a loop boundary.
+                // Grouping does not extend across a loop boundary, in
+                // either direction.
                 st.close();
                 let mut body = DynCounts::default();
-                let mut body_st = UnitState::default();
-                walk(&l.body, &mut body, &mut body_st, rules);
+                walk(&l.body, &mut body, st, rules);
+                st.close();
                 let trips = u64::from(l.trip_count);
                 counts.instrs += trips * (body.instrs + u64::from(LOOP_OVERHEAD_INSTRS));
                 counts.blocking_units += trips * body.blocking_units;
@@ -170,7 +189,7 @@ pub fn dynamic_counts(kernel: &Kernel) -> DynCounts {
 /// transcendentals count as blocking instructions.
 pub fn dynamic_counts_with(kernel: &Kernel, sfu_blocks: bool) -> DynCounts {
     let mut counts = DynCounts::default();
-    let mut st = UnitState::default();
+    let mut st = UnitState::new(kernel.num_vregs);
     walk(&kernel.body, &mut counts, &mut st, BlockRules { sfu_blocks });
     counts
 }

@@ -15,8 +15,8 @@
 //!   ([`RESERVED_REGS`]) for the parameter/thread-id conventions real
 //!   kernels always pay.
 
-use crate::kernel::{Kernel, Stmt};
-use crate::types::VReg;
+use crate::kernel::{Kernel, Loop, Stmt};
+use crate::types::{Operand, VReg};
 
 /// Registers reserved beyond the allocator's max-live figure, covering the
 /// stack-pointer/param conventions present in every real `cubin`.
@@ -32,33 +32,34 @@ pub struct PressureReport {
     pub regs_per_thread: u32,
 }
 
-/// One def/use event in the flattened instruction stream.
-struct Event {
-    def: Option<VReg>,
-    uses: Vec<VReg>,
+/// Iterations of `l` the flattening expands: two expose every
+/// loop-carried range; a loop that runs once or never expands as such.
+fn copies(l: &Loop) -> u32 {
+    l.trip_count.min(2)
 }
 
-fn flatten(stmts: &[Stmt], events: &mut Vec<Event>) {
+/// Walk the unrolled-twice flattening of `stmts`, calling
+/// `event(def, uses)` for each def/use event in order. The events are
+/// streamed, not collected: the analyses allocate per register and per
+/// event index, never per event.
+fn flatten(stmts: &[Stmt], event: &mut impl FnMut(Option<VReg>, &[Operand])) {
     for s in stmts {
         match s {
-            Stmt::Op(i) => {
-                events.push(Event { def: i.dst, uses: i.uses().collect() });
-            }
+            Stmt::Op(i) => event(i.dst, &i.srcs),
             Stmt::Sync => {}
             Stmt::Loop(l) => {
                 // Counter is defined at loop entry...
                 if let Some(c) = l.counter {
-                    events.push(Event { def: Some(c), uses: vec![] });
+                    event(Some(c), &[]);
                 }
                 // ...and the body runs (conceptually) many times; two
                 // copies expose every loop-carried range.
-                let copies = if l.trip_count >= 2 { 2 } else { u32::min(l.trip_count, 1) };
-                for _ in 0..copies {
-                    flatten(&l.body, events);
+                for _ in 0..copies(l) {
+                    flatten(&l.body, event);
                     if let Some(c) = l.counter {
                         // The trip increment both reads and writes the
                         // counter, keeping it live across the back edge.
-                        events.push(Event { def: Some(c), uses: vec![c] });
+                        event(Some(c), &[Operand::Reg(c)]);
                     }
                 }
             }
@@ -93,42 +94,47 @@ pub struct LiveRanges {
 /// between, so a single first-def→last-touch interval would wildly
 /// overestimate loop bodies.
 pub fn live_ranges(kernel: &Kernel) -> LiveRanges {
-    let mut events = Vec::new();
-    flatten(&kernel.body, &mut events);
+    let mut ranges = Vec::new();
+    for_each_live_range(kernel, |r| ranges.push(r));
+    LiveRanges { ranges }
+}
 
-    let n = kernel.num_vregs as usize;
+/// Report every live range of [`live_ranges`] to `range`, in the same
+/// order: each killed range as its register is redefined, then the
+/// ranges still open at the end, by register.
+fn for_each_live_range(kernel: &Kernel, mut range: impl FnMut(LiveRange)) {
     #[derive(Clone, Copy)]
     struct Open {
         start: usize,
         last: usize,
     }
-    let mut open: Vec<Option<Open>> = vec![None; n];
-    let mut ranges: Vec<LiveRange> = Vec::new();
-    for (idx, e) in events.iter().enumerate() {
-        let is_accum = e.def.is_some_and(|d| e.uses.contains(&d));
-        for &u in &e.uses {
+    let mut open: Vec<Option<Open>> = vec![None; kernel.num_vregs as usize];
+    let mut idx = 0;
+    flatten(&kernel.body, &mut |def, uses| {
+        let is_accum = def.is_some_and(|d| uses.contains(&Operand::Reg(d)));
+        for u in uses.iter().filter_map(Operand::reg) {
             let slot = &mut open[u.index()];
             match slot {
                 Some(o) => o.last = idx,
                 None => *slot = Some(Open { start: idx, last: idx }),
             }
         }
-        if let Some(d) = e.def {
+        if let Some(d) = def {
             if !is_accum {
                 // Killing definition: close the old range, open a new one.
                 if let Some(o) = open[d.index()].take() {
-                    ranges.push(LiveRange { reg: d, start: o.start, end: o.last });
+                    range(LiveRange { reg: d, start: o.start, end: o.last });
                 }
                 open[d.index()] = Some(Open { start: idx, last: idx });
             }
         }
-    }
+        idx += 1;
+    });
     for (i, o) in open.into_iter().enumerate() {
         if let Some(o) = o {
-            ranges.push(LiveRange { reg: VReg(i as u32), start: o.start, end: o.last });
+            range(LiveRange { reg: VReg(i as u32), start: o.start, end: o.last });
         }
     }
-    LiveRanges { ranges }
 }
 
 /// Estimate per-thread register usage for `kernel`.
@@ -148,9 +154,6 @@ pub fn live_ranges(kernel: &Kernel) -> LiveRanges {
 /// assert_eq!(p.regs_per_thread, 2 + RESERVED_REGS);
 /// ```
 pub fn register_pressure(kernel: &Kernel) -> PressureReport {
-    let LiveRanges { ranges } = live_ranges(kernel);
-    let intervals: Vec<(usize, usize)> = ranges.iter().map(|r| (r.start, r.end)).collect();
-
     // Register need at instruction `idx` is max(live-in, live-out): a
     // destination may reuse the register of a source dying at the same
     // instruction (reads precede the write), exactly as a real allocator
@@ -159,26 +162,34 @@ pub fn register_pressure(kernel: &Kernel) -> PressureReport {
     //   live-in(idx)  = #{range : start <  idx <= end}
     //   live-out(idx) = #{range : start <= idx <  end}
     //                 + point ranges at idx (defined, never used again)
-    let len = intervals.iter().map(|&(_, l)| l + 1).max().unwrap_or(0);
-    let mut din = vec![0i32; len + 2];
-    let mut dout = vec![0i32; len + 2];
-    let mut point = vec![0i32; len + 1];
-    for (f, l) in intervals {
-        if l > f {
-            din[f + 1] += 1;
-            din[l + 1] -= 1;
-            dout[f] += 1;
-            dout[l] -= 1;
-        } else {
-            point[f] += 1;
-        }
+    //
+    // Ranges start and end at event indices below `len`, so per-event
+    // difference arrays of `len + 1` entries cover them all.
+    #[derive(Clone, Copy, Default)]
+    struct Delta {
+        din: i32,
+        dout: i32,
+        point: i32,
     }
+    let mut len = 0;
+    flatten(&kernel.body, &mut |_, _| len += 1);
+    let mut delta = vec![Delta::default(); len + 1];
+    for_each_live_range(kernel, |LiveRange { start: f, end: l, .. }| {
+        if l > f {
+            delta[f + 1].din += 1;
+            delta[l + 1].din -= 1;
+            delta[f].dout += 1;
+            delta[l].dout -= 1;
+        } else {
+            delta[f].point += 1;
+        }
+    });
     let mut max_live = 0i32;
     let (mut live_in, mut live_out) = (0i32, 0i32);
-    for idx in 0..len {
-        live_in += din[idx];
-        live_out += dout[idx];
-        max_live = max_live.max(live_in).max(live_out + point[idx]);
+    for d in &delta[..len] {
+        live_in += d.din;
+        live_out += d.dout;
+        max_live = max_live.max(live_in).max(live_out + d.point);
     }
 
     let max_live = max_live as u32;

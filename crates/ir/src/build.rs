@@ -78,7 +78,7 @@ impl KernelBuilder {
     }
 
     /// Emit an op with a fresh destination register.
-    pub fn emit(&mut self, op: Op, srcs: Vec<Operand>) -> VReg {
+    pub fn emit(&mut self, op: Op, srcs: impl AsRef<[Operand]>) -> VReg {
         let dst = self.fresh();
         self.push_instr(Instr::new(op, Some(dst), srcs));
         dst
@@ -88,40 +88,40 @@ impl KernelBuilder {
 
     /// `dst = src`
     pub fn mov(&mut self, src: impl Into<Operand>) -> VReg {
-        self.emit(Op::Mov, vec![src.into()])
+        self.emit(Op::Mov, [src.into()])
     }
 
     /// Read kernel parameter `i` into a register (`ld.param`).
     pub fn param(&mut self, i: u32) -> VReg {
         self.num_params = self.num_params.max(i + 1);
-        self.emit(Op::Mov, vec![Operand::Param(i)])
+        self.emit(Op::Mov, [Operand::Param(i)])
     }
 
     /// Read a special (thread-geometry) register into a register.
     pub fn read_special(&mut self, s: Special) -> VReg {
-        self.emit(Op::Mov, vec![Operand::Special(s)])
+        self.emit(Op::Mov, [Operand::Special(s)])
     }
 
     // ---- float arithmetic ----
 
     /// `a + b`
     pub fn fadd(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::FAdd, vec![a.into(), b.into()])
+        self.emit(Op::FAdd, [a.into(), b.into()])
     }
 
     /// `a - b`
     pub fn fsub(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::FSub, vec![a.into(), b.into()])
+        self.emit(Op::FSub, [a.into(), b.into()])
     }
 
     /// `a * b`
     pub fn fmul(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::FMul, vec![a.into(), b.into()])
+        self.emit(Op::FMul, [a.into(), b.into()])
     }
 
     /// `a * imm`
     pub fn fmul_imm(&mut self, a: impl Into<Operand>, imm: f32) -> VReg {
-        self.emit(Op::FMul, vec![a.into(), imm.into()])
+        self.emit(Op::FMul, [a.into(), imm.into()])
     }
 
     /// `a * b + c`
@@ -131,7 +131,7 @@ impl KernelBuilder {
         b: impl Into<Operand>,
         c: impl Into<Operand>,
     ) -> VReg {
-        self.emit(Op::FMad, vec![a.into(), b.into(), c.into()])
+        self.emit(Op::FMad, [a.into(), b.into(), c.into()])
     }
 
     /// `a * b + c` accumulated **in place** into an existing register
@@ -139,72 +139,72 @@ impl KernelBuilder {
     /// inner loops. Reusing the destination keeps the live range of the
     /// accumulator to a single register, as the hardware MAD does.
     pub fn fmad_acc(&mut self, a: impl Into<Operand>, b: impl Into<Operand>, acc: VReg) {
-        self.push_instr(Instr::new(Op::FMad, Some(acc), vec![a.into(), b.into(), acc.into()]));
+        self.push_instr(Instr::new(Op::FMad, Some(acc), [a.into(), b.into(), acc.into()]));
     }
 
     /// `min(a, b)`
     pub fn fmin(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::FMin, vec![a.into(), b.into()])
+        self.emit(Op::FMin, [a.into(), b.into()])
     }
 
     /// `max(a, b)`
     pub fn fmax(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::FMax, vec![a.into(), b.into()])
+        self.emit(Op::FMax, [a.into(), b.into()])
     }
 
     /// `|a|`
     pub fn fabs(&mut self, a: impl Into<Operand>) -> VReg {
-        self.emit(Op::FAbs, vec![a.into()])
+        self.emit(Op::FAbs, [a.into()])
     }
 
     // ---- SFU ----
 
     /// `1 / sqrt(a)` (SFU)
     pub fn rsqrt(&mut self, a: impl Into<Operand>) -> VReg {
-        self.emit(Op::Rsqrt, vec![a.into()])
+        self.emit(Op::Rsqrt, [a.into()])
     }
 
     /// `1 / a` (SFU)
     pub fn rcp(&mut self, a: impl Into<Operand>) -> VReg {
-        self.emit(Op::Rcp, vec![a.into()])
+        self.emit(Op::Rcp, [a.into()])
     }
 
     /// `sqrt(a)` (SFU)
     pub fn sqrt(&mut self, a: impl Into<Operand>) -> VReg {
-        self.emit(Op::Sqrt, vec![a.into()])
+        self.emit(Op::Sqrt, [a.into()])
     }
 
     /// `sin(a)` (SFU)
     pub fn sin(&mut self, a: impl Into<Operand>) -> VReg {
-        self.emit(Op::Sin, vec![a.into()])
+        self.emit(Op::Sin, [a.into()])
     }
 
     /// `cos(a)` (SFU)
     pub fn cos(&mut self, a: impl Into<Operand>) -> VReg {
-        self.emit(Op::Cos, vec![a.into()])
+        self.emit(Op::Cos, [a.into()])
     }
 
     // ---- integer arithmetic ----
 
     /// `a + b`
     pub fn iadd(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::IAdd, vec![a.into(), b.into()])
+        self.emit(Op::IAdd, [a.into(), b.into()])
     }
 
     /// `a + b` accumulated in place (`dst == a`), the `index += stride`
     /// idiom of Figure 2.
     pub fn iadd_acc(&mut self, acc: VReg, b: impl Into<Operand>) {
-        self.push_instr(Instr::new(Op::IAdd, Some(acc), vec![acc.into(), b.into()]));
+        self.push_instr(Instr::new(Op::IAdd, Some(acc), [acc.into(), b.into()]));
     }
 
     /// `a - b`
     pub fn isub(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::ISub, vec![a.into(), b.into()])
+        self.emit(Op::ISub, [a.into(), b.into()])
     }
 
     /// `a * b`
     pub fn imul(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::IMul, vec![a.into(), b.into()])
+        self.emit(Op::IMul, [a.into(), b.into()])
     }
 
     /// `a * b + c`
@@ -214,64 +214,64 @@ impl KernelBuilder {
         b: impl Into<Operand>,
         c: impl Into<Operand>,
     ) -> VReg {
-        self.emit(Op::IMad, vec![a.into(), b.into(), c.into()])
+        self.emit(Op::IMad, [a.into(), b.into(), c.into()])
     }
 
     /// `a / b`
     pub fn idiv(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::IDiv, vec![a.into(), b.into()])
+        self.emit(Op::IDiv, [a.into(), b.into()])
     }
 
     /// `a % b`
     pub fn irem(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::IRem, vec![a.into(), b.into()])
+        self.emit(Op::IRem, [a.into(), b.into()])
     }
 
     /// `min(a, b)` signed
     pub fn imin(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::IMin, vec![a.into(), b.into()])
+        self.emit(Op::IMin, [a.into(), b.into()])
     }
 
     /// `a << b`
     pub fn shl(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::Shl, vec![a.into(), b.into()])
+        self.emit(Op::Shl, [a.into(), b.into()])
     }
 
     /// `a >> b` (arithmetic)
     pub fn shr(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::Shr, vec![a.into(), b.into()])
+        self.emit(Op::Shr, [a.into(), b.into()])
     }
 
     /// `a & b`
     pub fn and(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::And, vec![a.into(), b.into()])
+        self.emit(Op::And, [a.into(), b.into()])
     }
 
     /// `a | b`
     pub fn or(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::Or, vec![a.into(), b.into()])
+        self.emit(Op::Or, [a.into(), b.into()])
     }
 
     /// `max(a, b)` signed
     pub fn imax(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::IMax, vec![a.into(), b.into()])
+        self.emit(Op::IMax, [a.into(), b.into()])
     }
 
     // ---- conversions, predicates ----
 
     /// int → float
     pub fn i2f(&mut self, a: impl Into<Operand>) -> VReg {
-        self.emit(Op::I2F, vec![a.into()])
+        self.emit(Op::I2F, [a.into()])
     }
 
     /// float → int (truncating)
     pub fn f2i(&mut self, a: impl Into<Operand>) -> VReg {
-        self.emit(Op::F2I, vec![a.into()])
+        self.emit(Op::F2I, [a.into()])
     }
 
     /// `(a < b) ? 1 : 0`
     pub fn set_lt(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> VReg {
-        self.emit(Op::SetLt, vec![a.into(), b.into()])
+        self.emit(Op::SetLt, [a.into(), b.into()])
     }
 
     /// `c != 0 ? a : b`
@@ -281,7 +281,7 @@ impl KernelBuilder {
         b: impl Into<Operand>,
         c: impl Into<Operand>,
     ) -> VReg {
-        self.emit(Op::Selp, vec![a.into(), b.into(), c.into()])
+        self.emit(Op::Selp, [a.into(), b.into(), c.into()])
     }
 
     // ---- memory ----
@@ -289,9 +289,7 @@ impl KernelBuilder {
     /// Load from `space[addr + offset]`.
     pub fn ld(&mut self, space: MemorySpace, addr: impl Into<Operand>, offset: i32) -> VReg {
         let dst = self.fresh();
-        self.push_instr(
-            Instr::new(Op::Ld(space), Some(dst), vec![addr.into()]).with_offset(offset),
-        );
+        self.push_instr(Instr::new(Op::Ld(space), Some(dst), [addr.into()]).with_offset(offset));
         dst
     }
 
@@ -304,7 +302,7 @@ impl KernelBuilder {
     pub fn ld_global_uncoalesced(&mut self, addr: impl Into<Operand>, offset: i32) -> VReg {
         let dst = self.fresh();
         self.push_instr(
-            Instr::new(Op::Ld(MemorySpace::Global), Some(dst), vec![addr.into()])
+            Instr::new(Op::Ld(MemorySpace::Global), Some(dst), [addr.into()])
                 .with_offset(offset)
                 .with_coalesced(false),
         );
@@ -330,7 +328,7 @@ impl KernelBuilder {
         value: impl Into<Operand>,
     ) {
         self.push_instr(
-            Instr::new(Op::St(space), None, vec![addr.into(), value.into()]).with_offset(offset),
+            Instr::new(Op::St(space), None, [addr.into(), value.into()]).with_offset(offset),
         );
     }
 
@@ -347,7 +345,7 @@ impl KernelBuilder {
         value: impl Into<Operand>,
     ) {
         self.push_instr(
-            Instr::new(Op::St(MemorySpace::Global), None, vec![addr.into(), value.into()])
+            Instr::new(Op::St(MemorySpace::Global), None, [addr.into(), value.into()])
                 .with_offset(offset)
                 .with_coalesced(false),
         );

@@ -2,6 +2,7 @@
 
 use gpu_arch::MemorySpace;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::types::{Operand, VReg};
 
@@ -229,15 +230,86 @@ impl Op {
     }
 }
 
-/// One IR instruction.
-#[derive(Debug, Clone, PartialEq)]
+/// Most source operands any [`Op`] takes (`mad`, `selp`).
+pub const MAX_SRCS: usize = 3;
+
+/// The source operands of one instruction, stored inline: an
+/// instruction owns no heap memory, so copying or rewriting a kernel
+/// body allocates per statement list, not per instruction. Derefs to
+/// the live `[Operand]` prefix.
+#[derive(Clone, Copy)]
+pub struct Srcs {
+    ops: [Operand; MAX_SRCS],
+    len: u8,
+}
+
+impl Srcs {
+    /// Copy `srcs` inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `srcs` holds more than [`MAX_SRCS`] operands; callers
+    /// check arity first.
+    fn new(srcs: &[Operand]) -> Self {
+        let mut ops = [Operand::ImmI32(0); MAX_SRCS];
+        ops[..srcs.len()].copy_from_slice(srcs);
+        Self { ops, len: srcs.len() as u8 }
+    }
+}
+
+impl Deref for Srcs {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        &self.ops[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Srcs {
+    fn deref_mut(&mut self) -> &mut [Operand] {
+        &mut self.ops[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Srcs {
+    type Item = &'a Operand;
+    type IntoIter = std::slice::Iter<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Srcs {
+    type Item = &'a mut Operand;
+    type IntoIter = std::slice::IterMut<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl PartialEq for Srcs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Srcs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// One IR instruction. It is `Copy` and owns no heap memory.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instr {
     /// Operation.
     pub op: Op,
     /// Destination register; `None` for stores.
     pub dst: Option<VReg>,
-    /// Source operands; length must equal `op.arity()`.
-    pub srcs: Vec<Operand>,
+    /// Source operands; length equals `op.arity()`.
+    pub srcs: Srcs,
     /// Immediate address offset, used by `Ld`/`St` (`[reg + offset]`
     /// addressing — the form unrolling folds strided accesses into).
     pub offset: i32,
@@ -257,6 +329,14 @@ pub struct Instr {
     pub replay_ways: u8,
 }
 
+// An instruction stays `Copy` and small, so no field can bring back a
+// per-instruction heap allocation: such a field fails to compile here.
+const _: () = {
+    const fn is_copy<T: Copy>() {}
+    is_copy::<Instr>();
+    assert!(std::mem::size_of::<Instr>() <= 48);
+};
+
 impl Instr {
     /// Construct an instruction, checking arity.
     ///
@@ -265,10 +345,11 @@ impl Instr {
     /// Panics if `srcs.len() != op.arity()` or if a store carries a
     /// destination / a non-store lacks one. Malformed IR is a programming
     /// error in a generator, not a runtime condition.
-    pub fn new(op: Op, dst: Option<VReg>, srcs: Vec<Operand>) -> Self {
+    pub fn new(op: Op, dst: Option<VReg>, srcs: impl AsRef<[Operand]>) -> Self {
+        let srcs = srcs.as_ref();
         assert_eq!(srcs.len(), op.arity(), "{op:?} expects {} sources", op.arity());
         assert_eq!(dst.is_some(), op.has_dst(), "{op:?} dst mismatch");
-        Self { op, dst, srcs, offset: 0, coalesced: true, replay_ways: 1 }
+        Self { op, dst, srcs: Srcs::new(srcs), offset: 0, coalesced: true, replay_ways: 1 }
     }
 
     /// Builder-style setter for the memory offset.
@@ -340,6 +421,19 @@ impl fmt::Display for Instr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn srcs_deref_to_the_live_operands() {
+        let mut i = Instr::new(Op::FAdd, Some(VReg(0)), [VReg(1).into(), 2.0f32.into()]);
+        assert_eq!(&*i.srcs, &[Operand::Reg(VReg(1)), Operand::ImmF32(2.0)]);
+        for s in &mut i.srcs {
+            *s = Operand::ImmI32(7);
+        }
+        assert_eq!(i.srcs.len(), 2);
+        assert!(i.srcs.iter().all(|s| *s == Operand::ImmI32(7)));
+        let mov = Instr::new(Op::Mov, Some(VReg(0)), [Operand::ImmI32(7)]);
+        assert_ne!(i.srcs, mov.srcs);
+    }
 
     #[test]
     fn arity_enforced() {

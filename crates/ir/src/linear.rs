@@ -53,7 +53,7 @@ pub struct LinearProgram {
 fn lower(stmts: &[Stmt], code: &mut Vec<LinOp>) {
     for s in stmts {
         match s {
-            Stmt::Op(i) => code.push(LinOp::Instr(i.clone())),
+            Stmt::Op(i) => code.push(LinOp::Instr(*i)),
             Stmt::Sync => code.push(LinOp::Sync),
             Stmt::Loop(l) => {
                 let start = code.len();

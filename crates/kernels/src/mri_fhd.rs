@@ -165,7 +165,7 @@ impl MriFhd {
             // racc += rd*c − id*s
             b.fmad_acc(rd, c, racc);
             let t1 = b.fmul(id, s);
-            b.push_instr(Instr::new(Op::FSub, Some(racc), vec![racc.into(), t1.into()]));
+            b.push_instr(Instr::new(Op::FSub, Some(racc), [racc.into(), t1.into()]));
             // iacc += id*c + rd*s
             b.fmad_acc(id, c, iacc);
             b.fmad_acc(rd, s, iacc);

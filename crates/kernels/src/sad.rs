@@ -221,7 +221,7 @@ impl Sad {
                         let cp = b.ld_shared(soff, 0);
                         let d = b.fsub(rp, cp);
                         let ad = b.fabs(d);
-                        b.push_instr(Instr::new(Op::FAdd, Some(acc), vec![acc.into(), ad.into()]));
+                        b.push_instr(Instr::new(Op::FAdd, Some(acc), [acc.into(), ad.into()]));
                     }
                 });
             });

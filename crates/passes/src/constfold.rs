@@ -18,9 +18,7 @@
 //! 3. **dce** — instructions without side effects whose destination is
 //!    never read afterwards are deleted.
 
-use std::collections::{HashMap, HashSet};
-
-use gpu_ir::types::{Operand, VReg};
+use gpu_ir::types::Operand;
 use gpu_ir::{Instr, Kernel, Op, Stmt};
 
 /// Outcome of one [`fold_constants`] run.
@@ -100,17 +98,18 @@ fn eval(i: &Instr) -> Option<Operand> {
 }
 
 /// Fold and propagate within one statement list. `bindings` maps
-/// registers to known immediates; loop bodies start with bindings for
-/// values that are invariant across the loop (not redefined inside).
-fn fold_walk(stmts: &mut [Stmt], bindings: &mut HashMap<VReg, Operand>, report: &mut FoldReport) {
+/// registers (by index) to known immediates; loop bodies start with
+/// bindings for values that are invariant across the loop (not
+/// redefined inside).
+fn fold_walk(stmts: &mut [Stmt], bindings: &mut [Option<Operand>], report: &mut FoldReport) {
     for s in stmts.iter_mut() {
         match s {
             Stmt::Op(i) => {
                 // Propagate known immediates into operands.
                 for src in &mut i.srcs {
                     if let Some(r) = src.reg() {
-                        if let Some(imm) = bindings.get(&r) {
-                            *src = *imm;
+                        if let Some(imm) = bindings[r.index()] {
+                            *src = imm;
                             report.propagated += 1;
                         }
                     }
@@ -119,53 +118,54 @@ fn fold_walk(stmts: &mut [Stmt], bindings: &mut HashMap<VReg, Operand>, report: 
                 if i.op != Op::Mov {
                     if let Some(value) = eval(i) {
                         let dst = i.dst.expect("pure ops have destinations");
-                        *i = Instr::new(Op::Mov, Some(dst), vec![value]);
+                        *i = Instr::new(Op::Mov, Some(dst), [value]);
                         report.folded += 1;
                     }
                 }
                 // Update bindings.
                 if let Some(d) = i.dst {
-                    if i.op == Op::Mov && i.srcs[0].is_imm() {
-                        bindings.insert(d, i.srcs[0]);
-                    } else {
-                        bindings.remove(&d);
-                    }
+                    bindings[d.index()] =
+                        (i.op == Op::Mov && i.srcs[0].is_imm()).then_some(i.srcs[0]);
                 }
             }
             Stmt::Sync => {}
             Stmt::Loop(l) => {
                 // Bindings survive into the loop only for registers the
                 // body never redefines.
-                let mut defs = HashSet::new();
+                let mut defs = vec![false; bindings.len()];
                 collect_defs(&l.body, &mut defs);
                 if let Some(c) = l.counter {
-                    defs.insert(c);
+                    defs[c.index()] = true;
                 }
-                let mut inner: HashMap<VReg, Operand> = bindings
+                let mut inner: Vec<Option<Operand>> = bindings
                     .iter()
-                    .filter(|(r, _)| !defs.contains(*r))
-                    .map(|(r, v)| (*r, *v))
+                    .zip(&defs)
+                    .map(|(b, &defined)| if defined { None } else { *b })
                     .collect();
                 fold_walk(&mut l.body, &mut inner, report);
                 // After the loop, anything the body defines is unknown.
-                bindings.retain(|r, _| !defs.contains(r));
+                for (b, &defined) in bindings.iter_mut().zip(&defs) {
+                    if defined {
+                        *b = None;
+                    }
+                }
             }
         }
     }
 }
 
-fn collect_defs(stmts: &[Stmt], out: &mut HashSet<VReg>) {
+fn collect_defs(stmts: &[Stmt], out: &mut [bool]) {
     for s in stmts {
         match s {
             Stmt::Op(i) => {
                 if let Some(d) = i.dst {
-                    out.insert(d);
+                    out[d.index()] = true;
                 }
             }
             Stmt::Sync => {}
             Stmt::Loop(l) => {
                 if let Some(c) = l.counter {
-                    out.insert(c);
+                    out[c.index()] = true;
                 }
                 collect_defs(&l.body, out);
             }
@@ -173,10 +173,14 @@ fn collect_defs(stmts: &[Stmt], out: &mut HashSet<VReg>) {
     }
 }
 
-fn collect_uses(stmts: &[Stmt], out: &mut HashSet<VReg>) {
+fn collect_uses(stmts: &[Stmt], out: &mut [bool]) {
     for s in stmts {
         match s {
-            Stmt::Op(i) => out.extend(i.uses()),
+            Stmt::Op(i) => {
+                for r in i.uses() {
+                    out[r.index()] = true;
+                }
+            }
             Stmt::Sync => {}
             Stmt::Loop(l) => collect_uses(&l.body, out),
         }
@@ -187,15 +191,15 @@ fn collect_uses(stmts: &[Stmt], out: &mut HashSet<VReg>) {
 fn dce(kernel: &mut Kernel) -> u32 {
     // Global "used anywhere" approximation — sound because a register
     // read anywhere might be reached by any def under loop iteration.
-    let mut used = HashSet::new();
+    let mut used = vec![false; kernel.num_vregs as usize];
     collect_uses(&kernel.body, &mut used);
 
-    fn sweep(stmts: &mut Vec<Stmt>, used: &HashSet<VReg>, removed: &mut u32) {
+    fn sweep(stmts: &mut Vec<Stmt>, used: &[bool], removed: &mut u32) {
         stmts.retain_mut(|s| match s {
             Stmt::Op(i) => {
                 let side_effect = matches!(i.op, Op::St(_)) || matches!(i.op, Op::Ld(_));
                 match i.dst {
-                    Some(d) if !side_effect && !used.contains(&d) => {
+                    Some(d) if !side_effect && !used[d.index()] => {
                         *removed += 1;
                         false
                     }
@@ -217,12 +221,13 @@ fn dce(kernel: &mut Kernel) -> u32 {
 /// Run fold → propagate → DCE to a fixed point.
 ///
 /// Loads are never deleted (they can fault and their latency is part of
-/// the modelled behaviour); stores always survive.
+/// the modelled behaviour); stores always survive. Every register must
+/// be below `kernel.num_vregs` (the invariant `gpu_ir::verify` checks).
 pub fn fold_constants(kernel: &mut Kernel) -> FoldReport {
     let mut total = FoldReport::default();
     loop {
         let mut round = FoldReport::default();
-        let mut bindings = HashMap::new();
+        let mut bindings = vec![None; kernel.num_vregs as usize];
         fold_walk(&mut kernel.body, &mut bindings, &mut round);
         round.eliminated = dce(kernel);
         let progress = round.any();

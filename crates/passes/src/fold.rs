@@ -8,7 +8,7 @@
 //! PTX output: "the group of memory operations only need the single base
 //! address calculation and use their constant offsets".
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use gpu_ir::types::{Operand, VReg};
 use gpu_ir::{Instr, Kernel, Op, Stmt};
@@ -35,28 +35,38 @@ fn only_address_use(i: &Instr, reg: VReg) -> bool {
     addr_is_reg && !other_uses && i.dst != Some(reg)
 }
 
-/// Registers eligible for folding within one body: every write is an
-/// accumulate and every other appearance is a memory-address use at the
-/// top level of this body.
-fn eligible_regs(body: &[Stmt]) -> HashSet<VReg> {
-    let mut candidates: HashMap<VReg, bool> = HashMap::new(); // reg -> still ok
-    let mut seen_accum: HashSet<VReg> = HashSet::new();
+/// A register's standing in [`eligible_regs`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Not written by an accumulate at the top level of the body.
+    Unseen,
+    /// Written only by accumulates so far, used only as an address.
+    Accumulated,
+    /// Appears in a role folding cannot rewrite.
+    Disqualified,
+}
+
+/// Registers eligible for folding within one body, as a table indexed
+/// by register: every write is an accumulate and every other appearance
+/// is a memory-address use at the top level of this body.
+fn eligible_regs(body: &[Stmt], num_vregs: u32) -> Vec<bool> {
+    let mut role = vec![Role::Unseen; num_vregs as usize];
+    let mut nested = vec![false; num_vregs as usize];
 
     // Any register mentioned inside a nested loop or in a non-foldable
     // role is disqualified.
-    fn mentions(stmts: &[Stmt], out: &mut HashSet<VReg>) {
+    fn mentions(stmts: &[Stmt], out: &mut [bool]) {
         for s in stmts {
             match s {
                 Stmt::Op(i) => {
-                    if let Some(d) = i.dst {
-                        out.insert(d);
+                    for r in i.uses().chain(i.dst) {
+                        out[r.index()] = true;
                     }
-                    out.extend(i.uses());
                 }
                 Stmt::Sync => {}
                 Stmt::Loop(l) => {
                     if let Some(c) = l.counter {
-                        out.insert(c);
+                        out[c.index()] = true;
                     }
                     mentions(&l.body, out);
                 }
@@ -64,54 +74,52 @@ fn eligible_regs(body: &[Stmt]) -> HashSet<VReg> {
         }
     }
 
-    let mut nested: HashSet<VReg> = HashSet::new();
     for s in body {
         match s {
             Stmt::Op(i) => {
                 if let Some((r, _)) = accumulate_of(i) {
-                    seen_accum.insert(r);
-                    candidates.entry(r).or_insert(true);
+                    let slot = &mut role[r.index()];
+                    if *slot == Role::Unseen {
+                        *slot = Role::Accumulated;
+                    }
                     continue;
                 }
                 // Non-accumulate statement: every register it touches in
                 // a non-address role is disqualified.
                 for r in i.uses() {
                     if !only_address_use(i, r) {
-                        candidates.insert(r, false);
+                        role[r.index()] = Role::Disqualified;
                     }
                 }
                 if let Some(d) = i.dst {
-                    candidates.insert(d, false);
+                    role[d.index()] = Role::Disqualified;
                 }
             }
             Stmt::Sync => {}
             Stmt::Loop(l) => {
                 if let Some(c) = l.counter {
-                    nested.insert(c);
+                    nested[c.index()] = true;
                 }
                 mentions(&l.body, &mut nested);
             }
         }
     }
 
-    seen_accum
-        .into_iter()
-        .filter(|r| candidates.get(r).copied().unwrap_or(false) && !nested.contains(r))
-        .collect()
+    role.iter().zip(&nested).map(|(&r, &n)| r == Role::Accumulated && !n).collect()
 }
 
 /// Fold one body in place; returns the number of deleted instructions.
-fn fold_body(body: &mut Vec<Stmt>) -> u32 {
+fn fold_body(body: &mut Vec<Stmt>, num_vregs: u32) -> u32 {
     // Recurse into nested loops first.
     let mut removed = 0;
     for s in body.iter_mut() {
         if let Stmt::Loop(l) = s {
-            removed += fold_body(&mut l.body);
+            removed += fold_body(&mut l.body, num_vregs);
         }
     }
 
-    let eligible = eligible_regs(body);
-    if eligible.is_empty() {
+    let eligible = eligible_regs(body, num_vregs);
+    if !eligible.contains(&true) {
         return removed;
     }
 
@@ -120,54 +128,50 @@ fn fold_body(body: &mut Vec<Stmt>) -> u32 {
     // resulting instruction shuffle cascades into different spill choices
     // downstream.
     let mut delta: BTreeMap<VReg, i64> = BTreeMap::new();
-    let mut out: Vec<Stmt> = Vec::with_capacity(body.len());
-    for s in body.drain(..) {
-        match s {
-            Stmt::Op(i) => {
-                if let Some((r, k)) = accumulate_of(&i) {
-                    if eligible.contains(&r) {
-                        *delta.entry(r).or_insert(0) += i64::from(k);
-                        removed += 1;
-                        continue;
-                    }
-                }
-                let mut i = i;
-                if i.op.mem_space().is_some() {
-                    if let Some(r) = i.srcs[0].reg() {
-                        if let Some(d) = delta.get(&r) {
-                            i.offset = (i64::from(i.offset) + d) as i32;
-                        }
-                    }
-                }
-                out.push(Stmt::Op(i));
+    // In place: the body keeps its buffer, and statement order is kept.
+    body.retain_mut(|s| {
+        let Stmt::Op(i) = s else { return true };
+        if let Some((r, k)) = accumulate_of(i) {
+            if eligible[r.index()] {
+                *delta.entry(r).or_insert(0) += i64::from(k);
+                removed += 1;
+                return false;
             }
-            other => out.push(other),
         }
-    }
+        if i.op.mem_space().is_some() {
+            if let Some(r) = i.srcs[0].reg() {
+                if let Some(d) = delta.get(&r) {
+                    i.offset = (i64::from(i.offset) + d) as i32;
+                }
+            }
+        }
+        true
+    });
     // Materialise each register's total stride once, at body end.
     for (r, d) in delta {
         if d != 0 {
-            out.push(Stmt::Op(Instr::new(
+            body.push(Stmt::Op(Instr::new(
                 Op::IAdd,
                 Some(r),
-                vec![r.into(), Operand::ImmI32(d as i32)],
+                [r.into(), Operand::ImmI32(d as i32)],
             )));
             removed -= 1;
         }
     }
-    *body = out;
     removed
 }
 
 /// Fold strided address updates in every loop body of `kernel`.
 ///
 /// Returns the net number of instructions removed. Statements outside
-/// loops are untouched (there is nothing repeated to fold).
+/// loops are untouched (there is nothing repeated to fold). Every
+/// register must be below `kernel.num_vregs` (the invariant
+/// `gpu_ir::verify` checks).
 pub fn fold_strided_addresses(kernel: &mut Kernel) -> u32 {
     let mut removed = 0;
     for s in kernel.body.iter_mut() {
         if let Stmt::Loop(l) = s {
-            removed += fold_body(&mut l.body);
+            removed += fold_body(&mut l.body, kernel.num_vregs);
         }
     }
     removed

@@ -52,7 +52,7 @@ pub fn prefetch_global_loads(kernel: &mut Kernel, id: &LoopId) -> Result<u32, Pa
     for s in &l.body {
         match s {
             Stmt::Op(i) if i.op.is_long_latency_mem() && i.op.has_dst() => {
-                leading.push(i.clone());
+                leading.push(*i);
             }
             _ => break,
         }
@@ -127,7 +127,7 @@ pub fn prefetch_global_loads(kernel: &mut Kernel, id: &LoopId) -> Result<u32, Pa
     let mut staged = false;
     let stage = |body: &mut Vec<Stmt>| {
         for (k, ld) in leading.iter().enumerate() {
-            let mut clone = ld.clone();
+            let mut clone = *ld;
             clone.dst = Some(tmps[k]);
             body.push(Stmt::Op(clone));
         }
@@ -149,7 +149,7 @@ pub fn prefetch_global_loads(kernel: &mut Kernel, id: &LoopId) -> Result<u32, Pa
     }
     // Rotate staging into the buffers for the next iteration.
     for (k, _) in leading.iter().enumerate() {
-        body.push(Stmt::Op(Instr::new(Op::Mov, Some(bufs[k]), vec![tmps[k].into()])));
+        body.push(Stmt::Op(Instr::new(Op::Mov, Some(bufs[k]), [tmps[k].into()])));
     }
     l.body = body;
 
@@ -159,7 +159,7 @@ pub fn prefetch_global_loads(kernel: &mut Kernel, id: &LoopId) -> Result<u32, Pa
         .iter()
         .zip(&bufs)
         .map(|(ld, b)| {
-            let mut clone = ld.clone();
+            let mut clone = *ld;
             clone.dst = Some(*b);
             Stmt::Op(clone)
         })

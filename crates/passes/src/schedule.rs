@@ -145,7 +145,7 @@ fn schedule_region(instrs: Vec<Instr>) -> (Vec<Instr>, u32) {
     debug_assert_eq!(order.len(), n);
 
     let moved = order.iter().enumerate().filter(|&(pos, &orig)| pos != orig).count() as u32;
-    let out = order.into_iter().map(|i| instrs[i].clone()).collect();
+    let out = order.into_iter().map(|i| instrs[i]).collect();
     (out, moved)
 }
 

@@ -11,8 +11,7 @@
 //! by live-range length, the heuristic a programmer applying this
 //! optimization by hand would follow.
 
-use std::collections::HashMap;
-
+use gpu_ir::instr::MAX_SRCS;
 use gpu_ir::types::{Operand, VReg};
 use gpu_ir::{Instr, Kernel, Op, Stmt};
 
@@ -29,36 +28,43 @@ fn collect_counters(stmts: &[Stmt], out: &mut Vec<VReg>) {
     }
 }
 
-fn rewrite(stmts: Vec<Stmt>, slots: &HashMap<VReg, i32>, next_reg: &mut u32) -> Vec<Stmt> {
+/// Rewrite `stmts` so that every register with a slot (`slots`, indexed
+/// by register) lives in local memory.
+fn rewrite(stmts: Vec<Stmt>, slots: &[Option<i32>], next_reg: &mut u32) -> Vec<Stmt> {
+    let slot_of = |r: VReg| slots.get(r.index()).copied().flatten();
     let mut out = Vec::with_capacity(stmts.len() * 2);
     for s in stmts {
         match s {
             Stmt::Op(mut i) => {
-                // Reload each spilled register this instruction reads.
-                let mut reloaded: HashMap<VReg, VReg> = HashMap::new();
+                // Reload each spilled register this instruction reads,
+                // once however many operands read it.
+                let mut reloaded = [(VReg(0), VReg(0)); MAX_SRCS];
+                let mut n_reloaded = 0;
                 for src in &mut i.srcs {
-                    if let Some(r) = src.reg() {
-                        if let Some(&slot) = slots.get(&r) {
-                            let t = *reloaded.entry(r).or_insert_with(|| {
-                                let t = VReg(*next_reg);
-                                *next_reg += 1;
-                                out.push(Stmt::Op(Instr::new(
-                                    Op::Ld(gpu_arch::MemorySpace::Local),
-                                    Some(t),
-                                    vec![Operand::ImmI32(slot)],
-                                )));
-                                t
-                            });
-                            *src = Operand::Reg(t);
+                    let Some(r) = src.reg() else { continue };
+                    let Some(slot) = slot_of(r) else { continue };
+                    let t = match reloaded[..n_reloaded].iter().find(|(from, _)| *from == r) {
+                        Some(&(_, t)) => t,
+                        None => {
+                            let t = VReg(*next_reg);
+                            *next_reg += 1;
+                            out.push(Stmt::Op(Instr::new(
+                                Op::Ld(gpu_arch::MemorySpace::Local),
+                                Some(t),
+                                [Operand::ImmI32(slot)],
+                            )));
+                            reloaded[n_reloaded] = (r, t);
+                            n_reloaded += 1;
+                            t
                         }
-                    }
+                    };
+                    *src = Operand::Reg(t);
                 }
                 // A definition of a spilled register is renamed to a
                 // fresh register and written straight through to local
                 // memory, so the original long live range disappears
                 // entirely — only short def→store segments remain.
-                let spilled_def = i.dst.and_then(|d| slots.get(&d).map(|&slot| (d, slot)));
-                if let Some((_, slot)) = spilled_def {
+                if let Some(slot) = i.dst.and_then(slot_of) {
                     let renamed = VReg(*next_reg);
                     *next_reg += 1;
                     i.dst = Some(renamed);
@@ -66,7 +72,7 @@ fn rewrite(stmts: Vec<Stmt>, slots: &HashMap<VReg, i32>, next_reg: &mut u32) -> 
                     out.push(Stmt::Op(Instr::new(
                         Op::St(gpu_arch::MemorySpace::Local),
                         None,
-                        vec![Operand::ImmI32(slot), Operand::Reg(renamed)],
+                        [Operand::ImmI32(slot), Operand::Reg(renamed)],
                     )));
                 } else {
                     out.push(Stmt::Op(i));
@@ -100,26 +106,39 @@ pub fn spill_registers(kernel: &mut Kernel, regs: &[VReg]) -> Result<u32, PassEr
     if regs.iter().any(|r| counters.contains(r)) {
         return Err(PassError::CounterSpill);
     }
-    let slots: HashMap<VReg, i32> = regs.iter().enumerate().map(|(k, r)| (*r, k as i32)).collect();
+    // Slot `k` for `regs[k]` (a repeated register keeps its last slot).
+    // A register past `num_vregs` occurs nowhere in the kernel, so it
+    // needs no table entry, but still counts as a word.
+    let mut slots = vec![None; kernel.num_vregs as usize];
+    for (k, r) in regs.iter().enumerate() {
+        if let Some(slot) = slots.get_mut(r.index()) {
+            *slot = Some(k as i32);
+        }
+    }
+    let mut distinct = regs.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
     let mut next = kernel.num_vregs;
     kernel.body = rewrite(std::mem::take(&mut kernel.body), &slots, &mut next);
     kernel.num_vregs = next;
-    Ok(slots.len() as u32)
+    Ok(distinct.len() as u32)
 }
 
 /// Rank registers by flattened live-range length (longest first) and
 /// return up to `count` spill candidates. Loop counters are excluded.
+/// Every register must be below `kernel.num_vregs` (the invariant
+/// `gpu_ir::verify` checks).
 pub fn spill_candidates(kernel: &Kernel, count: usize) -> Vec<VReg> {
-    // Flatten in syntactic order, recording first/last touch positions.
-    fn walk(stmts: &[Stmt], pos: &mut usize, touch: &mut HashMap<VReg, (usize, usize)>) {
+    // Flatten in syntactic order, recording first/last touch positions
+    // per register.
+    fn walk(stmts: &[Stmt], pos: &mut usize, touch: &mut [Option<(usize, usize)>]) {
         for s in stmts {
             match s {
                 Stmt::Op(i) => {
                     let p = *pos;
                     *pos += 1;
                     for r in i.uses().chain(i.dst) {
-                        let e = touch.entry(r).or_insert((p, p));
-                        e.1 = p;
+                        touch[r.index()].get_or_insert((p, p)).1 = p;
                     }
                 }
                 Stmt::Sync => *pos += 1,
@@ -127,7 +146,7 @@ pub fn spill_candidates(kernel: &Kernel, count: usize) -> Vec<VReg> {
             }
         }
     }
-    let mut touch = HashMap::new();
+    let mut touch = vec![None; kernel.num_vregs as usize];
     let mut pos = 0;
     walk(&kernel.body, &mut pos, &mut touch);
 
@@ -136,6 +155,8 @@ pub fn spill_candidates(kernel: &Kernel, count: usize) -> Vec<VReg> {
 
     let mut ranked: Vec<(usize, VReg)> = touch
         .into_iter()
+        .enumerate()
+        .filter_map(|(r, t)| Some((VReg(r as u32), t?)))
         .filter(|(r, _)| !counters.contains(r))
         .map(|(r, (f, l))| (l - f, r))
         .collect();

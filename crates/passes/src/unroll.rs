@@ -77,11 +77,11 @@ pub fn unroll(kernel: &mut Kernel, id: &LoopId, factor: u32) -> Result<(), PassE
         // Complete unroll: splice constant-substituted copies in place.
         let mut replacement: Vec<Stmt> = Vec::with_capacity(template.len() * trips as usize);
         for j in 0..trips {
-            let mut copy = template.clone();
+            let copy = replacement.len();
+            replacement.extend_from_slice(&template);
             if let Some(c) = counter {
-                substitute(&mut copy, c, Operand::ImmI32(j as i32));
+                substitute(&mut replacement[copy..], c, Operand::ImmI32(j as i32));
             }
-            replacement.extend(copy);
         }
         let (parent, idx) = get_parent_mut(kernel, id)?;
         parent.splice(idx..=idx, replacement);
@@ -97,16 +97,18 @@ pub fn unroll(kernel: &mut Kernel, id: &LoopId, factor: u32) -> Result<(), PassE
         if let Some(t) = tmp {
             rescales.push((j, t));
         }
-        let mut copy = template.clone();
         if let (Some(c), Some(t)) = (counter, tmp) {
-            substitute(&mut copy, c, Operand::Reg(t));
             new_body.push(Stmt::Op(Instr::new(
                 Op::IMad,
                 Some(t),
-                vec![c.into(), Operand::ImmI32(factor as i32), Operand::ImmI32(j as i32)],
+                [c.into(), Operand::ImmI32(factor as i32), Operand::ImmI32(j as i32)],
             )));
         }
-        new_body.extend(copy);
+        let copy = new_body.len();
+        new_body.extend_from_slice(&template);
+        if let (Some(c), Some(t)) = (counter, tmp) {
+            substitute(&mut new_body[copy..], c, Operand::Reg(t));
+        }
     }
 
     let l = crate::loops::get_loop_mut(kernel, id).ok_or(PassError::LoopNotFound)?;
@@ -161,11 +163,11 @@ pub fn unroll_with_remainder(
     // copies, exactly like a complete unroll of that tail.
     let mut epilogue: Vec<Stmt> = Vec::with_capacity(template.len() * r as usize);
     for j in 0..r {
-        let mut copy = template.clone();
+        let copy = epilogue.len();
+        epilogue.extend_from_slice(&template);
         if let Some(c) = counter {
-            substitute(&mut copy, c, Operand::ImmI32((q * factor + j) as i32));
+            substitute(&mut epilogue[copy..], c, Operand::ImmI32((q * factor + j) as i32));
         }
-        epilogue.extend(copy);
     }
     // Splice the epilogue in first, while the loop still addresses its
     // slot — when `q == 1` the delegated unroll below removes the loop

@@ -50,3 +50,13 @@ fn parsed_kernel_executes_identically() {
     };
     assert_eq!(run(&kernel), run(&parsed));
 }
+
+#[test]
+fn more_operands_than_the_op_takes_is_a_parse_error() {
+    // Five operands for a two-source op: more than an instruction can
+    // hold inline, reported as the parser's arity error, not a panic.
+    let text = ".kernel k\n.params 0\n.shared 0\n{\n    %r0 = add.f32 %r1, %r2, %r3, %r4\n}\n";
+    let err = parse(text).expect_err("must fail");
+    assert_eq!(err.line, 5);
+    assert!(err.message.contains("expects 2 operands, got 4"), "{err}");
+}
