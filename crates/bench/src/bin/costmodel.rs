@@ -9,7 +9,7 @@
 //! alone.
 
 use gpu_arch::MachineSpec;
-use optspace::model::{predict_ms, rank_correlation};
+use optspace::model::{predict_ms_static, rank_correlation};
 use optspace::report::table;
 use optspace::tuner::{ExhaustiveSearch, SearchStrategy};
 use optspace_bench::suite;
@@ -30,12 +30,12 @@ fn main() {
         let mut model = Vec::new();
         let mut inv_eff = Vec::new();
         let mut inv_util = Vec::new();
-        for (i, c) in cands.iter().enumerate() {
-            let (Some(e), Some(t)) = (&r.statics[i], &r.simulated[i]) else {
+        for (e, t) in r.statics.iter().zip(&r.simulated) {
+            let (Some(e), Some(t)) = (e, t) else {
                 continue;
             };
             sim.push(t.time_ms);
-            model.push(predict_ms(c, e, &spec));
+            model.push(predict_ms_static(e, &spec));
             inv_eff.push(1.0 / e.metrics.efficiency);
             inv_util.push(1.0 / e.metrics.utilization.max(1e-12));
         }

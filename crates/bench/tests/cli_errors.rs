@@ -20,30 +20,39 @@ fn assert_fails(exe: &str, args: &[&str], expect: &str) {
     );
 }
 
-fn assert_profile_fails(args: &[&str], expect: &str) {
-    assert_fails(env!("CARGO_BIN_EXE_profile"), args, expect);
+fn assert_zoo_fails(args: &[&str], expect: &str) {
+    assert_fails(env!("CARGO_BIN_EXE_zoo"), args, expect);
 }
 
 #[test]
 fn jobs_rejects_zero_and_garbage() {
-    assert_profile_fails(&["--jobs", "0"], "--jobs needs a number >= 1");
-    assert_profile_fails(&["--jobs", "lots"], "--jobs needs a number >= 1");
-    assert_profile_fails(&["--jobs"], "--jobs needs a number >= 1");
+    assert_zoo_fails(&["--jobs", "0"], "--jobs needs a number >= 1");
+    assert_zoo_fails(&["--jobs", "lots"], "--jobs needs a number >= 1");
+    assert_zoo_fails(&["--jobs"], "--jobs needs a number >= 1");
 }
 
 #[test]
 fn engine_flags_reject_invalid_values() {
-    assert_profile_fails(&["--sim-fuel", "0"], "--sim-fuel needs a positive number of steps");
-    assert_profile_fails(&["--retries", "0"], "--retries needs a number >= 1");
-    assert_profile_fails(&["--retries", "x"], "--retries needs a number >= 1");
-    assert_profile_fails(&["--fault-seed", "9"], "--fault-seed requires --inject-faults");
+    assert_zoo_fails(&["--sim-fuel", "0"], "--sim-fuel needs a positive number of steps");
+    assert_zoo_fails(&["--retries", "0"], "--retries needs a number >= 1");
+    assert_zoo_fails(&["--retries", "x"], "--retries needs a number >= 1");
+    assert_zoo_fails(&["--fault-seed", "9"], "--fault-seed requires --inject-faults");
 }
 
 #[test]
-fn profile_validates_its_own_flags() {
-    assert_profile_fails(&["--app", "teapot"], "unknown app `teapot` (matmul|cp|sad|mri)");
-    assert_profile_fails(&["--budget", "0"], "--budget needs a number >= 1");
-    assert_profile_fails(&["--seed", "x"], "--seed needs a number");
+fn zoo_validates_its_own_flags() {
+    assert_zoo_fails(&["--app", "teapot"], "unknown app `teapot` (matmul|cp|sad|mri)");
+    assert_zoo_fails(&["--budget", "0"], "--budget needs a number >= 1");
+    assert_zoo_fails(&["--seed", "x"], "--seed needs a number");
+}
+
+#[test]
+fn zoo_has_no_writers_but_its_own() {
+    // The manifest, branch-and-bound and convergence documents are what
+    // `tune <app> --metrics-out` records; only the zoo study is written here.
+    for flag in ["--bench-out", "--bnb-out", "--convergence-out"] {
+        assert_zoo_fails(&[flag, "x"], &format!("unknown flag `{flag}`"));
+    }
 }
 
 #[test]

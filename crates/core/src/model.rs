@@ -31,8 +31,7 @@ use crate::space::{Instantiator, PartialPoint, Point, Space, Value};
 
 /// Predicted execution time in milliseconds for one candidate, from its
 /// static evaluation only (no simulation). The launch figures travel
-/// inside [`Evaluated`], so the candidate itself is not needed —
-/// [`predict_ms`] keeps the historical two-argument signature.
+/// inside [`Evaluated`], so the candidate itself is not needed.
 pub fn predict_ms_static(e: &Evaluated, spec: &MachineSpec) -> f64 {
     let p = &e.kernel_profile.profile;
     let occ = &e.kernel_profile.occupancy;
@@ -71,12 +70,6 @@ pub fn predict_ms_static(e: &Evaluated, spec: &MachineSpec) -> f64 {
     let waves = (e.total_blocks as f64 / capacity).max(1.0);
     let cycles = wave * waves * inv;
     cycles / spec.clock_hz * 1e3 + crate::tuner::LAUNCH_OVERHEAD_MS * inv
-}
-
-/// [`predict_ms_static`] under its historical signature; `e` must be
-/// `c`'s own evaluation.
-pub fn predict_ms(_c: &Candidate, e: &Evaluated, spec: &MachineSpec) -> f64 {
-    predict_ms_static(e, spec)
 }
 
 /// An *admissible* floor (in milliseconds) on the engine-reported
@@ -390,7 +383,7 @@ mod tests {
         let big = candidate(100, 128);
         let es = small.evaluate(&spec).unwrap();
         let eb = big.evaluate(&spec).unwrap();
-        assert!(predict_ms(&big, &eb, &spec) > predict_ms(&small, &es, &spec));
+        assert!(predict_ms_static(&eb, &spec) > predict_ms_static(&es, &spec));
     }
 
     #[test]
@@ -455,7 +448,7 @@ mod tests {
         let mut simulated = Vec::new();
         for c in &cands {
             let e = c.evaluate(&spec).unwrap();
-            predicted.push(predict_ms(c, &e, &spec));
+            predicted.push(predict_ms_static(&e, &spec));
             let prog = gpu_sim::decode::decode(&gpu_ir::linear::linearize(&c.kernel));
             let t =
                 gpu_sim::timing::simulate(&prog, &c.launch, &e.kernel_profile.usage, &spec, None)

@@ -14,9 +14,8 @@ use super::metrics::EngineMetrics;
 /// Manifest schema version; bump on breaking layout changes.
 ///
 /// History: 1 — initial layout; 2 — `metrics` gained the embedded
-/// `convergence` curve and runtime latency histograms. Both additions
-/// parse tolerantly, so `from_json` accepts schema 1 documents
-/// (committed `BENCH_*.json` trajectory points) unchanged.
+/// `convergence` curve and runtime latency histograms. `from_json`
+/// accepts schema 2 only.
 pub const MANIFEST_SCHEMA: u64 = 2;
 
 /// The simulated machine, summarized.
@@ -164,8 +163,7 @@ pub struct RunManifest {
     /// Quarantine counts per error kind, sorted by kind name.
     pub quarantine_by_kind: Vec<(String, u64)>,
     /// The declarative selection (`--filter`/`--sample`) the search ran
-    /// under, if any. Serialized tolerantly (absent/`null` means none),
-    /// so pre-selection manifests still parse under schema 1.
+    /// under, if any. Absent/`null` means none.
     pub selection: Option<SelectionRecord>,
     /// Which declared grid the app built its space from (`--grid`),
     /// when the app offers more than one (e.g. matmul's `coarse` /
@@ -311,7 +309,7 @@ impl RunManifest {
                 .ok_or_else(|| format!("missing `{k}`"))
         };
         let schema = u("schema")?;
-        if !(1..=MANIFEST_SCHEMA).contains(&schema) {
+        if schema != MANIFEST_SCHEMA {
             return Err(format!("unsupported manifest schema {schema}"));
         }
         let best = match j.get("best") {
@@ -439,8 +437,7 @@ mod tests {
         let back = RunManifest::parse_str(&text).expect("round trip parses");
         assert_eq!(back.selection, manifest.selection);
 
-        // A pre-selection manifest (no `selection` key at all) still
-        // parses under schema 1.
+        // A manifest without a `selection` key parses as no selection.
         let mut j = manifest.to_json();
         if let Json::Obj(pairs) = &mut j {
             pairs.retain(|(k, _)| k != "selection");
@@ -492,24 +489,16 @@ mod tests {
     }
 
     #[test]
-    fn schema_one_manifests_still_parse() {
+    fn schema_one_manifests_are_rejected() {
         let spec = MachineSpec::geforce_8800_gtx();
         let space = tiny_space();
         let report = ExhaustiveSearch.run(&space, &spec);
         let mut j = RunManifest::from_search("tiny", &report, &spec).to_json();
-        // Downgrade to the layout a schema-1 writer produced: no
-        // convergence curve inside metrics.
         if let Json::Obj(pairs) = &mut j {
             pairs[0].1 = Json::from(1u64);
-            if let Some(Json::Obj(m)) =
-                pairs.iter_mut().find(|(k, _)| k == "metrics").map(|p| &mut p.1)
-            {
-                m.retain(|(k, _)| k != "convergence");
-            }
         }
-        let back = RunManifest::from_json(&j).expect("legacy manifest parses");
-        assert_eq!(back.schema, 1);
-        assert!(back.metrics.convergence.is_empty());
+        let err = RunManifest::from_json(&j).unwrap_err();
+        assert_eq!(err, "unsupported manifest schema 1");
     }
 
     #[test]

@@ -79,13 +79,9 @@ impl Histogram {
         Json::Arr(self.buckets.iter().map(|&n| Json::from(n)).collect())
     }
 
-    /// Parse [`Histogram::to_json`] output; absent/null means empty
-    /// (histograms did not exist in earlier snapshot schemas).
-    pub fn from_json_opt(j: Option<&Json>) -> Result<Self, String> {
-        let arr = match j {
-            None | Some(Json::Null) => return Ok(Self::default()),
-            Some(j) => j.as_arr().ok_or("histogram: expected an array")?,
-        };
+    /// Parse [`Histogram::to_json`] output.
+    pub fn from_json(j: &Json) -> Result<Self, String> {
+        let arr = j.as_arr().ok_or("histogram: expected an array")?;
         if arr.len() != HIST_BUCKETS {
             return Err(format!("histogram: expected {HIST_BUCKETS} buckets, got {}", arr.len()));
         }
@@ -94,6 +90,15 @@ impl Histogram {
             *slot = j.as_u64().ok_or("histogram: non-integer bucket count")?;
         }
         Ok(h)
+    }
+
+    /// Tolerant [`Histogram::from_json`]: absent/null means empty
+    /// (`decode_hist` is newer than manifest schema 2).
+    pub fn from_json_opt(j: Option<&Json>) -> Result<Self, String> {
+        match j {
+            None | Some(Json::Null) => Ok(Self::default()),
+            Some(j) => Self::from_json(j),
+        }
     }
 }
 
@@ -166,6 +171,9 @@ impl RuntimeMetrics {
         let u = |k: &str| {
             j.get(k).and_then(Json::as_u64).ok_or_else(|| format!("runtime: missing `{k}`"))
         };
+        let hist = |k: &str| {
+            Histogram::from_json(j.get(k).ok_or_else(|| format!("runtime: missing `{k}`"))?)
+        };
         Ok(Self {
             jobs: u("jobs")?,
             static_wall_us: u("static_wall_us")?,
@@ -174,11 +182,11 @@ impl RuntimeMetrics {
             // Manifests of earlier builds also carry a
             // `workers_respawned` count; it is ignored.
             workers_spawned: u("workers_spawned")?,
-            // Absent in snapshots written before latency histograms
-            // existed: empty histograms.
-            sim_duration_hist: Histogram::from_json_opt(j.get("sim_duration_hist"))?,
-            cache_lookup_hist: Histogram::from_json_opt(j.get("cache_lookup_hist"))?,
-            store_io_hist: Histogram::from_json_opt(j.get("store_io_hist"))?,
+            sim_duration_hist: hist("sim_duration_hist")?,
+            cache_lookup_hist: hist("cache_lookup_hist")?,
+            store_io_hist: hist("store_io_hist")?,
+            // Absent in manifests written before the decoded simulator
+            // existed: an empty histogram.
             decode_hist: Histogram::from_json_opt(j.get("decode_hist"))?,
         })
     }
@@ -369,24 +377,13 @@ impl EngineMetrics {
             stall_sfu_cycles: u("stall_sfu_cycles")?,
             stall_arith_cycles: u("stall_arith_cycles")?,
             stall_other_cycles: u("stall_other_cycles")?,
-            // Absent in snapshots written before branch-and-bound
-            // existed (e.g. committed BENCH files): default to zero
-            // instead of rejecting them.
-            bound_pruned_subspaces: j
-                .get("bound_pruned_subspaces")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            bound_pruned_points: j.get("bound_pruned_points").and_then(Json::as_u64).unwrap_or(0),
-            // Likewise absent in snapshots written before the durable
-            // result store existed.
-            store_hits: j.get("store_hits").and_then(Json::as_u64).unwrap_or(0),
-            store_records_dropped: j
-                .get("store_records_dropped")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            // Absent in snapshots written before convergence curves
-            // existed: an empty curve.
-            convergence: ConvergenceCurve::from_json_opt(j.get("convergence"))?,
+            bound_pruned_subspaces: u("bound_pruned_subspaces")?,
+            bound_pruned_points: u("bound_pruned_points")?,
+            store_hits: u("store_hits")?,
+            store_records_dropped: u("store_records_dropped")?,
+            convergence: ConvergenceCurve::from_json(
+                j.get("convergence").ok_or("metrics: missing `convergence`")?,
+            )?,
             runtime: RuntimeMetrics::from_json(
                 j.get("runtime").ok_or("metrics: missing `runtime`")?,
             )?,
@@ -422,37 +419,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshots_without_bound_counters_parse_as_zero() {
-        // BENCH files written before branch-and-bound existed lack the
-        // bound_pruned_* keys; they must still parse.
-        let mut m = EngineMetrics::from_stats(&sample_stats());
-        m.bound_pruned_subspaces = 0;
-        m.bound_pruned_points = 0;
-        let text = m
-            .to_json()
-            .to_string_compact()
-            .replace("\"bound_pruned_subspaces\":0,", "")
-            .replace("\"bound_pruned_points\":0,", "");
-        assert!(!text.contains("bound_pruned"));
-        let back = EngineMetrics::from_json(&super::super::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, m);
+    /// Parse `m`'s snapshot with the key `drop` removed; return the
+    /// error.
+    fn parse_without(m: &EngineMetrics, drop: &str) -> String {
+        let mut j = m.to_json();
+        if let Json::Obj(pairs) = &mut j {
+            pairs.retain(|(k, _)| k != drop);
+        }
+        assert!(!j.to_string_compact().contains(drop));
+        EngineMetrics::from_json(&j).expect_err("a snapshot without the key is rejected")
     }
 
     #[test]
-    fn snapshots_without_store_counters_parse_as_zero() {
-        // Snapshots written before the durable result store lack the
-        // store_* keys; they must still parse.
+    fn snapshots_without_bound_counters_are_rejected() {
+        // Every manifest schema-2 writer wrote the bound_pruned_* keys.
         let m = EngineMetrics::from_stats(&sample_stats());
-        let text = m
-            .to_json()
-            .to_string_compact()
-            .replace("\"store_hits\":0,", "")
-            .replace("\"store_records_dropped\":0,", "");
-        assert!(!text.contains("store_hits"));
-        assert!(!text.contains("store_records_dropped"));
-        let back = EngineMetrics::from_json(&super::super::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, m);
+        for key in ["bound_pruned_subspaces", "bound_pruned_points"] {
+            let err = parse_without(&m, key);
+            assert!(err.contains(key), "{err:?} does not name `{key}`");
+        }
+    }
+
+    #[test]
+    fn snapshots_without_store_counters_are_rejected() {
+        // Every manifest schema-2 writer wrote the store_* keys.
+        let m = EngineMetrics::from_stats(&sample_stats());
+        for key in ["store_hits", "store_records_dropped"] {
+            let err = parse_without(&m, key);
+            assert!(err.contains(key), "{err:?} does not name `{key}`");
+        }
     }
 
     #[test]

@@ -106,22 +106,25 @@ pub fn spill_registers(kernel: &mut Kernel, regs: &[VReg]) -> Result<u32, PassEr
     if regs.iter().any(|r| counters.contains(r)) {
         return Err(PassError::CounterSpill);
     }
-    // Slot `k` for `regs[k]` (a repeated register keeps its last slot).
-    // A register past `num_vregs` occurs nowhere in the kernel, so it
-    // needs no table entry, but still counts as a word.
+    // Slot `k` for the `k`-th distinct register of `regs`, by first
+    // occurrence, so every slot is below the word count. A register past
+    // `num_vregs` occurs nowhere in the kernel, so it needs no table
+    // entry, but still counts as a word.
     let mut slots = vec![None; kernel.num_vregs as usize];
+    let mut words = 0u32;
     for (k, r) in regs.iter().enumerate() {
-        if let Some(slot) = slots.get_mut(r.index()) {
-            *slot = Some(k as i32);
+        if regs[..k].contains(r) {
+            continue;
         }
+        if let Some(slot) = slots.get_mut(r.index()) {
+            *slot = Some(words as i32);
+        }
+        words += 1;
     }
-    let mut distinct = regs.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
     let mut next = kernel.num_vregs;
     kernel.body = rewrite(std::mem::take(&mut kernel.body), &slots, &mut next);
     kernel.num_vregs = next;
-    Ok(distinct.len() as u32)
+    Ok(words)
 }
 
 /// Rank registers by flattened live-range length (longest first) and
@@ -305,6 +308,32 @@ mod tests {
         collect_counters(&k.body, &mut counters);
         let cands = spill_candidates(&k, 10);
         assert!(cands.iter().all(|c| !counters.contains(c)));
+    }
+
+    #[test]
+    fn repeated_register_gets_one_slot_below_the_word_count() {
+        let mut b = KernelBuilder::new("repeat");
+        let out = b.param(0);
+        let x = b.mov(3.0f32);
+        let y = b.fadd(x, 1.0f32);
+        b.st_global(out, 0, y);
+        let mut k = b.finish();
+        let words = spill_registers(&mut k, &[x, x]).unwrap();
+        assert_eq!(words, 1);
+        let mut offsets = Vec::new();
+        k.visit_instrs(|i| {
+            if matches!(
+                i.op,
+                Op::Ld(gpu_arch::MemorySpace::Local) | Op::St(gpu_arch::MemorySpace::Local)
+            ) {
+                offsets.push(i.srcs[0]);
+            }
+        });
+        assert_eq!(offsets.len(), 2, "one store and one reload of x");
+        for offset in offsets {
+            let Operand::ImmI32(word) = offset else { panic!("local offset {offset:?}") };
+            assert!((0..words as i32).contains(&word), "offset {word} outside {words} words");
+        }
     }
 
     #[test]

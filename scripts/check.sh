@@ -284,14 +284,14 @@ for strategy in hill anneal genetic surrogate; do
     }
 done
 
-echo "==> zoo convergence smoke (profile --app cp --convergence-out)"
-# The convergence export must carry a curve for every zoo strategy
-# alongside the classic three.
-cargo run --release -q -p optspace-bench --bin profile -- --app cp --jobs 2 \
-    --convergence-out "$tracedir/zoo_convergence.json" > /dev/null
-for strategy in exhaustive pruned bnb hill anneal genetic surrogate; do
-    grep -q "\"strategy\": \"$strategy\"" "$tracedir/zoo_convergence.json" || {
-        echo "zoo convergence smoke: no $strategy curve in the export" >&2
+echo "==> zoo study smoke (zoo --app cp --zoo-out)"
+# The zoo study document must score the random baseline and every
+# iterative strategy, each under its budgeted name.
+cargo run --release -q -p optspace-bench --bin zoo -- --app cp --jobs 2 \
+    --zoo-out "$tracedir/zoo.json" > /dev/null
+for strategy in random hill anneal genetic surrogate; do
+    grep -q "\"strategy\": \"$strategy" "$tracedir/zoo.json" || {
+        echo "zoo study smoke: no $strategy entry in the document" >&2
         exit 1
     }
 done

@@ -4,6 +4,7 @@
 //! gpu-autotune spaces                       list the apps and their spaces
 //! gpu-autotune devices                      list the machine models
 //! gpu-autotune inspect <app> <index>        static profile of one config
+//!     --grid default|fine                   which declared grid the index is in
 //! gpu-autotune tune <app> [opts]            search a configuration space
 //!     --strategy exhaustive|pareto|random|bnb
 //!               |hill|anneal|genetic|surrogate  (default pareto)
@@ -71,7 +72,8 @@ usage: gpu-autotune <command> [args]
 commands:
   spaces                      list applications and configuration-space sizes
   devices                     list machine models
-  inspect <app> <index>       static profile + PTX view of one configuration
+  inspect <app> <index> [--grid default|fine]
+                              static profile + PTX view of one configuration
   tune <app> [--strategy exhaustive|pareto|random|bnb|hill|anneal|genetic|surrogate]
              [--budget N] [--seed S]
              [--grid default|fine] [--device g80|gt200] [--no-screen] [--jobs N]
@@ -177,10 +179,15 @@ fn print_candidate(c: &Candidate, spec: &MachineSpec) {
 
 fn cmd_inspect(args: &[String]) -> ExitCode {
     let (Some(app_name), Some(index)) = (args.first(), args.get(1)) else {
-        eprintln!("inspect needs: <app> <index>");
+        eprintln!("inspect needs: <app> <index> [--grid default|fine]");
         return ExitCode::FAILURE;
     };
-    let app = match by_name(app_name, "default") {
+    let mut rest = Args::new(args[2..].to_vec());
+    let read = rest
+        .text("--grid", "a value (default|fine)")
+        .and_then(|grid| rest.finish().map(|()| grid))
+        .and_then(|grid| by_name(app_name, grid.as_deref().unwrap_or("default")));
+    let app = match read {
         Ok(app) => app,
         Err(e) => {
             eprintln!("{e}");
@@ -756,7 +763,20 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         eprintln!("trace needs: <app> <index> [N]");
         return ExitCode::FAILURE;
     };
-    let limit: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(20);
+    // The optional count is the third positional; trace reads no flags.
+    let count = args.get(2).filter(|a| !a.starts_with("--"));
+    let rest = Args::new(args[2 + usize::from(count.is_some())..].to_vec());
+    let limit = rest.finish().and_then(|()| match count {
+        None => Ok(20),
+        Some(n) => n.parse::<usize>().map_err(|_| format!("bad instruction count `{n}`")),
+    });
+    let limit = match limit {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     // Trace on the functional-test problem sizes so the run is fast and
     // real data flows through the kernel.
     enum Traced {

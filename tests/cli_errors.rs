@@ -273,3 +273,24 @@ fn checkpoint_every_is_not_a_flag() {
     );
     assert!(!ck.exists(), "a refused command creates no checkpoint");
 }
+
+#[test]
+fn inspect_reads_the_grid_its_index_is_in() {
+    // `tune matmul --grid fine` reports #69694 as its best.
+    let out = Command::new(env!("CARGO_BIN_EXE_gpu-autotune"))
+        .args(["inspect", "matmul", "69694", "--grid", "fine"])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("configuration: 16x16/1x4/uC/o16/pf\n"), "{stdout}");
+}
+
+#[test]
+fn inspect_and_trace_reject_unknown_flags() {
+    assert_fails(&["inspect", "matmul", "3", "--bogus"], "unknown flag `--bogus`");
+    assert_fails(&["trace", "matmul", "3", "5", "--bogus"], "unknown flag `--bogus`");
+    assert_fails(&["trace", "matmul", "3", "--bogus"], "unknown flag `--bogus`");
+    assert_fails(&["trace", "matmul", "3", "x"], "bad instruction count `x`");
+    assert_fails(&["inspect", "cp", "1", "--grid", "fine"], "app `cp` declares no fine grid");
+}
