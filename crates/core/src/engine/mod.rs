@@ -28,8 +28,8 @@
 //!   structure share one decode (keyed by class hash, shared across
 //!   engine clones).
 //! * **Budget** — optional caps on unique simulations and on accumulated
-//!   simulated milliseconds ([`budget`]), applied deterministically and
-//!   recorded in the search report's [`EngineStats`].
+//!   simulated milliseconds ([`budget`]), applied deterministically; a
+//!   cut shows as [`EngineStats::budget_truncated`].
 //! * **Failure semantics** — every way a candidate can fail is a typed
 //!   [`EvalError`] ([`error`]); transient failures are retried for up to
 //!   [`RetryPolicy::max_attempts`] deterministic rounds, permanent ones
@@ -263,12 +263,9 @@ impl Default for EngineConfig {
 }
 
 /// Counters describing what the engine actually did during one search.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Every field is deterministic: identical at any worker count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Budget the engine ran under.
-    pub budget: EvalBudget,
     /// Candidates statically evaluated (valid or not).
     pub static_evals: usize,
     /// Candidates that received a timing result.
@@ -467,13 +464,11 @@ impl EvalEngine {
         self.sink.as_deref()
     }
 
-    /// Fresh stats carrying this engine's configuration (and the
-    /// attached store's load-time drop counter, so every report of a
-    /// store-backed run surfaces the corruption it tolerated).
+    /// Fresh stats carrying the attached store's load-time drop counter,
+    /// so every report of a store-backed run surfaces the corruption it
+    /// tolerated.
     pub fn stats_seed(&self) -> EngineStats {
         EngineStats {
-            jobs: self.config.jobs,
-            budget: self.config.budget,
             store_records_dropped: self.store.as_ref().map_or(0, |s| s.records_dropped()),
             ..Default::default()
         }

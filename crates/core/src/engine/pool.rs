@@ -193,7 +193,7 @@ mod tests {
             // claim further indices: no worker beyond the first `jobs`
             // (none at all inline).
             let spawned = if jobs > 1 { jobs as u64 } else { 0 };
-            assert_eq!(sink.runtime_counters().workers_spawned, spawned, "jobs={jobs}");
+            assert_eq!(sink.runtime_metrics(1).workers_spawned, spawned, "jobs={jobs}");
         }
     }
 
@@ -205,7 +205,7 @@ mod tests {
             assert_eq!(got, (0..20).map(|i| i * 3).collect::<Vec<_>>(), "jobs = {jobs}");
             let trace = sink.drain();
             assert_eq!(trace.named("pool.item").len(), 20, "jobs = {jobs}");
-            let counters = sink.runtime_counters();
+            let counters = sink.runtime_metrics(1);
             if jobs > 1 {
                 assert_eq!(trace.named("pool.spawn").len(), jobs);
                 assert_eq!(counters.workers_spawned, jobs as u64);

@@ -119,15 +119,6 @@ impl ConvergenceCurve {
         let samples = arr.iter().map(ConvergenceSample::from_json).collect::<Result<_, _>>()?;
         Ok(Self { samples })
     }
-
-    /// Tolerant parse for containers written before convergence curves
-    /// existed: an absent or null field is an empty curve.
-    pub fn from_json_opt(j: Option<&Json>) -> Result<Self, String> {
-        match j {
-            None | Some(Json::Null) => Ok(Self::default()),
-            Some(j) => Self::from_json(j),
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -327,12 +318,14 @@ mod tests {
     }
 
     #[test]
-    fn curve_round_trips_through_json_and_tolerates_absence() {
+    fn curve_round_trips_through_json_and_rejects_malformed_curves() {
         let c = record(&[3.0, 2.5, 2.5]);
         let text = c.to_json().to_string_compact();
         let back = ConvergenceCurve::from_json(&super::super::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, c);
-        assert!(ConvergenceCurve::from_json_opt(None).unwrap().is_empty());
-        assert!(ConvergenceCurve::from_json_opt(Some(&Json::Null)).unwrap().is_empty());
+        assert!(ConvergenceCurve::from_json(&Json::Null).is_err());
+        let partial = super::super::json::parse(r#"[{"sims":1,"unique_sims":1}]"#).unwrap();
+        let err = ConvergenceCurve::from_json(&partial).unwrap_err();
+        assert!(err.contains("`best_time_ms`"), "{err}");
     }
 }

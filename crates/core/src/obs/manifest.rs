@@ -112,15 +112,15 @@ impl StoreSummary {
         ])
     }
 
-    fn from_json(j: &Json) -> Option<Self> {
-        let u = |k: &str| j.get(k).and_then(Json::as_u64);
-        Some(Self {
-            path: j.get("path")?.as_str()?.to_string(),
+    fn from_json(j: &Json) -> Result<Self, String> {
+        let u = |k: &str| {
+            j.get(k).and_then(Json::as_u64).ok_or_else(|| format!("store: missing `{k}`"))
+        };
+        Ok(Self {
+            path: j.get("path").and_then(Json::as_str).ok_or("store: missing `path`")?.to_string(),
             generation: u("generation")?,
             records_loaded: u("records_loaded")?,
-            // Written before key schemes were versioned, when a store
-            // could hold no foreign records.
-            records_ignored: u("records_ignored").unwrap_or(0),
+            records_ignored: u("records_ignored")?,
             records_dropped: u("records_dropped")?,
             hits: u("hits")?,
         })
@@ -163,17 +163,15 @@ pub struct RunManifest {
     /// Quarantine counts per error kind, sorted by kind name.
     pub quarantine_by_kind: Vec<(String, u64)>,
     /// The declarative selection (`--filter`/`--sample`) the search ran
-    /// under, if any. Absent/`null` means none.
+    /// under, if any; `null` means none.
     pub selection: Option<SelectionRecord>,
     /// Which declared grid the app built its space from (`--grid`),
-    /// when the app offers more than one (e.g. matmul's `coarse` /
-    /// `fine`). Absent/`null` means the app's single default grid;
-    /// serialized tolerantly so earlier manifests still parse.
+    /// when it is not the default one (e.g. matmul's `fine`); `null`
+    /// means the app's default grid.
     pub grid: Option<String>,
     /// The persistent result store the run consulted (`--store-dir`),
-    /// if any: path, generation, and hit/drop counters. Absent/`null`
-    /// means no store; serialized tolerantly so earlier manifests still
-    /// parse.
+    /// if any: path, generation, and hit/drop counters; `null` means no
+    /// store.
     pub store: Option<StoreSummary>,
 }
 
@@ -216,8 +214,8 @@ impl RunManifest {
             space_reduction: report.space_reduction(),
             evaluation_time_ms: report.evaluation_time_ms(),
             best,
-            budget_max_sims: report.stats.budget.max_sims.map(|n| n as u64),
-            budget_deadline_ms: report.stats.budget.deadline_ms,
+            budget_max_sims: report.budget.max_sims.map(|n| n as u64),
+            budget_deadline_ms: report.budget.deadline_ms,
             metrics: report.metrics.clone(),
             quarantine_by_kind: by_kind,
             selection: report.selection.clone(),
@@ -298,7 +296,8 @@ impl RunManifest {
         ])
     }
 
-    /// Parse a manifest back from a JSON value.
+    /// Parse a manifest back from a JSON value. Every key the writer
+    /// emits is required; the optional sections are `null` when empty.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let u = |k: &str| j.get(k).and_then(Json::as_u64).ok_or_else(|| format!("missing `{k}`"));
         let f = |k: &str| j.get(k).and_then(Json::as_f64).ok_or_else(|| format!("missing `{k}`"));
@@ -308,12 +307,17 @@ impl RunManifest {
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing `{k}`"))
         };
+        let nullable = |k: &str| match j.get(k) {
+            None => Err(format!("missing `{k}`")),
+            Some(Json::Null) => Ok(None),
+            Some(v) => Ok(Some(v)),
+        };
         let schema = u("schema")?;
         if schema != MANIFEST_SCHEMA {
             return Err(format!("unsupported manifest schema {schema}"));
         }
-        let best = match j.get("best") {
-            None | Some(Json::Null) => None,
+        let best = match nullable("best")? {
+            None => None,
             Some(b) => Some(BestSummary {
                 candidate: b.get("candidate").and_then(Json::as_u64).ok_or("best: candidate")?,
                 label: b.get("label").and_then(Json::as_str).ok_or("best: label")?.to_string(),
@@ -343,28 +347,21 @@ impl RunManifest {
             space_reduction: f("space_reduction")?,
             evaluation_time_ms: f("evaluation_time_ms")?,
             best,
-            budget_max_sims: match j.get("budget_max_sims") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or("budget_max_sims not a count")?),
-            },
-            budget_deadline_ms: match j.get("budget_deadline_ms") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_f64().ok_or("budget_deadline_ms not a number")?),
-            },
+            budget_max_sims: nullable("budget_max_sims")?
+                .map(|v| v.as_u64().ok_or("budget_max_sims not a count"))
+                .transpose()?,
+            budget_deadline_ms: nullable("budget_deadline_ms")?
+                .map(|v| v.as_f64().ok_or("budget_deadline_ms not a number"))
+                .transpose()?,
             metrics: EngineMetrics::from_json(j.get("metrics").ok_or("missing `metrics`")?)?,
             quarantine_by_kind: by_kind,
-            selection: match j.get("selection") {
-                None | Some(Json::Null) => None,
-                Some(sel) => Some(SelectionRecord::from_json(sel).ok_or("selection: malformed")?),
-            },
-            grid: match j.get("grid") {
-                None | Some(Json::Null) => None,
-                Some(g) => Some(g.as_str().ok_or("grid not a string")?.to_string()),
-            },
-            store: match j.get("store") {
-                None | Some(Json::Null) => None,
-                Some(st) => Some(StoreSummary::from_json(st).ok_or("store: malformed")?),
-            },
+            selection: nullable("selection")?
+                .map(|sel| SelectionRecord::from_json(sel).ok_or("selection: malformed"))
+                .transpose()?,
+            grid: nullable("grid")?
+                .map(|g| g.as_str().map(str::to_string).ok_or("grid not a string"))
+                .transpose()?,
+            store: nullable("store")?.map(StoreSummary::from_json).transpose()?,
         })
     }
 
@@ -403,6 +400,28 @@ mod tests {
             .collect()
     }
 
+    /// Parse `m` with the top-level key `drop` removed (or, for a
+    /// dotted `section.key`, that key of a section); return the error.
+    fn parse_without(m: &RunManifest, drop: &str) -> String {
+        let mut j = m.to_json();
+        let (section, key) = match drop.split_once('.') {
+            Some((section, key)) => (Some(section), key),
+            None => (None, drop),
+        };
+        let Json::Obj(top) = &mut j else { panic!("a manifest is an object") };
+        let pairs = match section {
+            None => top,
+            Some(section) => match top.iter_mut().find(|(k, _)| k == section) {
+                Some((_, Json::Obj(pairs))) => pairs,
+                _ => panic!("no `{section}` object"),
+            },
+        };
+        let before = pairs.len();
+        pairs.retain(|(k, _)| k != key);
+        assert_eq!(pairs.len(), before - 1, "no `{drop}` to drop");
+        RunManifest::from_json(&j).expect_err("a manifest without the key is rejected")
+    }
+
     #[test]
     fn manifest_round_trips_and_reconciles_with_the_report() {
         let spec = MachineSpec::geforce_8800_gtx();
@@ -411,8 +430,7 @@ mod tests {
         let manifest = RunManifest::from_search("tiny", &report, &spec);
 
         assert_eq!(manifest.simulated, report.evaluated_count() as u64);
-        assert_eq!(manifest.metrics.sims_executed, report.stats.unique_sims as u64);
-        assert_eq!(manifest.metrics.sims_memoized, report.stats.cache_hits as u64);
+        assert_eq!(manifest.metrics.stats, report.stats);
         assert_eq!(manifest.quarantined, report.quarantined.len() as u64);
         let best = manifest.best.as_ref().expect("a best exists");
         assert_eq!(best.label, space[report.best.unwrap()].label);
@@ -423,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn selection_round_trips_and_absent_selection_parses() {
+    fn selection_round_trips_and_absent_selection_is_rejected() {
         let spec = MachineSpec::geforce_8800_gtx();
         let space = tiny_space();
         let mut report = ExhaustiveSearch.run(&space, &spec);
@@ -437,16 +455,13 @@ mod tests {
         let back = RunManifest::parse_str(&text).expect("round trip parses");
         assert_eq!(back.selection, manifest.selection);
 
-        // A manifest without a `selection` key parses as no selection.
-        let mut j = manifest.to_json();
-        if let Json::Obj(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "selection");
-        }
-        assert_eq!(RunManifest::from_json(&j).expect("tolerant parse").selection, None);
+        // Every manifest this build writes carries the key, `null` when
+        // the search ran unnarrowed.
+        assert_eq!(parse_without(&manifest, "selection"), "missing `selection`");
     }
 
     #[test]
-    fn grid_round_trips_and_absent_grid_parses() {
+    fn grid_round_trips_and_absent_grid_is_rejected() {
         let spec = MachineSpec::geforce_8800_gtx();
         let space = tiny_space();
         let report = ExhaustiveSearch.run(&space, &spec);
@@ -455,16 +470,11 @@ mod tests {
         let back = RunManifest::parse_str(&text).expect("round trip parses");
         assert_eq!(back.grid.as_deref(), Some("fine"));
 
-        // A pre-grid manifest (no `grid` key at all) still parses.
-        let mut j = manifest.to_json();
-        if let Json::Obj(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "grid");
-        }
-        assert_eq!(RunManifest::from_json(&j).expect("tolerant parse").grid, None);
+        assert_eq!(parse_without(&manifest, "grid"), "missing `grid`");
     }
 
     #[test]
-    fn store_round_trips_and_absent_store_parses() {
+    fn store_round_trips_and_absent_store_is_rejected() {
         let spec = MachineSpec::geforce_8800_gtx();
         let space = tiny_space();
         let report = ExhaustiveSearch.run(&space, &spec);
@@ -480,12 +490,11 @@ mod tests {
         let back = RunManifest::parse_str(&text).expect("round trip parses");
         assert_eq!(back.store, manifest.store);
 
-        // A pre-store manifest (no `store` key at all) still parses.
-        let mut j = manifest.to_json();
-        if let Json::Obj(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "store");
-        }
-        assert_eq!(RunManifest::from_json(&j).expect("tolerant parse").store, None);
+        assert_eq!(parse_without(&manifest, "store"), "missing `store`");
+        assert_eq!(
+            parse_without(&manifest, "store.records_ignored"),
+            "store: missing `records_ignored`"
+        );
     }
 
     #[test]

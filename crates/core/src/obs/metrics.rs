@@ -1,13 +1,14 @@
 //! Aggregated engine metrics: one snapshot per search, split into a
-//! **deterministic** section derived purely from [`EngineStats`]
-//! (identical at any worker count) and a **runtime** section of
-//! wall-clock measurements that naturally vary run to run.
+//! **deterministic** section — the engine's [`EngineStats`] counters and
+//! the convergence curve, identical at any worker count — and a
+//! **runtime** section of wall-clock measurements that naturally vary
+//! run to run. Each counter is declared once, in [`EngineStats`]; this
+//! module only gives it its wire name.
 
 use crate::engine::EngineStats;
 
 use super::convergence::ConvergenceCurve;
 use super::json::Json;
-use super::sink::RuntimeCounters;
 
 /// Bucket count of the hand-rolled latency histograms. Bucket `i`
 /// covers `[2^i, 2^(i+1))` µs (bucket 0 also absorbs 0 µs; the top
@@ -91,18 +92,12 @@ impl Histogram {
         }
         Ok(h)
     }
-
-    /// Tolerant [`Histogram::from_json`]: absent/null means empty
-    /// (`decode_hist` is newer than manifest schema 2).
-    pub fn from_json_opt(j: Option<&Json>) -> Result<Self, String> {
-        match j {
-            None | Some(Json::Null) => Ok(Self::default()),
-            Some(j) => Self::from_json(j),
-        }
-    }
 }
 
-/// Nondeterministic wall-clock measurements for one search.
+/// Nondeterministic wall-clock measurements for one search, as
+/// [`EventSink::runtime_metrics`] snapshots them.
+///
+/// [`EventSink::runtime_metrics`]: super::sink::EventSink::runtime_metrics
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeMetrics {
     /// Worker threads configured.
@@ -126,21 +121,6 @@ pub struct RuntimeMetrics {
 }
 
 impl RuntimeMetrics {
-    /// Build from the sink's counters and the configured job count.
-    pub fn from_counters(c: RuntimeCounters, jobs: usize) -> Self {
-        Self {
-            jobs: jobs as u64,
-            static_wall_us: c.static_wall_us,
-            timing_wall_us: c.timing_wall_us,
-            worker_busy_us: c.worker_busy_us,
-            workers_spawned: c.workers_spawned,
-            sim_duration_hist: c.sim_duration_hist,
-            cache_lookup_hist: c.cache_lookup_hist,
-            store_io_hist: c.store_io_hist,
-            decode_hist: c.decode_hist,
-        }
-    }
-
     /// Fraction of the worker pool's capacity spent busy:
     /// `busy / (jobs × phase wall)`, clamped to `[0, 1]`. Zero when no
     /// wall time was recorded.
@@ -185,62 +165,22 @@ impl RuntimeMetrics {
             sim_duration_hist: hist("sim_duration_hist")?,
             cache_lookup_hist: hist("cache_lookup_hist")?,
             store_io_hist: hist("store_io_hist")?,
-            // Absent in manifests written before the decoded simulator
-            // existed: an empty histogram.
-            decode_hist: Histogram::from_json_opt(j.get("decode_hist"))?,
+            decode_hist: hist("decode_hist")?,
         })
     }
 }
 
 /// One search's aggregated engine metrics.
 ///
-/// Everything outside `runtime` is deterministic — derived from
-/// [`EngineStats`], whose counters are byte-identical at any `--jobs` —
+/// Everything outside `runtime` is deterministic — the engine's
+/// counters, byte-identical at any `--jobs`, and the convergence curve —
 /// and is what [`EngineMetrics::deterministic_json`] serializes for
 /// trace-determinism tests.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineMetrics {
-    /// Candidates statically evaluated.
-    pub static_evals: u64,
-    /// Candidates that received a timing result.
-    pub timed: u64,
-    /// Timing simulations actually executed.
-    pub sims_executed: u64,
-    /// Timed candidates served from the memo cache / family forks.
-    pub sims_memoized: u64,
-    /// Family work units simulated in one forked run.
-    pub family_forks: u64,
-    /// Unique simulations covered by those forked runs.
-    pub family_members: u64,
-    /// Evaluations re-attempted after a transient failure.
-    pub retries: u64,
-    /// Candidates quarantined.
-    pub quarantined: u64,
-    /// Failures injected by the fault plan.
-    pub injected_faults: u64,
-    /// Whether a budget limit cut the evaluation short.
-    pub budget_truncated: bool,
-    /// Scheduler steps consumed by successful unique simulations.
-    pub fuel_consumed: u64,
-    /// Total simulated cycles across successful unique simulations.
-    pub sim_cycles: u64,
-    /// Issue-port idle cycles waiting on in-flight global memory.
-    pub stall_mem_cycles: u64,
-    /// Issue-port idle cycles waiting on the SFU port.
-    pub stall_sfu_cycles: u64,
-    /// Issue-port idle cycles waiting on arithmetic results.
-    pub stall_arith_cycles: u64,
-    /// Issue-port idle cycles from control flow and barriers.
-    pub stall_other_cycles: u64,
-    /// Subspaces a branch-and-bound search discarded by bound.
-    pub bound_pruned_subspaces: u64,
-    /// Configurations eliminated by bound pruning without ever being
-    /// instantiated.
-    pub bound_pruned_points: u64,
-    /// Unique simulations served from the persistent result store.
-    pub store_hits: u64,
-    /// Damaged records the store's loader skipped at open.
-    pub store_records_dropped: u64,
+    /// What the engine did: evaluations, simulations, reuse, failures,
+    /// simulated cycles and stalls, pruning, store traffic.
+    pub stats: EngineStats,
     /// Time-resolved convergence curve (deterministic; see
     /// [`ConvergenceCurve`]).
     pub convergence: ConvergenceCurve,
@@ -249,40 +189,10 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Derive the deterministic section from the engine's counters; the
-    /// runtime section starts zeroed (see
-    /// [`EngineMetrics::with_runtime`]).
+    /// Snapshot the engine's counters; the curve and the runtime
+    /// section start empty.
     pub fn from_stats(stats: &EngineStats) -> Self {
-        Self {
-            static_evals: stats.static_evals as u64,
-            timed: stats.timed as u64,
-            sims_executed: stats.unique_sims as u64,
-            sims_memoized: stats.cache_hits as u64,
-            family_forks: stats.family_forks as u64,
-            family_members: stats.family_members as u64,
-            retries: stats.retries as u64,
-            quarantined: stats.quarantined as u64,
-            injected_faults: stats.injected_faults as u64,
-            budget_truncated: stats.budget_truncated,
-            fuel_consumed: stats.fuel_consumed,
-            sim_cycles: stats.sim_cycles,
-            stall_mem_cycles: stats.stall_mem_cycles,
-            stall_sfu_cycles: stats.stall_sfu_cycles,
-            stall_arith_cycles: stats.stall_arith_cycles,
-            stall_other_cycles: stats.stall_other_cycles,
-            bound_pruned_subspaces: stats.bound_pruned_subspaces as u64,
-            bound_pruned_points: stats.bound_pruned_points as u64,
-            store_hits: stats.store_hits as u64,
-            store_records_dropped: stats.store_records_dropped as u64,
-            convergence: ConvergenceCurve::default(),
-            runtime: RuntimeMetrics::default(),
-        }
-    }
-
-    /// Attach wall-clock measurements.
-    pub fn with_runtime(mut self, runtime: RuntimeMetrics) -> Self {
-        self.runtime = runtime;
-        self
+        Self { stats: *stats, ..Default::default() }
     }
 
     /// Attach the convergence curve.
@@ -292,48 +202,49 @@ impl EngineMetrics {
     }
 
     /// Fraction of timed candidates served without a fresh simulation:
-    /// `sims_memoized / timed` (zero when nothing was timed).
+    /// `cache_hits / timed` (zero when nothing was timed).
     pub fn cache_hit_rate(&self) -> f64 {
-        if self.timed == 0 {
+        if self.stats.timed == 0 {
             0.0
         } else {
-            self.sims_memoized as f64 / self.timed as f64
+            self.stats.cache_hits as f64 / self.stats.timed as f64
         }
     }
 
     /// Total attributed stall cycles.
     pub fn stall_total_cycles(&self) -> u64 {
-        self.stall_mem_cycles
-            + self.stall_sfu_cycles
-            + self.stall_arith_cycles
-            + self.stall_other_cycles
+        let s = &self.stats;
+        s.stall_mem_cycles + s.stall_sfu_cycles + s.stall_arith_cycles + s.stall_other_cycles
     }
 
     /// The deterministic section as event fields, for the search-scope
-    /// `engine.metrics` counter event.
+    /// `engine.metrics` counter event. The wire names `sims_executed`
+    /// and `sims_memoized` are [`EngineStats::unique_sims`] and
+    /// [`EngineStats::cache_hits`].
     pub fn deterministic_fields(&self) -> Vec<(&'static str, Json)> {
+        let s = &self.stats;
         vec![
-            ("static_evals", Json::from(self.static_evals)),
-            ("timed", Json::from(self.timed)),
-            ("sims_executed", Json::from(self.sims_executed)),
-            ("sims_memoized", Json::from(self.sims_memoized)),
+            ("static_evals", Json::from(s.static_evals)),
+            ("timed", Json::from(s.timed)),
+            ("sims_executed", Json::from(s.unique_sims)),
+            ("sims_memoized", Json::from(s.cache_hits)),
             ("cache_hit_rate", Json::from(self.cache_hit_rate())),
-            ("family_forks", Json::from(self.family_forks)),
-            ("family_members", Json::from(self.family_members)),
-            ("retries", Json::from(self.retries)),
-            ("quarantined", Json::from(self.quarantined)),
-            ("injected_faults", Json::from(self.injected_faults)),
-            ("budget_truncated", Json::from(self.budget_truncated)),
-            ("fuel_consumed", Json::from(self.fuel_consumed)),
-            ("sim_cycles", Json::from(self.sim_cycles)),
-            ("stall_mem_cycles", Json::from(self.stall_mem_cycles)),
-            ("stall_sfu_cycles", Json::from(self.stall_sfu_cycles)),
-            ("stall_arith_cycles", Json::from(self.stall_arith_cycles)),
-            ("stall_other_cycles", Json::from(self.stall_other_cycles)),
-            ("bound_pruned_subspaces", Json::from(self.bound_pruned_subspaces)),
-            ("bound_pruned_points", Json::from(self.bound_pruned_points)),
-            ("store_hits", Json::from(self.store_hits)),
-            ("store_records_dropped", Json::from(self.store_records_dropped)),
+            ("family_forks", Json::from(s.family_forks)),
+            ("family_members", Json::from(s.family_members)),
+            ("retries", Json::from(s.retries)),
+            ("quarantined", Json::from(s.quarantined)),
+            ("injected_faults", Json::from(s.injected_faults)),
+            ("budget_truncated", Json::from(s.budget_truncated)),
+            ("fuel_consumed", Json::from(s.fuel_consumed)),
+            ("sim_cycles", Json::from(s.sim_cycles)),
+            ("stall_mem_cycles", Json::from(s.stall_mem_cycles)),
+            ("stall_sfu_cycles", Json::from(s.stall_sfu_cycles)),
+            ("stall_arith_cycles", Json::from(s.stall_arith_cycles)),
+            ("stall_other_cycles", Json::from(s.stall_other_cycles)),
+            ("bound_pruned_subspaces", Json::from(s.bound_pruned_subspaces)),
+            ("bound_pruned_points", Json::from(s.bound_pruned_points)),
+            ("store_hits", Json::from(s.store_hits)),
+            ("store_records_dropped", Json::from(s.store_records_dropped)),
             ("convergence", self.convergence.to_json()),
         ]
     }
@@ -352,21 +263,24 @@ impl EngineMetrics {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Parse a snapshot produced by [`EngineMetrics::to_json`].
+    /// Parse a snapshot produced by [`EngineMetrics::to_json`]. The
+    /// derived `cache_hit_rate` is recomputed, not read.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let u = |k: &str| {
             j.get(k).and_then(Json::as_u64).ok_or_else(|| format!("metrics: missing `{k}`"))
         };
-        Ok(Self {
-            static_evals: u("static_evals")?,
-            timed: u("timed")?,
-            sims_executed: u("sims_executed")?,
-            sims_memoized: u("sims_memoized")?,
-            family_forks: u("family_forks")?,
-            family_members: u("family_members")?,
-            retries: u("retries")?,
-            quarantined: u("quarantined")?,
-            injected_faults: u("injected_faults")?,
+        let n =
+            |k: &str| usize::try_from(u(k)?).map_err(|_| format!("metrics: `{k}` out of range"));
+        let stats = EngineStats {
+            static_evals: n("static_evals")?,
+            timed: n("timed")?,
+            unique_sims: n("sims_executed")?,
+            cache_hits: n("sims_memoized")?,
+            family_forks: n("family_forks")?,
+            family_members: n("family_members")?,
+            retries: n("retries")?,
+            quarantined: n("quarantined")?,
+            injected_faults: n("injected_faults")?,
             budget_truncated: j
                 .get("budget_truncated")
                 .and_then(Json::as_bool)
@@ -377,10 +291,13 @@ impl EngineMetrics {
             stall_sfu_cycles: u("stall_sfu_cycles")?,
             stall_arith_cycles: u("stall_arith_cycles")?,
             stall_other_cycles: u("stall_other_cycles")?,
-            bound_pruned_subspaces: u("bound_pruned_subspaces")?,
-            bound_pruned_points: u("bound_pruned_points")?,
-            store_hits: u("store_hits")?,
-            store_records_dropped: u("store_records_dropped")?,
+            bound_pruned_subspaces: n("bound_pruned_subspaces")?,
+            bound_pruned_points: n("bound_pruned_points")?,
+            store_hits: n("store_hits")?,
+            store_records_dropped: n("store_records_dropped")?,
+        };
+        Ok(Self {
+            stats,
             convergence: ConvergenceCurve::from_json(
                 j.get("convergence").ok_or("metrics: missing `convergence`")?,
             )?,
@@ -395,9 +312,13 @@ impl EngineMetrics {
 mod tests {
     use super::*;
 
+    /// A snapshot of [`sample_stats`] carrying `runtime`.
+    fn with_runtime(runtime: RuntimeMetrics) -> EngineMetrics {
+        EngineMetrics { runtime, ..EngineMetrics::from_stats(&sample_stats()) }
+    }
+
     fn sample_stats() -> EngineStats {
         EngineStats {
-            jobs: 4,
             static_evals: 13,
             timed: 12,
             unique_sims: 3,
@@ -453,8 +374,9 @@ mod tests {
     #[test]
     fn derived_rates_are_correct() {
         let m = EngineMetrics::from_stats(&sample_stats());
-        assert_eq!(m.sims_executed, 3);
-        assert_eq!(m.sims_memoized, 9);
+        let det = m.deterministic_json();
+        assert_eq!(det.get("sims_executed").and_then(Json::as_u64), Some(3));
+        assert_eq!(det.get("sims_memoized").and_then(Json::as_u64), Some(9));
         assert!((m.cache_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(m.stall_total_cycles(), 1_720);
         assert_eq!(EngineMetrics::default().cache_hit_rate(), 0.0);
@@ -462,7 +384,7 @@ mod tests {
 
     #[test]
     fn deterministic_json_excludes_runtime() {
-        let m = EngineMetrics::from_stats(&sample_stats()).with_runtime(RuntimeMetrics {
+        let m = with_runtime(RuntimeMetrics {
             jobs: 8,
             static_wall_us: 123,
             timing_wall_us: 456,
@@ -483,7 +405,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let m = EngineMetrics::from_stats(&sample_stats()).with_runtime(RuntimeMetrics {
+        let m = with_runtime(RuntimeMetrics {
             jobs: 2,
             static_wall_us: 10,
             timing_wall_us: 90,
@@ -512,11 +434,7 @@ mod tests {
     fn snapshots_with_a_workers_respawned_count_still_parse() {
         // Earlier builds counted worker respawns; their manifests must
         // still read back, with the count ignored.
-        let m = EngineMetrics::from_stats(&sample_stats()).with_runtime(RuntimeMetrics {
-            jobs: 2,
-            workers_spawned: 2,
-            ..Default::default()
-        });
+        let m = with_runtime(RuntimeMetrics { jobs: 2, workers_spawned: 2, ..Default::default() });
         let text = m
             .to_json()
             .to_string_compact()
@@ -560,17 +478,25 @@ mod tests {
     }
 
     #[test]
-    fn histogram_round_trips_and_tolerates_absence() {
+    fn histogram_round_trips_and_absent_decode_hist_is_rejected() {
         let mut h = Histogram::default();
         for us in [0, 5, 5_000, u64::MAX] {
             h.record(us);
         }
         let text = h.to_json().to_string_compact();
-        let back =
-            Histogram::from_json_opt(Some(&super::super::json::parse(&text).unwrap())).unwrap();
+        let back = Histogram::from_json(&super::super::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, h);
-        assert_eq!(Histogram::from_json_opt(None).unwrap(), Histogram::default());
-        assert!(Histogram::from_json_opt(Some(&Json::Arr(vec![Json::from(1u64)]))).is_err());
+        assert!(Histogram::from_json(&Json::Arr(vec![Json::from(1u64)])).is_err());
+
+        // Every runtime section this build writes carries `decode_hist`.
+        let mut j = EngineMetrics::from_stats(&sample_stats()).to_json();
+        let Json::Obj(pairs) = &mut j else { panic!("an object") };
+        let Some((_, Json::Obj(runtime))) = pairs.iter_mut().find(|(k, _)| k == "runtime") else {
+            panic!("a runtime object")
+        };
+        runtime.retain(|(k, _)| k != "decode_hist");
+        let err = EngineMetrics::from_json(&j).expect_err("no decode_hist");
+        assert!(err.contains("`decode_hist`"), "{err}");
     }
 
     #[test]

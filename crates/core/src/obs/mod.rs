@@ -40,7 +40,7 @@ pub use event::{Event, EventKind, Scope, TRACE_SCHEMA};
 pub use json::Json;
 pub use manifest::{BestSummary, MachineSummary, RunManifest, StoreSummary, MANIFEST_SCHEMA};
 pub use metrics::{EngineMetrics, Histogram, RuntimeMetrics, HIST_BUCKETS};
-pub use sink::{EventSink, LatencyLane, Phase, RuntimeCounters, Trace};
+pub use sink::{EventSink, LatencyLane, Phase, Trace};
 pub use timeline::{
     format_summary, parse_jsonl, summarize, PhaseSpan, Rec, Timeline, TraceSummary, WorkerLane,
 };

@@ -9,7 +9,7 @@
 //!
 //! Runtime aggregates that would be wasteful as individual events —
 //! worker busy time, per-phase wall time, spawn counts — accumulate in
-//! plain atomics and surface through [`RuntimeCounters`].
+//! plain atomics and surface through [`EventSink::runtime_metrics`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use super::event::{Event, EventKind, Scope};
 use super::json::Json;
-use super::metrics::{Histogram, HIST_BUCKETS};
+use super::metrics::{Histogram, RuntimeMetrics, HIST_BUCKETS};
 
 const SHARDS: usize = 16;
 
@@ -67,27 +67,6 @@ pub enum LatencyLane {
 }
 
 const LANES: usize = 4;
-
-/// Snapshot of the sink's atomic runtime counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RuntimeCounters {
-    /// Wall time spent in static evaluation (orchestrator clock), µs.
-    pub static_wall_us: u64,
-    /// Wall time spent in timing simulation (orchestrator clock), µs.
-    pub timing_wall_us: u64,
-    /// Summed per-item worker busy time across both phases, µs.
-    pub worker_busy_us: u64,
-    /// Worker threads spawned.
-    pub workers_spawned: u64,
-    /// Latency histogram of [`LatencyLane::Sim`].
-    pub sim_duration_hist: Histogram,
-    /// Latency histogram of [`LatencyLane::CacheLookup`].
-    pub cache_lookup_hist: Histogram,
-    /// Latency histogram of [`LatencyLane::StoreIo`].
-    pub store_io_hist: Histogram,
-    /// Latency histogram of [`LatencyLane::Decode`].
-    pub decode_hist: Histogram,
-}
 
 /// The shared event sink. Cheap to clone behind an `Arc`; all methods
 /// take `&self`.
@@ -189,9 +168,11 @@ impl EventSink {
         h
     }
 
-    /// Snapshot the runtime counters.
-    pub fn runtime_counters(&self) -> RuntimeCounters {
-        RuntimeCounters {
+    /// Snapshot the runtime counters for a search run on `jobs`
+    /// workers.
+    pub fn runtime_metrics(&self, jobs: usize) -> RuntimeMetrics {
+        RuntimeMetrics {
+            jobs: jobs as u64,
             static_wall_us: self.static_wall_us.load(Ordering::Relaxed),
             timing_wall_us: self.timing_wall_us.load(Ordering::Relaxed),
             worker_busy_us: self.worker_busy_us.load(Ordering::Relaxed),
@@ -325,7 +306,8 @@ mod tests {
         sink.add_busy_us(70);
         sink.note_spawn();
         sink.note_spawn();
-        let c = sink.runtime_counters();
+        let c = sink.runtime_metrics(3);
+        assert_eq!(c.jobs, 3);
         assert_eq!(c.static_wall_us, 100);
         assert_eq!(c.timing_wall_us, 300);
         assert_eq!(c.worker_busy_us, 70);
@@ -340,7 +322,7 @@ mod tests {
         sink.record_latency(LatencyLane::CacheLookup, 3);
         sink.record_latency(LatencyLane::StoreIo, u64::MAX);
         sink.record_latency(LatencyLane::Decode, 12);
-        let c = sink.runtime_counters();
+        let c = sink.runtime_metrics(1);
         assert_eq!(c.sim_duration_hist.count(), 2);
         assert_eq!(c.sim_duration_hist.buckets[0], 1);
         assert_eq!(c.sim_duration_hist.buckets[Histogram::bucket_of(1000)], 1);

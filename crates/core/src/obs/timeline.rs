@@ -18,6 +18,8 @@ use super::json::{self, Json};
 /// One parsed trace record: an owned [`Event`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rec {
+    /// Global emission order.
+    pub seq: u64,
     /// Microseconds since the sink's origin.
     pub ts_us: u64,
     /// Small per-thread tag.
@@ -36,6 +38,7 @@ impl Rec {
     /// Mirror a live event.
     pub fn from_event(e: &Event) -> Self {
         Self {
+            seq: e.seq,
             ts_us: e.ts_us,
             thread: e.thread,
             scope: e.scope.as_str().to_string(),
@@ -47,21 +50,35 @@ impl Rec {
         }
     }
 
-    /// Parse one JSONL record object.
+    /// Parse one JSONL record object: every key [`Event::to_json`]
+    /// writes is required, and `schema` must be [`TRACE_SCHEMA`].
     pub fn from_json(j: &Json) -> Result<Self, String> {
-        let s = |k: &str| {
-            j.get(k)
-                .and_then(Json::as_str)
+        let key = |k: &str| j.get(k).ok_or_else(|| format!("record: missing `{k}`"));
+        let count =
+            |k: &str| key(k)?.as_u64().ok_or_else(|| format!("record: `{k}` is not a count"));
+        let text = |k: &str| {
+            key(k)?
+                .as_str()
                 .map(str::to_string)
-                .ok_or_else(|| format!("record: missing `{k}`"))
+                .ok_or_else(|| format!("record: `{k}` is not a string"))
         };
+        let schema = count("schema")?;
+        if schema != TRACE_SCHEMA {
+            return Err(format!(
+                "unsupported trace schema {schema} (this build reads schema {TRACE_SCHEMA})"
+            ));
+        }
         Ok(Self {
-            ts_us: j.get("ts_us").and_then(Json::as_u64).ok_or("record: missing `ts_us`")?,
-            thread: j.get("thread").and_then(Json::as_u64).ok_or("record: missing `thread`")?,
-            scope: s("scope")?,
-            kind: s("kind")?,
-            name: s("name")?,
-            fields: j.get("fields").cloned().unwrap_or(Json::Obj(Vec::new())),
+            seq: count("seq")?,
+            ts_us: count("ts_us")?,
+            thread: count("thread")?,
+            scope: text("scope")?,
+            kind: text("kind")?,
+            name: text("name")?,
+            fields: match key("fields")? {
+                fields @ Json::Obj(_) => fields.clone(),
+                _ => return Err("record: `fields` is not an object".into()),
+            },
         })
     }
 
@@ -81,31 +98,19 @@ impl Rec {
     }
 }
 
-/// Parse a JSONL trace. Records carrying an unknown `schema` are
-/// rejected; records without one (written before trace schemas existed)
-/// are accepted.
+/// Parse a JSONL trace, one [`Rec::from_json`] record per non-blank
+/// line; the first malformed line fails the whole file.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Rec>, String> {
-    let mut recs = Vec::new();
-    for (n, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let j = json::parse(line).map_err(|e| format!("line {}: {e}", n + 1))?;
-        match j.get("schema") {
-            None => {}
-            Some(s) => {
-                let s = s.as_u64().ok_or_else(|| format!("line {}: bad `schema`", n + 1))?;
-                if s != TRACE_SCHEMA {
-                    return Err(format!(
-                        "line {}: unsupported trace schema {s} (this tool reads schema {TRACE_SCHEMA})",
-                        n + 1
-                    ));
-                }
-            }
-        }
-        recs.push(Rec::from_json(&j).map_err(|e| format!("line {}: {e}", n + 1))?);
-    }
-    Ok(recs)
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(n, line)| {
+            json::parse(line)
+                .map_err(|e| e.to_string())
+                .and_then(|j| Rec::from_json(&j))
+                .map_err(|e| format!("line {}: {e}", n + 1))
+        })
+        .collect()
 }
 
 /// Aggregated wall time of one span name (e.g. `phase.timing`).
@@ -248,7 +253,12 @@ pub struct TraceSummary {
 
 /// Digest a parsed trace into a [`TraceSummary`] keeping the `top_k`
 /// slowest candidates.
-pub fn summarize(recs: &[Rec], top_k: usize) -> TraceSummary {
+///
+/// # Errors
+///
+/// An `engine.metrics` counter whose `convergence` curve is absent or
+/// malformed.
+pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
     let mut s = TraceSummary {
         events: recs.len() as u64,
         timeline: Timeline::from_records(recs),
@@ -288,9 +298,10 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> TraceSummary {
                 s.decode_arena_bytes += r.field_u64("arena_bytes").unwrap_or(0);
             }
             ("counter", "engine.metrics") => {
-                if let Ok(c) = ConvergenceCurve::from_json_opt(r.fields.get("convergence")) {
-                    s.convergence = c;
-                }
+                let curve = r.fields.get("convergence").ok_or("missing `convergence`".to_string());
+                s.convergence = curve
+                    .and_then(ConvergenceCurve::from_json)
+                    .map_err(|e| format!("engine.metrics (seq {}): {e}", r.seq))?;
             }
             _ => {}
         }
@@ -302,7 +313,7 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> TraceSummary {
     timed.truncate(top_k);
     s.slowest = timed;
     s.quarantine_by_kind.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    s
+    Ok(s)
 }
 
 /// Render a [`TraceSummary`] as the `trace report` text.
@@ -435,19 +446,45 @@ mod tests {
     }
 
     #[test]
-    fn unknown_schema_is_rejected_but_legacy_lines_pass() {
+    fn records_missing_a_key_or_of_another_schema_are_rejected() {
         let good = r#"{"schema":1,"seq":0,"ts_us":1,"thread":0,"scope":"search","kind":"point","name":"x","fields":{}}"#;
-        let legacy = r#"{"seq":0,"ts_us":1,"thread":0,"scope":"search","kind":"point","name":"x","fields":{}}"#;
-        let bad = r#"{"schema":99,"seq":0,"ts_us":1,"thread":0,"scope":"search","kind":"point","name":"x","fields":{}}"#;
         assert_eq!(parse_jsonl(good).unwrap().len(), 1);
-        assert_eq!(parse_jsonl(legacy).unwrap().len(), 1);
-        let err = parse_jsonl(bad).unwrap_err();
+        for key in ["schema", "seq", "ts_us", "thread", "scope", "kind", "name", "fields"] {
+            let mut j = json::parse(good).unwrap();
+            let Json::Obj(pairs) = &mut j else { panic!("an object") };
+            pairs.retain(|(k, _)| k != key);
+            let err = parse_jsonl(&j.to_string_compact()).unwrap_err();
+            assert_eq!(err, format!("line 1: record: missing `{key}`"));
+        }
+        let bad = good.replace(r#""schema":1"#, r#""schema":99"#);
+        let err = parse_jsonl(&bad).unwrap_err();
         assert!(err.contains("unsupported trace schema 99"), "{err}");
+        let err = parse_jsonl(&good.replace(r#""fields":{}"#, r#""fields":[]"#)).unwrap_err();
+        assert!(err.contains("`fields` is not an object"), "{err}");
+        // The line number counts blank lines.
+        let err = parse_jsonl(&format!("{good}\n\n{bad}")).unwrap_err();
+        assert!(err.starts_with("line 3: "), "{err}");
+    }
+
+    #[test]
+    fn summaries_reject_a_malformed_convergence_curve() {
+        let sink = EventSink::new();
+        let curve = Json::Arr(vec![Json::obj([("sims", Json::from(1u64))])]);
+        sink.search(EventKind::Counter, "engine.metrics", vec![("convergence", curve)]);
+        let recs = parse_jsonl(&sink.drain().to_jsonl()).unwrap();
+        let err = summarize(&recs, 5).unwrap_err();
+        assert_eq!(err, "engine.metrics (seq 0): convergence: missing `unique_sims`");
+
+        sink.search(EventKind::Counter, "engine.metrics", vec![("timed", Json::from(1u64))]);
+        let recs = parse_jsonl(&sink.drain().to_jsonl()).unwrap();
+        let err = summarize(&recs, 5).unwrap_err();
+        assert_eq!(err, "engine.metrics (seq 1): missing `convergence`");
     }
 
     #[test]
     fn timeline_pairs_spans_and_lanes_workers() {
         let rec = |ts, thread, kind: &str, name: &str, fields: Json| Rec {
+            seq: ts,
             ts_us: ts,
             thread,
             scope: "search".into(),

@@ -141,42 +141,44 @@ fn pct(part: u64, whole: u64) -> String {
 pub fn profile_table(m: &EngineMetrics) -> String {
     let mut rows: Vec<Vec<String>> = vec![vec!["metric".into(), "value".into(), "share".into()]];
     let mut row = |k: &str, v: String, s: String| rows.push(vec![k.into(), v, s]);
-    row("static evals", m.static_evals.to_string(), String::new());
-    row("timed candidates", m.timed.to_string(), String::new());
-    row("sims executed", m.sims_executed.to_string(), pct(m.sims_executed, m.timed));
-    row("sims memoized", m.sims_memoized.to_string(), pct(m.sims_memoized, m.timed));
+    let s = &m.stats;
+    let timed = s.timed as u64;
+    row("static evals", s.static_evals.to_string(), String::new());
+    row("timed candidates", s.timed.to_string(), String::new());
+    row("sims executed", s.unique_sims.to_string(), pct(s.unique_sims as u64, timed));
+    row("sims memoized", s.cache_hits.to_string(), pct(s.cache_hits as u64, timed));
     row("cache hit rate", format!("{:.1}%", 100.0 * m.cache_hit_rate()), String::new());
-    row("family forks", m.family_forks.to_string(), String::new());
-    row("family members", m.family_members.to_string(), String::new());
-    row("retries", m.retries.to_string(), String::new());
-    row("quarantined", m.quarantined.to_string(), String::new());
-    if m.bound_pruned_subspaces > 0 || m.bound_pruned_points > 0 {
-        row("bound-pruned subspaces", m.bound_pruned_subspaces.to_string(), String::new());
+    row("family forks", s.family_forks.to_string(), String::new());
+    row("family members", s.family_members.to_string(), String::new());
+    row("retries", s.retries.to_string(), String::new());
+    row("quarantined", s.quarantined.to_string(), String::new());
+    if s.bound_pruned_subspaces > 0 || s.bound_pruned_points > 0 {
+        row("bound-pruned subspaces", s.bound_pruned_subspaces.to_string(), String::new());
         row(
             "bound-pruned points",
-            m.bound_pruned_points.to_string(),
-            pct(m.bound_pruned_points, m.bound_pruned_points + m.static_evals),
+            s.bound_pruned_points.to_string(),
+            pct(s.bound_pruned_points as u64, (s.bound_pruned_points + s.static_evals) as u64),
         );
     }
-    if m.store_hits > 0 || m.store_records_dropped > 0 {
-        row("store hits", m.store_hits.to_string(), pct(m.store_hits, m.timed));
-        row("store dropped records", m.store_records_dropped.to_string(), String::new());
+    if s.store_hits > 0 || s.store_records_dropped > 0 {
+        row("store hits", s.store_hits.to_string(), pct(s.store_hits as u64, timed));
+        row("store dropped records", s.store_records_dropped.to_string(), String::new());
     }
-    row("fuel consumed", m.fuel_consumed.to_string(), String::new());
-    row("sim cycles", m.sim_cycles.to_string(), String::new());
+    row("fuel consumed", s.fuel_consumed.to_string(), String::new());
+    row("sim cycles", s.sim_cycles.to_string(), String::new());
     let stalls = m.stall_total_cycles();
-    row("stall cycles", stalls.to_string(), pct(stalls, m.sim_cycles));
-    row("  memory", m.stall_mem_cycles.to_string(), pct(m.stall_mem_cycles, stalls.max(1)));
-    row("  sfu", m.stall_sfu_cycles.to_string(), pct(m.stall_sfu_cycles, stalls.max(1)));
-    row("  arithmetic", m.stall_arith_cycles.to_string(), pct(m.stall_arith_cycles, stalls.max(1)));
-    row("  other", m.stall_other_cycles.to_string(), pct(m.stall_other_cycles, stalls.max(1)));
+    row("stall cycles", stalls.to_string(), pct(stalls, s.sim_cycles));
+    row("  memory", s.stall_mem_cycles.to_string(), pct(s.stall_mem_cycles, stalls.max(1)));
+    row("  sfu", s.stall_sfu_cycles.to_string(), pct(s.stall_sfu_cycles, stalls.max(1)));
+    row("  arithmetic", s.stall_arith_cycles.to_string(), pct(s.stall_arith_cycles, stalls.max(1)));
+    row("  other", s.stall_other_cycles.to_string(), pct(s.stall_other_cycles, stalls.max(1)));
     if !m.convergence.is_empty() {
         row("convergence samples", m.convergence.samples.len().to_string(), String::new());
-        if let Some(s) = m.convergence.sims_to_optimum() {
-            row("sims to optimum", s.to_string(), pct(s, m.timed));
+        if let Some(n) = m.convergence.sims_to_optimum() {
+            row("sims to optimum", n.to_string(), pct(n, timed));
         }
         if let Some(u) = m.convergence.unique_to_optimum() {
-            row("unique sims to optimum", u.to_string(), pct(u, m.sims_executed));
+            row("unique sims to optimum", u.to_string(), pct(u, s.unique_sims as u64));
         }
     }
     let rt = &m.runtime;
@@ -232,6 +234,7 @@ pub fn fmt_us(us: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineStats;
 
     #[test]
     fn table_alignment() {
@@ -274,15 +277,15 @@ mod tests {
     fn profile_values_stay_aligned_when_a_count_outgrows_its_column() {
         // A fine-grid-scale count must not shift the value column: the
         // value cells of share-less rows end at the same offset.
-        let m = EngineMetrics {
+        let m = EngineMetrics::from_stats(&EngineStats {
             static_evals: 10,
             timed: 8,
-            sims_executed: 2,
-            sims_memoized: 6,
+            unique_sims: 2,
+            cache_hits: 6,
             fuel_consumed: 123_456_789_012_345,
             sim_cycles: 7,
             ..Default::default()
-        };
+        });
         let t = profile_table(&m);
         let end =
             |key: &str| t.lines().find(|l| l.starts_with(key)).map(|l| l.trim_end().len()).unwrap();
@@ -329,28 +332,28 @@ mod tests {
 
     #[test]
     fn profile_table_renders_and_hides_empty_runtime() {
-        let mut m = EngineMetrics {
+        let mut m = EngineMetrics::from_stats(&EngineStats {
             static_evals: 10,
             timed: 8,
-            sims_executed: 2,
-            sims_memoized: 6,
+            unique_sims: 2,
+            cache_hits: 6,
             sim_cycles: 1_000,
             stall_mem_cycles: 100,
             stall_arith_cycles: 50,
             ..Default::default()
-        };
+        });
         let t = profile_table(&m);
         assert!(t.contains("cache hit rate"));
         assert!(t.contains("75.0%"));
         assert!(!t.contains("worker utilization"), "no runtime data yet:\n{t}");
         assert!(!t.contains("bound-pruned"), "no bound pruning happened:\n{t}");
-        m.bound_pruned_subspaces = 3;
-        m.bound_pruned_points = 90;
+        m.stats.bound_pruned_subspaces = 3;
+        m.stats.bound_pruned_points = 90;
         let t = profile_table(&m);
         assert!(t.contains("bound-pruned subspaces"));
         assert!(t.contains("90.0%"), "90 pruned of 100 considered:\n{t}");
-        m.bound_pruned_subspaces = 0;
-        m.bound_pruned_points = 0;
+        m.stats.bound_pruned_subspaces = 0;
+        m.stats.bound_pruned_points = 0;
         m.runtime.jobs = 4;
         m.runtime.static_wall_us = 500;
         m.runtime.timing_wall_us = 1_500;

@@ -889,9 +889,9 @@ impl SelectionRecord {
                 Some((a.to_string(), v.to_string()))
             })
             .collect::<Option<Vec<_>>>()?;
-        let sample = match json.get("sample") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some((s.get("count")?.as_u64()?, s.get("seed")?.as_u64()?)),
+        let sample = match json.get("sample")? {
+            Json::Null => None,
+            s => Some((s.get("count")?.as_u64()?, s.get("seed")?.as_u64()?)),
         };
         Some(SelectionRecord { filters, sample, matched: json.get("matched")?.as_u64()? })
     }
@@ -1190,6 +1190,12 @@ mod tests {
 
         let plain = SelectionRecord { filters: Vec::new(), sample: None, matched: 96 };
         assert_eq!(SelectionRecord::from_json(&plain.to_json()).unwrap(), plain);
+        // The writer always emits `sample`, `null` when there is none.
+        let mut j = plain.to_json();
+        if let Json::Obj(pairs) = &mut j {
+            pairs.retain(|(k, _)| k != "sample");
+        }
+        assert_eq!(SelectionRecord::from_json(&j), None);
     }
 
     #[test]

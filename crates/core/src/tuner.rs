@@ -45,10 +45,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::candidate::{Candidate, Evaluated};
-use crate::engine::{EngineStats, EvalEngine, MetricsEval, Quarantine, SimulatorEval};
+use crate::engine::{EngineStats, EvalBudget, EvalEngine, MetricsEval, Quarantine, SimulatorEval};
 use crate::metrics::MetricsOptions;
 use crate::model::{LowerBound, ProbeBound};
-use crate::obs::{EngineMetrics, EventKind, Json, RuntimeMetrics};
+use crate::obs::{EngineMetrics, EventKind, Json};
 use crate::pareto::pareto_indices;
 use crate::space::{CandidateSource, Instantiator, PartialPoint, Point, SelectionRecord, Space};
 
@@ -75,11 +75,15 @@ pub struct SearchReport {
     /// The search result covers the rest of the space; each entry
     /// records what failed and after how many attempts.
     pub quarantined: Vec<Quarantine>,
-    /// What the evaluation engine did: parallelism, unique simulations,
-    /// memo-cache hits, budget status, retries, quarantines.
+    /// Worker threads the engine ran on.
+    pub jobs: usize,
+    /// Budget the engine ran under.
+    pub budget: EvalBudget,
+    /// What the evaluation engine did: unique simulations, memo-cache
+    /// hits, budget status, retries, quarantines.
     pub stats: EngineStats,
-    /// Aggregated metrics snapshot derived from `stats`, with wall-clock
-    /// runtime measurements attached when the engine carried an event
+    /// Aggregated metrics snapshot: `stats`, the convergence curve, and
+    /// wall-clock runtime measurements when the engine carried an event
     /// sink.
     pub metrics: EngineMetrics,
     /// The declarative selection (`--filter`/`--sample`) this search ran
@@ -245,19 +249,18 @@ fn finish_report(
         simulated,
         best: None,
         quarantined,
+        jobs: engine.config.jobs,
+        budget: engine.config.budget,
         stats,
         metrics: EngineMetrics::default(),
         selection: None,
     };
     report.pick_best();
-    engine.convergence().finish(report.stats.bound_pruned_points as u64);
+    engine.convergence().finish(stats.bound_pruned_points as u64);
     report.metrics =
-        EngineMetrics::from_stats(&report.stats).with_convergence(engine.convergence().curve());
+        EngineMetrics::from_stats(&stats).with_convergence(engine.convergence().curve());
     if let Some(sink) = engine.sink() {
-        report.metrics = report.metrics.clone().with_runtime(RuntimeMetrics::from_counters(
-            sink.runtime_counters(),
-            report.stats.jobs,
-        ));
+        report.metrics.runtime = sink.runtime_metrics(engine.config.jobs);
     }
     engine.emit(EventKind::Counter, "engine.metrics", report.metrics.deterministic_fields());
     engine.emit(
@@ -1115,7 +1118,7 @@ pub(crate) mod tests {
             let par = strategy.run_with(&engine, &space, &spec);
             assert_eq!(seq.best, par.best, "{}", seq.strategy);
             assert_eq!(seq.simulated, par.simulated, "{}", seq.strategy);
-            assert_eq!(par.stats.jobs, 4);
+            assert_eq!(par.jobs, 4);
             assert_eq!(seq.stats.unique_sims, par.stats.unique_sims);
         }
     }

@@ -24,6 +24,11 @@ echo "==> perfbench (build the benchmark and run its tests)"
 # API change that breaks it must fail the gate too.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "==> fine-grid ground truth (release, ignored by default)"
+# Exhaustive and Pareto-pruned search of the fine-pareto slice, pinned
+# to their bests: the gap between them is the paper's claim failing.
+cargo test --release -q --test fine_ground_truth -- --ignored
+
 echo "==> trace smoke (tune sad --trace-out/--metrics-out + validate)"
 # A full-space SAD search must export a JSONL trace whose every line
 # parses and a manifest that survives a serialize -> parse round trip;
@@ -34,6 +39,21 @@ cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
     --trace-out "$tracedir/trace.jsonl" --metrics-out "$tracedir/manifest.json" \
     > /dev/null
 cargo run --release -q -- validate "$tracedir/trace.jsonl" "$tracedir/manifest.json"
+
+echo "==> negative trace smoke (validate rejects a record without \`schema\`)"
+# The one trace reader is strict: a copy of the trace with the schema
+# stripped from one record must fail validation, naming the key.
+sed '2s/"schema":[0-9]*,//' "$tracedir/trace.jsonl" > "$tracedir/no_schema.jsonl"
+if cargo run --release -q -- validate "$tracedir/no_schema.jsonl" "$tracedir/manifest.json" \
+    > /dev/null 2> "$tracedir/no_schema.err"; then
+    echo "negative trace smoke: validate accepted a record without \`schema\`" >&2
+    exit 1
+fi
+grep -q 'line 2: record: missing `schema`' "$tracedir/no_schema.err" || {
+    echo "negative trace smoke: unexpected error:" >&2
+    cat "$tracedir/no_schema.err" >&2
+    exit 1
+}
 
 echo "==> trace report smoke (trace report on the exported JSONL)"
 # The offline analyzer must reconstruct the run's time-resolved story

@@ -38,6 +38,8 @@
 //! gpu-autotune store verify <dir>           audit a result store's segments
 //! gpu-autotune parse <file.gik>             analyse a textual kernel
 //! gpu-autotune validate <t.jsonl> <m.json>  check trace/manifest files parse
+//! gpu-autotune trace <app> <index> [N]      trace one thread of one config
+//!     --grid default|fine                   which declared grid the index is in
 //! gpu-autotune trace report <t.jsonl>       analyse a recorded trace:
 //!                                           convergence, phases, utilization
 //! ```
@@ -47,7 +49,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use gpu_autotune::arch::MachineSpec;
-use gpu_autotune::kernels::{by_name, AppInstantiator, SpaceSource, NAMES};
+use gpu_autotune::ir::{Kernel, Launch};
+use gpu_autotune::kernels::matmul::{MatMul, MatMulFine};
+use gpu_autotune::kernels::{by_name, cp::Cp, mri_fhd::MriFhd, sad::Sad};
+use gpu_autotune::kernels::{AppInstantiator, SpaceSource, NAMES};
 use gpu_autotune::optspace::candidate::Candidate;
 use gpu_autotune::optspace::cli::{writable_parent, Args, EngineFlags};
 use gpu_autotune::optspace::engine::{
@@ -55,16 +60,17 @@ use gpu_autotune::optspace::engine::{
 };
 use gpu_autotune::optspace::obs::StoreSummary;
 use gpu_autotune::optspace::obs::{
-    chrome_trace, format_summary, json, parse_jsonl, summarize, EventSink, RunManifest,
-    TRACE_SCHEMA,
+    chrome_trace, format_summary, parse_jsonl, summarize, EventSink, Rec, RunManifest,
 };
 use gpu_autotune::optspace::report::{fmt_ms, profile_table, table};
+use gpu_autotune::optspace::space::Point;
 use gpu_autotune::optspace::tuner::{
     run_iterative, BranchAndBound, ExhaustiveSearch, PrunedSearch, RandomSearch, SearchReport,
     SearchStrategy,
 };
 use gpu_autotune::optspace::zoo;
 use gpu_autotune::optspace::Selection;
+use gpu_autotune::sim::interp::DeviceMemory;
 
 const USAGE: &str = "\
 usage: gpu-autotune <command> [args]
@@ -87,9 +93,11 @@ commands:
   store verify <dir>          audit a persistent result store: segments,
                               records, and corrupt records dropped
   parse <file>                parse a textual kernel and print its analyses
-  validate <trace> <manifest> check a --trace-out JSONL file parses and a
-                              --metrics-out manifest round-trips
-  trace <app> <index> [N]     trace the first N instructions (default 20) of
+  validate <trace> <manifest> check every record of a --trace-out JSONL file
+                              and a --metrics-out manifest against this
+                              build's schemas, and that the manifest round-trips
+  trace <app> <index> [N] [--grid default|fine]
+                              trace the first N instructions (default 20) of
                               one thread of a configuration, on real data
   trace report <file.jsonl>   analyse a recorded --trace-out trace: convergence
                               table, phase breakdown, worker utilization,
@@ -227,8 +235,8 @@ fn print_search(labels: &[String], r: &SearchReport) {
     );
     println!(
         "engine: {} worker{}, {} unique simulations, {} cache hits{}{}",
-        r.stats.jobs,
-        if r.stats.jobs == 1 { "" } else { "s" },
+        r.jobs,
+        if r.jobs == 1 { "" } else { "s" },
         r.stats.unique_sims,
         r.stats.cache_hits,
         if r.stats.store_hits > 0 {
@@ -613,54 +621,29 @@ fn cmd_store(args: &[String]) -> ExitCode {
     }
 }
 
-/// Check that a `--trace-out` JSONL file parses line by line and that a
-/// `--metrics-out` manifest parses and survives a serialize → parse
-/// round trip. This is the in-process JSON validator the check script
-/// uses (the container has no jq).
+/// Read and parse a `--trace-out` JSONL file with the one strict trace
+/// reader, [`parse_jsonl`].
+fn read_trace(path: &str) -> Result<Vec<Rec>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Check that every record of a `--trace-out` JSONL file is one this
+/// build writes, and that a `--metrics-out` manifest parses and
+/// survives a serialize → parse round trip. This is the in-process JSON
+/// validator the check script uses (the container has no jq).
 fn cmd_validate(args: &[String]) -> ExitCode {
     let (Some(trace_path), Some(manifest_path)) = (args.first(), args.get(1)) else {
         eprintln!("validate needs: <trace.jsonl> <manifest.json>");
         return ExitCode::FAILURE;
     };
-    let trace_text = match std::fs::read_to_string(trace_path) {
-        Ok(t) => t,
+    let events = match read_trace(trace_path) {
+        Ok(recs) => recs.len(),
         Err(e) => {
-            eprintln!("cannot read {trace_path}: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut events = 0usize;
-    for (n, line) in trace_text.lines().enumerate() {
-        let j = match json::parse(line) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("{trace_path}:{}: {e}", n + 1);
-                return ExitCode::FAILURE;
-            }
-        };
-        for key in ["schema", "seq", "ts_us", "thread", "scope", "kind", "name", "fields"] {
-            if j.get(key).is_none() {
-                eprintln!("{trace_path}:{}: event missing `{key}`", n + 1);
-                return ExitCode::FAILURE;
-            }
-        }
-        match j.get("schema").and_then(json::Json::as_u64) {
-            Some(TRACE_SCHEMA) => {}
-            Some(s) => {
-                eprintln!(
-                    "{trace_path}:{}: unsupported trace schema {s} (this build writes \
-                     schema {TRACE_SCHEMA})",
-                    n + 1
-                );
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!("{trace_path}:{}: `schema` is not a number", n + 1);
-                return ExitCode::FAILURE;
-            }
-        }
-        events += 1;
-    }
     let manifest_text = match std::fs::read_to_string(manifest_path) {
         Ok(t) => t,
         Err(e) => {
@@ -733,17 +716,10 @@ fn cmd_trace_report(args: &[String]) -> ExitCode {
         eprintln!("trace report needs: <trace.jsonl>");
         return ExitCode::FAILURE;
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let recs = match parse_jsonl(&text) {
+    let recs = match read_trace(path) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("{path}: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -751,8 +727,71 @@ fn cmd_trace_report(args: &[String]) -> ExitCode {
         eprintln!("{path}: no trace events");
         return ExitCode::FAILURE;
     }
-    print!("{}", format_summary(&summarize(&recs, 5)));
-    ExitCode::SUCCESS
+    match summarize(&recs, 5) {
+        Ok(summary) => {
+            print!("{}", format_summary(&summary));
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// One point of `app`'s `grid`, generated for the app's functional-test
+/// problem so the trace is fast and real data flows through the kernel:
+/// the kernel, its launch, initialized memory and parameters.
+fn trace_input(
+    app: &str,
+    grid: &str,
+    point: &Point,
+) -> Result<(Kernel, Launch, DeviceMemory, Vec<i32>), String> {
+    Ok(match (app, grid) {
+        ("matmul", "fine") => {
+            let a = MatMulFine { base: MatMul::test_problem() };
+            let cfg = MatMulFine::config_of(point);
+            let n = a.base.n;
+            if !n.is_multiple_of(cfg.tile * cfg.rect) {
+                return Err(format!(
+                    "{cfg}: {t}x{t}/1x{r} blocks do not tile the {n}x{n} trace problem",
+                    t = cfg.tile,
+                    r = cfg.rect,
+                ));
+            }
+            let (mem, params) = a.base.setup(1);
+            (a.generate(&cfg), a.launch(&cfg), mem, params)
+        }
+        ("matmul", _) => {
+            let (a, cfg) = (MatMul::test_problem(), MatMul::config_of(point));
+            let (mem, params) = a.setup(1);
+            (a.generate(&cfg), a.launch(&cfg), mem, params)
+        }
+        ("cp", _) => {
+            let (a, cfg) = (Cp::test_problem(), Cp::config_of(point));
+            let (mem, params) = a.setup(1);
+            (a.generate(&cfg), a.launch(&cfg), mem, params)
+        }
+        ("sad", _) => {
+            let (a, cfg) = (Sad::test_problem(), Sad::config_of(point));
+            let trips = a.pos_trips(cfg.tpb);
+            if !trips.is_multiple_of(cfg.pos_unroll) {
+                return Err(format!(
+                    "{cfg}: position unroll {} does not divide the trace problem's {trips} \
+                     position trips",
+                    cfg.pos_unroll
+                ));
+            }
+            let (mem, params) = a.setup(1);
+            (a.generate(&cfg), a.launch(&cfg), mem, params)
+        }
+        _ => {
+            let (a, cfg) = (MriFhd::test_problem(), MriFhd::config_of(point));
+            let (mem, mut params) = a.setup(1);
+            params.push(0); // first invocation's constant offset
+            (a.generate(&cfg), a.launch(&cfg), mem, params)
+        }
+    })
 }
 
 fn cmd_trace(args: &[String]) -> ExitCode {
@@ -760,38 +799,27 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         return cmd_trace_report(&args[1..]);
     }
     let (Some(app_name), Some(index)) = (args.first(), args.get(1)) else {
-        eprintln!("trace needs: <app> <index> [N]");
+        eprintln!("trace needs: <app> <index> [N] [--grid default|fine]");
         return ExitCode::FAILURE;
     };
-    // The optional count is the third positional; trace reads no flags.
+    // The optional count is the third positional.
     let count = args.get(2).filter(|a| !a.starts_with("--"));
-    let rest = Args::new(args[2 + usize::from(count.is_some())..].to_vec());
-    let limit = rest.finish().and_then(|()| match count {
-        None => Ok(20),
-        Some(n) => n.parse::<usize>().map_err(|_| format!("bad instruction count `{n}`")),
-    });
-    let limit = match limit {
-        Ok(n) => n,
+    let mut rest = Args::new(args[2 + usize::from(count.is_some())..].to_vec());
+    let read = rest
+        .text("--grid", "a value (default|fine)")
+        .and_then(|grid| rest.finish().map(|()| grid.unwrap_or_else(|| "default".into())))
+        .and_then(|grid| Ok((by_name(app_name, &grid)?, grid)))
+        .and_then(|read| match count {
+            None => Ok((read, 20)),
+            Some(n) => n
+                .parse::<usize>()
+                .map(|n| (read, n))
+                .map_err(|_| format!("bad instruction count `{n}`")),
+        });
+    let ((app, grid), limit) = match read {
+        Ok(read) => read,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Trace on the functional-test problem sizes so the run is fast and
-    // real data flows through the kernel.
-    enum Traced {
-        M(gpu_autotune::kernels::matmul::MatMul),
-        C(gpu_autotune::kernels::cp::Cp),
-        S(gpu_autotune::kernels::sad::Sad),
-        R(gpu_autotune::kernels::mri_fhd::MriFhd),
-    }
-    let app = match app_name.as_str() {
-        "matmul" => Traced::M(gpu_autotune::kernels::matmul::MatMul::test_problem()),
-        "cp" => Traced::C(gpu_autotune::kernels::cp::Cp::test_problem()),
-        "sad" => Traced::S(gpu_autotune::kernels::sad::Sad::test_problem()),
-        "mri" => Traced::R(gpu_autotune::kernels::mri_fhd::MriFhd::test_problem()),
-        other => {
-            eprintln!("unknown app `{other}` (matmul|cp|sad|mri)");
             return ExitCode::FAILURE;
         }
     };
@@ -799,48 +827,23 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         eprintln!("bad index `{index}`");
         return ExitCode::FAILURE;
     };
-    let (kernel, launch, mut mem, params) = match &app {
-        Traced::M(a) => {
-            let space = a.configs();
-            let Some(cfg) = space.get(i) else {
-                eprintln!("index {i} out of range ({} configs)", space.len());
-                return ExitCode::FAILURE;
-            };
-            let (mem, params) = a.setup(1);
-            (a.generate(cfg), a.launch(cfg), mem, params)
-        }
-        Traced::C(a) => {
-            let space = a.configs();
-            let Some(cfg) = space.get(i) else {
-                eprintln!("index {i} out of range ({} configs)", space.len());
-                return ExitCode::FAILURE;
-            };
-            let (mem, params) = a.setup(1);
-            (a.generate(cfg), a.launch(cfg), mem, params)
-        }
-        Traced::S(a) => {
-            let space = a.configs();
-            let Some(cfg) = space.get(i) else {
-                eprintln!("index {i} out of range ({} configs)", space.len());
-                return ExitCode::FAILURE;
-            };
-            let (mem, params) = a.setup(1);
-            (a.generate(cfg), a.launch(cfg), mem, params)
-        }
-        Traced::R(a) => {
-            let space = a.configs();
-            let Some(cfg) = space.get(i) else {
-                eprintln!("index {i} out of range ({} configs)", space.len());
-                return ExitCode::FAILURE;
-            };
-            let (mem, mut params) = a.setup(1);
-            params.push(0); // first invocation's constant offset
-            (a.generate(cfg), a.launch(cfg), mem, params)
+    // The index is into the space `tune` and `inspect` use.
+    let space = app.space();
+    let Some(point) = space.points().nth(i) else {
+        eprintln!("index {i} out of range (space has {} configurations)", space.len());
+        return ExitCode::FAILURE;
+    };
+    let (kernel, launch, mut mem, params) = match trace_input(app_name, &grid, &point) {
+        Ok(input) => input,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
     let prog = gpu_autotune::ir::linear::linearize(&kernel);
     match gpu_autotune::sim::trace::trace_kernel(&prog, &launch, &params, &mut mem, limit) {
         Ok(t) => {
+            println!("configuration: {point}");
             println!("{}", t.head(limit));
             if t.truncated {
                 println!("... ({} instructions total)", t.summary.retired);

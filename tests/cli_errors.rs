@@ -9,6 +9,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use gpu_autotune::optspace::obs::json::{parse, Json};
+
 /// Run the front end with `args`; assert a non-zero exit and that
 /// stderr contains `expect`.
 fn assert_fails(args: &[&str], expect: &str) {
@@ -293,4 +295,118 @@ fn inspect_and_trace_reject_unknown_flags() {
     assert_fails(&["trace", "matmul", "3", "--bogus"], "unknown flag `--bogus`");
     assert_fails(&["trace", "matmul", "3", "x"], "bad instruction count `x`");
     assert_fails(&["inspect", "cp", "1", "--grid", "fine"], "app `cp` declares no fine grid");
+}
+
+#[test]
+fn trace_reaches_the_fine_grid() {
+    // `tune matmul --grid fine` reports #69694 as its best.
+    let out = Command::new(env!("CARGO_BIN_EXE_gpu-autotune"))
+        .args(["trace", "matmul", "69694", "--grid", "fine"])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.starts_with("configuration: 16x16/1x4/uC/o16/pf\n"), "{stdout}");
+    // The trace runs the 64x64 functional-test problem, which 32x32
+    // blocks of 1x16 outputs per thread cannot tile.
+    assert_fails(
+        &["trace", "matmul", "102399", "--grid", "fine"],
+        "32x32/1x16 blocks do not tile the 64x64 trace problem",
+    );
+}
+
+/// The trace and manifest of `tune cp --strategy exhaustive --jobs 2`
+/// (with a result store when `store` is set), written into a fresh
+/// directory named for `tag`.
+fn artifacts(tag: &str, store: bool) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-artifacts-{tag}"));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create");
+    let path = |name: &str| dir.join(name).to_str().expect("a UTF-8 path").to_string();
+    let mut args: Vec<String> =
+        ["tune", "cp", "--strategy", "exhaustive", "--jobs", "2"].map(String::from).to_vec();
+    args.extend(["--trace-out".into(), path("trace.jsonl")]);
+    args.extend(["--metrics-out".into(), path("manifest.json")]);
+    if store {
+        args.extend(["--store-dir".into(), path("store")]);
+    }
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_gpu-autotune")).args(&args).output().expect("binary runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    dir
+}
+
+/// `json` with the object key at the dotted `path` removed.
+fn without(json: &Json, path: &str) -> Json {
+    let mut json = json.clone();
+    let mut node = &mut json;
+    let mut keys: Vec<&str> = path.split('.').collect();
+    let last = keys.pop().expect("a key");
+    for key in keys {
+        let Json::Obj(pairs) = node else { panic!("`{path}`: not an object") };
+        node = &mut pairs.iter_mut().find(|(k, _)| k == key).expect("the section exists").1;
+    }
+    let Json::Obj(pairs) = node else { panic!("`{path}`: not an object") };
+    let before = pairs.len();
+    pairs.retain(|(k, _)| k != last);
+    assert_eq!(pairs.len(), before - 1, "no `{path}` to remove");
+    json
+}
+
+/// Write `text` next to the artifacts in `dir`; return its path.
+fn write_broken(dir: &Path, name: &str, text: &str) -> String {
+    let path = dir.join(name);
+    fs::write(&path, text).expect("writable");
+    path.to_str().expect("a UTF-8 path").to_string()
+}
+
+#[test]
+fn validate_names_the_key_a_trace_record_lacks() {
+    let dir = artifacts("trace-keys", false);
+    let manifest = dir.join("manifest.json");
+    let manifest = manifest.to_str().expect("a UTF-8 path");
+    let text = fs::read_to_string(dir.join("trace.jsonl")).expect("trace written");
+    for key in ["schema", "seq"] {
+        let lines: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(n, line)| match n {
+                2 => without(&parse(line).expect("a record"), key).to_string_compact(),
+                _ => line.to_string(),
+            })
+            .collect();
+        let broken = write_broken(&dir, &format!("no-{key}.jsonl"), &(lines.join("\n") + "\n"));
+        assert_fails(&["validate", &broken, manifest], &format!("line 3: record: missing `{key}`"));
+    }
+}
+
+#[test]
+fn validate_names_the_key_a_manifest_lacks() {
+    let dir = artifacts("manifest-keys", true);
+    let trace = dir.join("trace.jsonl");
+    let trace = trace.to_str().expect("a UTF-8 path");
+    let manifest = parse(&fs::read_to_string(dir.join("manifest.json")).expect("manifest written"))
+        .expect("the manifest parses");
+    for (key, message) in [
+        ("grid", "missing `grid`"),
+        ("store", "missing `store`"),
+        ("selection", "missing `selection`"),
+        ("metrics.runtime.decode_hist", "runtime: missing `decode_hist`"),
+        ("store.records_ignored", "store: missing `records_ignored`"),
+    ] {
+        let text = without(&manifest, key).to_string_pretty();
+        let broken = write_broken(&dir, &format!("no-{key}.json"), &text);
+        assert_fails(&["validate", trace, &broken], message);
+    }
+}
+
+#[test]
+fn trace_report_rejects_a_malformed_convergence_curve() {
+    let dir = artifacts("convergence", false);
+    let text = fs::read_to_string(dir.join("trace.jsonl")).expect("trace written");
+    let curve = r#""convergence":[{"sims":"#;
+    assert_eq!(text.matches(curve).count(), 1, "one engine.metrics curve");
+    let broken =
+        write_broken(&dir, "bad-curve.jsonl", &text.replace(curve, r#""convergence":[{"simz":"#));
+    assert_fails(&["trace", "report", &broken], "convergence: missing `sims`");
 }

@@ -78,7 +78,7 @@ fn worker_count_does_not_change_search_reports() {
             assert_eq!(par.statics.len(), sequential.statics.len());
             assert_eq!(par.stats.unique_sims, sequential.stats.unique_sims);
             assert_eq!(par.stats.cache_hits, sequential.stats.cache_hits);
-            assert_eq!(par.stats.jobs, jobs);
+            assert_eq!(par.jobs, jobs);
         }
     }
 }
@@ -91,7 +91,7 @@ fn budgets_truncate_identically_at_every_worker_count() {
     // Unlimited reference: nothing truncated, budget recorded.
     let full = ExhaustiveSearch.run(&cands, &spec);
     assert!(!full.stats.budget_truncated);
-    assert!(full.stats.budget.is_unlimited());
+    assert!(full.budget.is_unlimited());
 
     // max_sims: a hard cap on unique simulations.
     let cap = full.stats.unique_sims / 2;
@@ -110,7 +110,7 @@ fn budgets_truncate_identically_at_every_worker_count() {
     for r in &capped {
         assert!(r.stats.budget_truncated);
         assert_eq!(r.stats.unique_sims, cap);
-        assert_eq!(r.stats.budget.max_sims, Some(cap));
+        assert_eq!(r.budget.max_sims, Some(cap));
         assert!(r.evaluated_count() < full.evaluated_count());
         assert_eq!(r.simulated, capped[0].simulated, "jobs must not change truncation");
     }

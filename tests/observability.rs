@@ -100,9 +100,7 @@ fn manifest_reconciles_with_the_report_and_round_trips() {
     assert_eq!(manifest.valid, report.valid_count() as u64);
     assert_eq!(manifest.simulated, report.evaluated_count() as u64);
     assert_eq!(manifest.quarantined, report.quarantined.len() as u64);
-    assert_eq!(manifest.metrics.sims_executed, report.stats.unique_sims as u64);
-    assert_eq!(manifest.metrics.sims_memoized, report.stats.cache_hits as u64);
-    assert_eq!(manifest.metrics.timed, report.stats.timed as u64);
+    assert_eq!(manifest.metrics.stats, report.stats);
     assert!((manifest.evaluation_time_ms - report.evaluation_time_ms()).abs() < 1e-12);
     assert!((manifest.space_reduction - report.space_reduction()).abs() < 1e-12);
     let best = manifest.best.as_ref().expect("SAD times at least one configuration");
@@ -266,7 +264,7 @@ fn trace_report_renders_a_known_trace_exactly() {
 {"schema":1,"seq":9,"ts_us":500,"thread":0,"scope":"search","kind":"end","name":"search","fields":{"best":1,"best_time_ms":2.0,"timed":2}}
 "#;
     let recs = parse_jsonl(jsonl).expect("hand-built trace parses");
-    let got = format_summary(&summarize(&recs, 5));
+    let got = format_summary(&summarize(&recs, 5).expect("the convergence curve parses"));
     let want = "\
 search: exhaustive, space 4, 2 timed, best 2.00 ms
 trace: 10 events spanning 500.0 us
