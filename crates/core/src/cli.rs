@@ -164,6 +164,16 @@ impl Args {
         })
     }
 
+    /// Claim the first argument no lookup has claimed, unless it is a
+    /// flag. Read positionals after every flag, so that flag values are
+    /// already claimed.
+    pub fn positional(&mut self) -> Option<String> {
+        let unclaimed = self.claimed.iter().position(|&claimed| !claimed);
+        let i = unclaimed.filter(|&i| !self.args[i].starts_with("--"))?;
+        self.claimed[i] = true;
+        Some(self.args[i].clone())
+    }
+
     /// Finish reading: ``unknown flag `<arg>` `` for the first argument
     /// no lookup claimed.
     pub fn finish(self) -> Result<(), String> {

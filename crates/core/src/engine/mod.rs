@@ -135,9 +135,7 @@ impl StaticEval for MetricsEval {
 /// worth of work — the engine applies invocation scaling afterwards).
 /// The engine decodes each unique program once, in the sequential dedup
 /// phase, so evaluators receive the arena-backed form directly; the
-/// original linear program stays reachable as
-/// [`DecodedProgram::source`](gpu_sim::decode::DecodedProgram) for
-/// evaluators that need it (content keys).
+/// linear program is dropped once it is decoded and keyed.
 pub trait TimingEval: Sync {
     /// Simulate one program.
     fn simulate(
@@ -687,9 +685,9 @@ impl EvalEngine {
                 let decode_started = Instant::now();
                 let mut shared = self.decoded.lock().expect("decode cache poisoned");
                 let (decoded, fresh) = match shared.get(&class.hash) {
-                    Some(arena) => (DecodedProgram::with_arena(prog, Arc::clone(arena)), false),
+                    Some(arena) => (DecodedProgram::with_arena(&prog, Arc::clone(arena)), false),
                     None => {
-                        let d = DecodedProgram::new(prog);
+                        let d = gpu_sim::decode::decode(&prog);
                         shared.insert(class.hash, Arc::clone(&d.arena));
                         (d, true)
                     }
@@ -819,6 +817,9 @@ impl EvalEngine {
         // soon as it finishes.
         let max_attempts = self.config.retry.max_attempts.max(1);
         let mut attempts_of: Vec<u32> = vec![0; uniques.len()];
+        // The execution each unique's result came from, named by a unique:
+        // a forked family's members share their first member's.
+        let mut run_of: Vec<usize> = (0..uniques.len()).collect();
         let mut round_units = units;
         let mut attempt: u32 = 1;
         let ck = self.checkpoint.as_deref();
@@ -875,10 +876,12 @@ impl EvalEngine {
                         // forked run actually collapsed its members —
                         // count the collapse (a degraded family runs its
                         // members individually and is not a fork).
+                        let mut forked_from = None;
                         if let WorkUnit::Family(members) = &round_units[k] {
                             if sims_run == 1 {
                                 stats.family_forks += 1;
                                 stats.family_members += members.len();
+                                forked_from = Some(members[0]);
                                 self.emit(
                                     EventKind::Point,
                                     "family.fork",
@@ -888,6 +891,7 @@ impl EvalEngine {
                         }
                         for (u, r) in reports {
                             attempts_of[u] = attempt;
+                            run_of[u] = forked_from.unwrap_or(u);
                             if matches!(&r, Err(e) if e.is_transient()) && attempt < max_attempts {
                                 retry.push(u);
                             }
@@ -963,8 +967,9 @@ impl EvalEngine {
         // quarantine every candidate mapped to the failed unique.
         assignments.sort_by_key(|&(i, _, _)| i);
         let mut meter = budget::DeadlineMeter::new(&self.config.budget);
-        // Uniques whose first accepted candidate already advanced the
-        // convergence recorder's fresh-simulation count.
+        // Executions whose first accepted candidate already advanced the
+        // convergence recorder's fresh-simulation count, so the curve
+        // counts runs as `unique_sims` does: one per forked family.
         let mut fresh_counted: HashSet<usize> = HashSet::new();
         for (i, u, invocations) in assignments {
             match &outcomes_of[u] {
@@ -975,7 +980,7 @@ impl EvalEngine {
                     let scaled = scale_by_invocations(rep.clone(), invocations);
                     if meter.accept(scaled.time_ms) {
                         stats.timed += 1;
-                        let fresh = !from_store[u] && fresh_counted.insert(u);
+                        let fresh = !from_store[u] && fresh_counted.insert(run_of[u]);
                         self.convergence.observe(
                             stats.timed as u64,
                             fresh,
@@ -1489,15 +1494,7 @@ mod fault_tests {
                 usage: &ResourceUsage,
                 spec: &MachineSpec,
             ) -> Result<TimingReport, EvalError> {
-                let trips = prog
-                    .source
-                    .code
-                    .iter()
-                    .find_map(|op| match op {
-                        gpu_ir::linear::LinOp::LoopStart { trips, .. } => Some(*trips),
-                        _ => None,
-                    })
-                    .unwrap_or(0);
+                let trips = prog.loop_trips.first().copied().unwrap_or(0);
                 if trips == self.panic_on_trips {
                     panic!("deliberate test panic");
                 }

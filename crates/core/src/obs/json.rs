@@ -13,6 +13,11 @@
 
 use std::fmt;
 
+/// The deepest array/object nesting [`parse`] accepts: the parser
+/// recurses once per level, so deeper input is refused, not allowed to
+/// exhaust the stack. Traces and manifests nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Objects preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -273,9 +278,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse one JSON document; trailing non-whitespace is an error.
+/// Parse one JSON document; trailing non-whitespace and nesting deeper
+/// than [`MAX_DEPTH`] are errors.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -288,6 +294,8 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -329,8 +337,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -529,6 +544,19 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("42 junk").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(err.message, format!("nesting deeper than {MAX_DEPTH} levels"));
+        // Far deeper input fails the same way instead of overflowing the
+        // stack, objects included.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).unwrap_err().message.contains("nesting"));
     }
 
     #[test]

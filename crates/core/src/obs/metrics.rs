@@ -263,9 +263,18 @@ impl EngineMetrics {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Parse a snapshot produced by [`EngineMetrics::to_json`]. The
-    /// derived `cache_hit_rate` is recomputed, not read.
+    /// Parse a snapshot produced by [`EngineMetrics::to_json`]: the
+    /// deterministic section plus `runtime`.
     pub fn from_json(j: &Json) -> Result<Self, String> {
+        let deterministic = Self::from_deterministic_json(j)?;
+        let runtime = j.get("runtime").ok_or("metrics: missing `runtime`")?;
+        Ok(Self { runtime: RuntimeMetrics::from_json(runtime)?, ..deterministic })
+    }
+
+    /// Parse the deterministic section (an `engine.metrics` trace record's
+    /// fields) into a snapshot with an empty runtime section. The derived
+    /// `cache_hit_rate` is recomputed, not read.
+    pub fn from_deterministic_json(j: &Json) -> Result<Self, String> {
         let u = |k: &str| {
             j.get(k).and_then(Json::as_u64).ok_or_else(|| format!("metrics: missing `{k}`"))
         };
@@ -296,14 +305,11 @@ impl EngineMetrics {
             store_hits: n("store_hits")?,
             store_records_dropped: n("store_records_dropped")?,
         };
+        let convergence = j.get("convergence").ok_or("metrics: missing `convergence`")?;
         Ok(Self {
             stats,
-            convergence: ConvergenceCurve::from_json(
-                j.get("convergence").ok_or("metrics: missing `convergence`")?,
-            )?,
-            runtime: RuntimeMetrics::from_json(
-                j.get("runtime").ok_or("metrics: missing `runtime`")?,
-            )?,
+            convergence: ConvergenceCurve::from_json(convergence)?,
+            runtime: RuntimeMetrics::default(),
         })
     }
 }
@@ -497,6 +503,15 @@ mod tests {
         runtime.retain(|(k, _)| k != "decode_hist");
         let err = EngineMetrics::from_json(&j).expect_err("no decode_hist");
         assert!(err.contains("`decode_hist`"), "{err}");
+    }
+
+    #[test]
+    fn the_deterministic_section_parses_without_runtime() {
+        let m = with_runtime(RuntimeMetrics { jobs: 2, timing_wall_us: 9, ..Default::default() });
+        let back = EngineMetrics::from_deterministic_json(&m.deterministic_json()).unwrap();
+        let err = EngineMetrics::from_json(&m.deterministic_json()).unwrap_err();
+        assert_eq!(err, "metrics: missing `runtime`");
+        assert_eq!(back, EngineMetrics { runtime: RuntimeMetrics::default(), ..m });
     }
 
     #[test]

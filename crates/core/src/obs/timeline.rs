@@ -11,9 +11,9 @@
 //!
 //! [`Trace`]: super::sink::Trace
 
-use super::convergence::ConvergenceCurve;
 use super::event::{Event, TRACE_SCHEMA};
 use super::json::{self, Json};
+use super::metrics::EngineMetrics;
 
 /// One parsed trace record: an owned [`Event`].
 #[derive(Debug, Clone, PartialEq)]
@@ -211,7 +211,9 @@ impl Timeline {
     }
 }
 
-/// Everything `trace report` prints, as data.
+/// Everything `trace report` prints, as data. The run's counters and
+/// convergence curve are its own `engine.metrics` record; the rest are
+/// facts only the trace holds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
     /// Total records.
@@ -222,10 +224,9 @@ pub struct TraceSummary {
     pub space: Option<u64>,
     /// Best time from the last `search` end record.
     pub best_time_ms: Option<f64>,
-    /// Timed candidates (`sim.done` records).
-    pub timed: u64,
-    /// Convergence curve from the last `engine.metrics` counter.
-    pub convergence: ConvergenceCurve,
+    /// The last `engine.metrics` counter record, parsed; its runtime
+    /// section is empty.
+    pub metrics: Option<EngineMetrics>,
     /// Reconstructed timeline.
     pub timeline: Timeline,
     /// Top-k slowest timed candidates, `(candidate, time_ms)`, slowest
@@ -235,14 +236,6 @@ pub struct TraceSummary {
     pub quarantine_by_kind: Vec<(String, u64)>,
     /// Retry rounds observed.
     pub retry_rounds: u64,
-    /// Evaluations re-attempted across those rounds.
-    pub retried: u64,
-    /// Memo-cache hits / misses.
-    pub cache_hits: u64,
-    /// Memo-cache misses.
-    pub cache_misses: u64,
-    /// Persistent-store hits.
-    pub store_hits: u64,
     /// Fresh program decodes (`decode.done` records).
     pub decodes: u64,
     /// Decoded ops across those decodes.
@@ -256,8 +249,8 @@ pub struct TraceSummary {
 ///
 /// # Errors
 ///
-/// An `engine.metrics` counter whose `convergence` curve is absent or
-/// malformed.
+/// The last `engine.metrics` counter record is not a complete
+/// deterministic metrics section ([`EngineMetrics::from_deterministic_json`]).
 pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
     let mut s = TraceSummary {
         events: recs.len() as u64,
@@ -265,6 +258,7 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
         ..Default::default()
     };
     let mut timed: Vec<(u64, f64)> = Vec::new();
+    let mut metrics: Option<&Rec> = None;
     for r in recs {
         match (r.kind.as_str(), r.name.as_str()) {
             ("begin", "search") => {
@@ -273,7 +267,6 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
             }
             ("end", "search") => s.best_time_ms = r.field_f64("best_time_ms"),
             ("point", "sim.done") => {
-                s.timed += 1;
                 if let (Some(c), Some(t)) = (r.field_u64("candidate"), r.field_f64("time_ms")) {
                     timed.push((c, t));
                 }
@@ -285,26 +278,21 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
                     None => s.quarantine_by_kind.push((kind, 1)),
                 }
             }
-            ("point", "retry.round") => {
-                s.retry_rounds += 1;
-                s.retried += r.field_u64("count").unwrap_or(0);
-            }
-            ("point", "cache.hit") => s.cache_hits += 1,
-            ("point", "cache.miss") => s.cache_misses += 1,
-            ("point", "store.hit") => s.store_hits += 1,
+            ("point", "retry.round") => s.retry_rounds += 1,
             ("point", "decode.done") => {
                 s.decodes += 1;
                 s.decode_ops += r.field_u64("ops").unwrap_or(0);
                 s.decode_arena_bytes += r.field_u64("arena_bytes").unwrap_or(0);
             }
-            ("counter", "engine.metrics") => {
-                let curve = r.fields.get("convergence").ok_or("missing `convergence`".to_string());
-                s.convergence = curve
-                    .and_then(ConvergenceCurve::from_json)
-                    .map_err(|e| format!("engine.metrics (seq {}): {e}", r.seq))?;
-            }
+            ("counter", "engine.metrics") => metrics = Some(r),
             _ => {}
         }
+    }
+    if let Some(r) = metrics {
+        s.metrics = Some(
+            EngineMetrics::from_deterministic_json(&r.fields)
+                .map_err(|e| format!("engine.metrics (seq {}): {e}", r.seq))?,
+        );
     }
     // Slowest first; candidate index breaks ties deterministically.
     timed.sort_by(|a, b| {
@@ -316,51 +304,41 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
     Ok(s)
 }
 
-/// Render a [`TraceSummary`] as the `trace report` text.
+/// Render a [`TraceSummary`] as the `trace report` text. The counters
+/// are the `--profile` table of the run's `engine.metrics` record.
 pub fn format_summary(s: &TraceSummary) -> String {
-    use crate::report::{fmt_ms, fmt_us, table_aligned};
+    use crate::report::{fmt_ms, fmt_us, profile_table, table_aligned};
+    let header = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
     let mut out = String::new();
     let strategy = s.strategy.as_deref().unwrap_or("unknown");
     out.push_str(&format!(
-        "search: {strategy}, space {}, {} timed, best {}\n",
+        "search: {strategy}, space {}, best {}\n",
         s.space.map(|n| n.to_string()).unwrap_or_else(|| "?".into()),
-        s.timed,
         s.best_time_ms.map(fmt_ms).unwrap_or_else(|| "-".into()),
     ));
     out.push_str(&format!("trace: {} events spanning {}\n", s.events, fmt_us(s.timeline.span_us)));
 
-    if !s.convergence.is_empty() {
-        out.push_str("\nconvergence\n");
-        let mut rows = vec![vec![
-            "sims".to_string(),
-            "unique".to_string(),
-            "best".to_string(),
-            "pruned".to_string(),
-        ]];
-        for p in &s.convergence.samples {
-            rows.push(vec![
-                p.sims.to_string(),
-                p.unique_sims.to_string(),
-                fmt_ms(p.best_time_ms),
-                p.bound_pruned_points.to_string(),
-            ]);
-        }
-        out.push_str(&table_aligned(&rows, &[true, true, true, true]));
-        if let (Some(n), Some(u)) =
-            (s.convergence.sims_to_optimum(), s.convergence.unique_to_optimum())
-        {
-            out.push_str(&format!("optimum reached after {n} sims ({u} unique)\n"));
+    if let Some(m) = &s.metrics {
+        out.push_str("\ncounters\n");
+        out.push_str(&profile_table(m));
+        if !m.convergence.is_empty() {
+            out.push_str("\nconvergence\n");
+            let mut rows = vec![header(&["sims", "unique", "best", "pruned"])];
+            for p in &m.convergence.samples {
+                rows.push(vec![
+                    p.sims.to_string(),
+                    p.unique_sims.to_string(),
+                    fmt_ms(p.best_time_ms),
+                    p.bound_pruned_points.to_string(),
+                ]);
+            }
+            out.push_str(&table_aligned(&rows, &[true, true, true, true]));
         }
     }
 
     if !s.timeline.phases.is_empty() {
         out.push_str("\nphases\n");
-        let mut rows = vec![vec![
-            "phase".to_string(),
-            "spans".to_string(),
-            "wall".to_string(),
-            "share".to_string(),
-        ]];
+        let mut rows = vec![header(&["phase", "spans", "wall", "share"])];
         for p in &s.timeline.phases {
             let share = if s.timeline.span_us == 0 {
                 "-".to_string()
@@ -374,12 +352,7 @@ pub fn format_summary(s: &TraceSummary) -> String {
 
     if !s.timeline.workers.is_empty() {
         out.push_str("\nworkers\n");
-        let mut rows = vec![vec![
-            "thread".to_string(),
-            "items".to_string(),
-            "busy".to_string(),
-            "utilization".to_string(),
-        ]];
+        let mut rows = vec![header(&["thread", "items", "busy", "utilization"])];
         for w in &s.timeline.workers {
             let util = if s.timeline.span_us == 0 {
                 "-".to_string()
@@ -398,27 +371,22 @@ pub fn format_summary(s: &TraceSummary) -> String {
 
     if !s.slowest.is_empty() {
         out.push_str("\nslowest candidates\n");
-        let mut rows = vec![vec!["candidate".to_string(), "time".to_string()]];
+        let mut rows = vec![header(&["candidate", "time"])];
         for (c, t) in &s.slowest {
             rows.push(vec![c.to_string(), fmt_ms(*t)]);
         }
         out.push_str(&table_aligned(&rows, &[true, true]));
     }
 
-    out.push_str("\nfailures and reuse\n");
+    out.push_str("\nfailures and decodes\n");
     if s.quarantine_by_kind.is_empty() {
-        out.push_str("quarantined: none\n");
+        out.push_str("quarantine kinds: none\n");
     } else {
-        let total: u64 = s.quarantine_by_kind.iter().map(|(_, n)| n).sum();
         let kinds: Vec<String> =
             s.quarantine_by_kind.iter().map(|(k, n)| format!("{k} {n}")).collect();
-        out.push_str(&format!("quarantined: {total} ({})\n", kinds.join(", ")));
+        out.push_str(&format!("quarantine kinds: {}\n", kinds.join(", ")));
     }
-    out.push_str(&format!("retry rounds: {} ({} re-attempts)\n", s.retry_rounds, s.retried));
-    out.push_str(&format!(
-        "cache: {} hits, {} misses, {} store hits\n",
-        s.cache_hits, s.cache_misses, s.store_hits
-    ));
+    out.push_str(&format!("retry rounds: {}\n", s.retry_rounds));
     if s.decodes > 0 {
         out.push_str(&format!(
             "decode: {} arenas ({} ops, {} flat bytes)\n",
@@ -467,10 +435,13 @@ mod tests {
     }
 
     #[test]
-    fn summaries_reject_a_malformed_convergence_curve() {
+    fn summaries_reject_an_incomplete_metrics_record() {
         let sink = EventSink::new();
+        let mut fields = EngineMetrics::default().deterministic_fields();
         let curve = Json::Arr(vec![Json::obj([("sims", Json::from(1u64))])]);
-        sink.search(EventKind::Counter, "engine.metrics", vec![("convergence", curve)]);
+        fields.retain(|(k, _)| *k != "convergence");
+        fields.push(("convergence", curve));
+        sink.search(EventKind::Counter, "engine.metrics", fields);
         let recs = parse_jsonl(&sink.drain().to_jsonl()).unwrap();
         let err = summarize(&recs, 5).unwrap_err();
         assert_eq!(err, "engine.metrics (seq 0): convergence: missing `unique_sims`");
@@ -478,7 +449,7 @@ mod tests {
         sink.search(EventKind::Counter, "engine.metrics", vec![("timed", Json::from(1u64))]);
         let recs = parse_jsonl(&sink.drain().to_jsonl()).unwrap();
         let err = summarize(&recs, 5).unwrap_err();
-        assert_eq!(err, "engine.metrics (seq 1): missing `convergence`");
+        assert_eq!(err, "engine.metrics (seq 1): metrics: missing `static_evals`");
     }
 
     #[test]

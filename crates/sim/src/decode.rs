@@ -11,10 +11,10 @@
 //!
 //! Two invariants make the rest of the stack simple:
 //!
-//! * **Positional identity**: `arena.ops[pc]` corresponds 1:1 to
-//!   `source.code[pc]`. Loop targets, barrier positions, and step counts
-//!   are therefore identical between the decoded engines and the legacy
-//!   reference interpreters in [`crate::legacy`].
+//! * **Positional identity**: `arena.ops[pc]` corresponds 1:1 to the
+//!   source program's `code[pc]`. Loop targets, barrier positions, and
+//!   step counts are therefore identical between the decoded engines and
+//!   the legacy reference interpreters in [`crate::legacy`].
 //! * **Trip independence**: the arena stores no trip counts. Loops are
 //!   numbered in code order and a [`DecodedProgram`] carries its own
 //!   `loop_trips` vector, so structurally identical programs that differ
@@ -166,8 +166,9 @@ pub struct LoopInfo {
     pub counter: u32,
 }
 
-/// The trip-independent decoded form of one program structure. Shared
-/// (behind an [`Arc`]) by every family member with the same structure.
+/// The trip-independent decoded form of one program structure, with the
+/// program header an executor sizes its state by. Shared (behind an
+/// [`Arc`]) by every family member with the same structure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedArena {
     /// Decoded ops, positionally identical to the source code.
@@ -177,6 +178,12 @@ pub struct DecodedArena {
     /// Maximum loop nesting depth — the frame-stack capacity an executor
     /// needs per warp/thread.
     pub max_loop_depth: usize,
+    /// Registers in the executor's register file.
+    pub num_vregs: u32,
+    /// Shared-memory words per block.
+    pub smem_words: u32,
+    /// Kernel parameter count.
+    pub num_params: u32,
 }
 
 impl DecodedArena {
@@ -189,23 +196,19 @@ impl DecodedArena {
 }
 
 /// A program lowered for execution: a shared [`DecodedArena`] plus this
-/// member's trip counts and the retained source (for exact-key
-/// recomputation and the legacy escape hatch).
+/// member's trip counts. It keeps no copy of its source program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedProgram {
     /// The shared structural arena.
     pub arena: Arc<DecodedArena>,
     /// Trip count per loop id.
     pub loop_trips: Vec<u32>,
-    /// The source program this was decoded from.
-    pub source: LinearProgram,
 }
 
 impl DecodedProgram {
     /// Decode `source`, building a fresh arena.
     pub fn new(source: LinearProgram) -> Self {
-        let (arena, loop_trips) = build_arena(&source);
-        Self { arena: Arc::new(arena), loop_trips, source }
+        decode(&source)
     }
 
     /// Decode `source` against an existing `arena` from a structurally
@@ -216,7 +219,7 @@ impl DecodedProgram {
     ///
     /// Panics when `source` has a different loop count than the arena —
     /// the caller keyed the arena cache wrongly.
-    pub fn with_arena(source: LinearProgram, arena: Arc<DecodedArena>) -> Self {
+    pub fn with_arena(source: &LinearProgram, arena: Arc<DecodedArena>) -> Self {
         let loop_trips: Vec<u32> = source
             .code
             .iter()
@@ -231,34 +234,23 @@ impl DecodedProgram {
             "arena reuse across structurally different programs"
         );
         debug_assert_eq!(arena.ops.len(), source.code.len());
-        Self { arena, loop_trips, source }
+        debug_assert_eq!(
+            (arena.num_vregs, arena.smem_words, arena.num_params),
+            (source.num_vregs, source.smem_words, source.num_params)
+        );
+        Self { arena, loop_trips }
     }
 
     /// Number of decoded ops.
     pub fn op_count(&self) -> usize {
         self.arena.ops.len()
     }
-
-    /// Registers in the executor's register file.
-    pub fn num_vregs(&self) -> u32 {
-        self.source.num_vregs
-    }
-
-    /// Shared-memory words per block.
-    pub fn smem_words(&self) -> u32 {
-        self.source.smem_words
-    }
-
-    /// Kernel parameter count.
-    pub fn num_params(&self) -> u32 {
-        self.source.num_params
-    }
 }
 
-/// Decode a program, building a fresh arena. Convenience wrapper over
-/// [`DecodedProgram::new`] for callers holding a reference.
+/// Decode a program, building a fresh arena.
 pub fn decode(prog: &LinearProgram) -> DecodedProgram {
-    DecodedProgram::new(prog.clone())
+    let (arena, loop_trips) = build_arena(prog);
+    DecodedProgram { arena: Arc::new(arena), loop_trips }
 }
 
 fn build_arena(prog: &LinearProgram) -> (DecodedArena, Vec<u32>) {
@@ -327,7 +319,15 @@ fn build_arena(prog: &LinearProgram) -> (DecodedArena, Vec<u32>) {
         }
     }
     debug_assert!(stack.is_empty(), "unbalanced LoopStart in a legalized program");
-    (DecodedArena { ops, loops, max_loop_depth: max_depth }, trips)
+    let arena = DecodedArena {
+        ops,
+        loops,
+        max_loop_depth: max_depth,
+        num_vregs: prog.num_vregs,
+        smem_words: prog.smem_words,
+        num_params: prog.num_params,
+    };
+    (arena, trips)
 }
 
 #[cfg(test)]
@@ -414,7 +414,7 @@ mod tests {
         let short = linearize(&short.finish());
 
         let a = DecodedProgram::new(long);
-        let b = DecodedProgram::with_arena(short, a.arena.clone());
+        let b = DecodedProgram::with_arena(&short, a.arena.clone());
         assert!(Arc::ptr_eq(&a.arena, &b.arena));
         assert_eq!(a.loop_trips, vec![9]);
         assert_eq!(b.loop_trips, vec![2]);

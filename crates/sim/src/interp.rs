@@ -643,9 +643,9 @@ fn run_grid(
     let (bx, by) = (launch.block.x, launch.block.y);
     let nt = (bx * by) as usize;
 
-    let mut threads = BlockThreads::new(nt, prog.num_vregs(), prog.arena.max_loop_depth);
-    let mut shared = vec![0.0f32; prog.smem_words() as usize];
-    let mut tracker = check_races.then(|| RaceTracker::new(prog.smem_words() as usize));
+    let mut threads = BlockThreads::new(nt, prog.arena.num_vregs, prog.arena.max_loop_depth);
+    let mut shared = vec![0.0f32; prog.arena.smem_words as usize];
+    let mut tracker = check_races.then(|| RaceTracker::new(prog.arena.smem_words as usize));
     let mut stops: Vec<Stop> = Vec::with_capacity(nt);
 
     for cy in 0..gy {

@@ -723,11 +723,7 @@ pub fn simulate_family(
     let setup = SimSetup::new(launch, usage, spec)?;
     let first = progs[0];
     for p in &progs[1..] {
-        let same_shape = p.source.num_vregs == first.source.num_vregs
-            && p.source.smem_words == first.source.smem_words
-            && p.source.num_params == first.source.num_params;
-        let same_arena = std::sync::Arc::ptr_eq(&p.arena, &first.arena) || *p.arena == *first.arena;
-        if !same_shape || !same_arena {
+        if !std::sync::Arc::ptr_eq(&p.arena, &first.arena) && *p.arena != *first.arena {
             return Err(TimingError::NotAFamily);
         }
     }
@@ -757,7 +753,7 @@ pub fn simulate_family(
             *m = (*m).max(t);
         }
     }
-    let st = SimState::new(&first.arena, &master, first.num_vregs(), &setup);
+    let st = SimState::new(&first.arena, &master, first.arena.num_vregs, &setup);
     let n_axes = axes.len();
     let mut run = FamilyRun {
         arena: &first.arena,

@@ -55,18 +55,58 @@ grep -q 'line 2: record: missing `schema`' "$tracedir/no_schema.err" || {
     exit 1
 }
 
+echo "==> nesting smoke (validate rejects a 100,000-deep line)"
+# The JSON reader bounds its nesting depth: a damaged file fails
+# validation with exit 1 and a message, never a stack overflow (134).
+awk 'BEGIN { for (i = 0; i < 100000; i++) printf "["; print "" }' > "$tracedir/deep.jsonl"
+set +e
+cargo run --release -q -- validate "$tracedir/deep.jsonl" "$tracedir/manifest.json" \
+    > /dev/null 2> "$tracedir/deep.err"
+status=$?
+set -e
+if [ "$status" -ne 1 ]; then
+    echo "nesting smoke: expected exit 1 from validate, got $status" >&2
+    exit 1
+fi
+grep -q "nesting deeper than" "$tracedir/deep.err" || {
+    echo "nesting smoke: unexpected error:" >&2
+    cat "$tracedir/deep.err" >&2
+    exit 1
+}
+
 echo "==> trace report smoke (trace report on the exported JSONL)"
 # The offline analyzer must reconstruct the run's time-resolved story
-# from the trace file alone: convergence table, phase breakdown, and
-# worker utilization.
+# from the trace file alone: the run's counters, convergence table,
+# phase breakdown, and worker utilization.
 report=$(cargo run --release -q -- trace report "$tracedir/trace.jsonl")
 echo "$report" | head -n 1
-for section in "convergence" "phases" "workers" "optimum reached after"; do
+for section in "counters" "sims to optimum" "convergence" "phases" "workers"; do
     echo "$report" | grep -q "$section" || {
         echo "trace report smoke: missing \`$section\` section" >&2
         exit 1
     }
 done
+
+echo "==> family-accounting smoke (tune mri --profile, trace report)"
+# MRI-FHD forks 25 families: the curve counts each forked run once, as
+# `sims executed` does, and `trace report` prints the run's own counters.
+cargo run --release -q -- tune mri --strategy exhaustive --jobs 2 --profile \
+    --trace-out "$tracedir/mri.jsonl" > "$tracedir/mri_profile.txt"
+row() { grep -E "^$1 +[0-9]" "$2" | awk '{ print $NF ~ /%$/ ? $(NF-1) : $NF }'; }
+executed=$(row "sims executed" "$tracedir/mri_profile.txt")
+to_optimum=$(row "unique sims to optimum" "$tracedir/mri_profile.txt")
+memoized=$(row "sims memoized" "$tracedir/mri_profile.txt")
+echo "sims executed $executed, unique sims to optimum $to_optimum, sims memoized $memoized"
+if [ "$executed" != 25 ] || [ -z "$to_optimum" ] || [ "$to_optimum" -gt "$executed" ]; then
+    echo "family-accounting smoke: expected 25 sims executed and no more unique sims to the optimum" >&2
+    exit 1
+fi
+cargo run --release -q -- trace report "$tracedir/mri.jsonl" > "$tracedir/mri_report.txt"
+reported=$(row "sims memoized" "$tracedir/mri_report.txt")
+if [ "$memoized" != 150 ] || [ "$reported" != "$memoized" ]; then
+    echo "family-accounting smoke: trace report says $reported sims memoized, the profile $memoized" >&2
+    exit 1
+fi
 
 echo "==> chrome trace smoke (tune sad --trace-format chrome)"
 # The Chrome exporter must emit a trace_event document Perfetto can

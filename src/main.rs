@@ -41,7 +41,7 @@
 //! gpu-autotune trace <app> <index> [N]      trace one thread of one config
 //!     --grid default|fine                   which declared grid the index is in
 //! gpu-autotune trace report <t.jsonl>       analyse a recorded trace:
-//!                                           convergence, phases, utilization
+//!                                           counters, convergence, phases
 //! ```
 
 use std::path::Path;
@@ -99,9 +99,9 @@ commands:
   trace <app> <index> [N] [--grid default|fine]
                               trace the first N instructions (default 20) of
                               one thread of a configuration, on real data
-  trace report <file.jsonl>   analyse a recorded --trace-out trace: convergence
-                              table, phase breakdown, worker utilization,
-                              slowest candidates, quarantine/retry digest
+  trace report <file.jsonl>   analyse a recorded --trace-out trace: the run's
+                              counters, convergence table, phase breakdown,
+                              worker utilization, slowest candidates, failures
   occupancy <regs> <smem>     the occupancy-calculator table for a kernel
                               using <regs> registers/thread and <smem> B/block
 
@@ -707,8 +707,8 @@ fn cmd_parse(args: &[String]) -> ExitCode {
     }
 }
 
-/// `trace report <file.jsonl>`: reconstruct the time-resolved story of
-/// a recorded `--trace-out` run — convergence table, per-phase wall
+/// `trace report <file.jsonl>`: the run's counters (its `engine.metrics`
+/// record as the `--profile` table), convergence table, per-phase wall
 /// breakdown, worker utilization, slowest candidates, and the
 /// quarantine/retry digest — entirely from the trace file.
 fn cmd_trace_report(args: &[String]) -> ExitCode {
@@ -802,20 +802,17 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         eprintln!("trace needs: <app> <index> [N] [--grid default|fine]");
         return ExitCode::FAILURE;
     };
-    // The optional count is the third positional.
-    let count = args.get(2).filter(|a| !a.starts_with("--"));
-    let mut rest = Args::new(args[2 + usize::from(count.is_some())..].to_vec());
-    let read = rest
-        .text("--grid", "a value (default|fine)")
-        .and_then(|grid| rest.finish().map(|()| grid.unwrap_or_else(|| "default".into())))
-        .and_then(|grid| Ok((by_name(app_name, &grid)?, grid)))
-        .and_then(|read| match count {
-            None => Ok((read, 20)),
-            Some(n) => n
-                .parse::<usize>()
-                .map(|n| (read, n))
-                .map_err(|_| format!("bad instruction count `{n}`")),
+    // The optional count is the one argument `--grid` leaves unclaimed,
+    // before or after the flag.
+    let mut rest = Args::new(args[2..].to_vec());
+    let read = rest.text("--grid", "a value (default|fine)").and_then(|grid| {
+        let count = rest.positional().map_or(Ok(20), |n| {
+            n.parse::<usize>().map_err(|_| format!("bad instruction count `{n}`"))
         });
+        rest.finish()?;
+        let grid = grid.unwrap_or_else(|| "default".into());
+        Ok(((by_name(app_name, &grid)?, grid), count?))
+    });
     let ((app, grid), limit) = match read {
         Ok(read) => read,
         Err(e) => {

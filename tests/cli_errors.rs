@@ -315,6 +315,26 @@ fn trace_reaches_the_fine_grid() {
     );
 }
 
+#[test]
+fn trace_takes_its_count_before_or_after_the_grid() {
+    for args in [["69694", "--grid", "fine", "5"], ["69694", "5", "--grid", "fine"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gpu-autotune"))
+            .args(["trace", "matmul"])
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines[0], "configuration: 16x16/1x4/uC/o16/pf", "{args:?}");
+        for (n, line) in lines[1..6].iter().enumerate() {
+            assert!(line.starts_with(&format!("#{} ", n + 1)), "{args:?}: {line:?}");
+        }
+        assert!(lines[6].starts_with("... ("), "{args:?}: five instructions, then {:?}", lines[6]);
+    }
+    assert_fails(&["trace", "matmul", "3", "5", "6"], "unknown flag `6`");
+}
+
 /// The trace and manifest of `tune cp --strategy exhaustive --jobs 2`
 /// (with a result store when `store` is set), written into a fresh
 /// directory named for `tag`.
@@ -409,4 +429,29 @@ fn trace_report_rejects_a_malformed_convergence_curve() {
     let broken =
         write_broken(&dir, "bad-curve.jsonl", &text.replace(curve, r#""convergence":[{"simz":"#));
     assert_fails(&["trace", "report", &broken], "convergence: missing `sims`");
+}
+
+#[test]
+fn validate_rejects_deep_nesting_without_overflowing_the_stack() {
+    let dir = artifacts("nesting", false);
+    let trace = dir.join("trace.jsonl");
+    let trace = trace.to_str().expect("a UTF-8 path");
+    let manifest = dir.join("manifest.json");
+    let manifest = manifest.to_str().expect("a UTF-8 path");
+    let deep_trace = write_broken(&dir, "deep.jsonl", &("[".repeat(200_000) + "\n"));
+    let deep_manifest = write_broken(&dir, "deep.json", &"{\"a\":".repeat(100_000));
+    for (args, message) in [
+        ([deep_trace.as_str(), manifest], "line 1: JSON parse error at byte 128"),
+        ([trace, deep_manifest.as_str()], "JSON parse error at byte 640"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gpu-autotune"))
+            .arg("validate")
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "validate {args:?}: {stderr}");
+        assert!(stderr.contains(message), "{stderr:?} does not mention {message:?}");
+        assert!(stderr.contains("nesting deeper than 128 levels"), "{stderr}");
+    }
 }

@@ -12,16 +12,22 @@
 //!   at any worker count (with and without fault injection), the Chrome
 //!   trace export is well-formed, and `trace report` renders a known
 //!   trace exactly.
+//! * **One count per fact** — the curve's `unique_sims` counts what
+//!   `sims_executed` counts, and `trace report` prints the counters of
+//!   the run's own `engine.metrics` record.
 
 use std::sync::Arc;
 
 use gpu_autotune::arch::MachineSpec;
-use gpu_autotune::kernels::{sad::Sad, App, AppInstantiator};
+use gpu_autotune::kernels::{
+    cp::Cp, matmul::MatMul, mri_fhd::MriFhd, sad::Sad, App, AppInstantiator, SpaceSource,
+};
 use gpu_autotune::optspace::engine::{EngineConfig, FaultPlan};
 use gpu_autotune::optspace::obs::{
-    chrome_trace, format_summary, json, parse_jsonl, summarize, EventSink, RunManifest, Scope,
-    Trace, TRACE_SCHEMA,
+    chrome_trace, format_summary, json, parse_jsonl, summarize, EngineMetrics, EventSink,
+    RunManifest, RuntimeMetrics, Scope, Trace, TRACE_SCHEMA,
 };
+use gpu_autotune::optspace::report::profile_table;
 use gpu_autotune::optspace::tuner::{
     BranchAndBound, ExhaustiveSearch, PrunedSearch, SearchReport, SearchStrategy,
 };
@@ -259,22 +265,44 @@ fn trace_report_renders_a_known_trace_exactly() {
 {"schema":1,"seq":4,"ts_us":350,"thread":1,"scope":"runtime","kind":"point","name":"pool.item","fields":{"phase":"timing","index":0,"wall_us":200}}
 {"schema":1,"seq":5,"ts_us":360,"thread":0,"scope":"search","kind":"point","name":"cache.hit","fields":{"candidate":2,"unique":0}}
 {"schema":1,"seq":6,"ts_us":370,"thread":0,"scope":"search","kind":"point","name":"quarantine","fields":{"kind":"sim-fuel-exhausted"}}
-{"schema":1,"seq":7,"ts_us":400,"thread":0,"scope":"search","kind":"counter","name":"engine.metrics","fields":{"convergence":[{"sims":1,"unique_sims":1,"best_time_ms":4.0,"bound_pruned_points":0},{"sims":2,"unique_sims":2,"best_time_ms":2.0,"bound_pruned_points":0}]}}
+{"schema":1,"seq":7,"ts_us":400,"thread":0,"scope":"search","kind":"counter","name":"engine.metrics","fields":{"static_evals":4,"timed":3,"sims_executed":2,"sims_memoized":1,"cache_hit_rate":0.3333333333333333,"family_forks":0,"family_members":0,"retries":0,"quarantined":1,"injected_faults":0,"budget_truncated":false,"fuel_consumed":900,"sim_cycles":1200,"stall_mem_cycles":300,"stall_sfu_cycles":0,"stall_arith_cycles":100,"stall_other_cycles":0,"bound_pruned_subspaces":0,"bound_pruned_points":0,"store_hits":0,"store_records_dropped":0,"convergence":[{"sims":1,"unique_sims":1,"best_time_ms":4.0,"bound_pruned_points":0},{"sims":2,"unique_sims":2,"best_time_ms":2.0,"bound_pruned_points":0}]}}
 {"schema":1,"seq":8,"ts_us":450,"thread":0,"scope":"search","kind":"end","name":"phase.timing","fields":{}}
 {"schema":1,"seq":9,"ts_us":500,"thread":0,"scope":"search","kind":"end","name":"search","fields":{"best":1,"best_time_ms":2.0,"timed":2}}
 "#;
     let recs = parse_jsonl(jsonl).expect("hand-built trace parses");
     let got = format_summary(&summarize(&recs, 5).expect("the convergence curve parses"));
     let want = "\
-search: exhaustive, space 4, 2 timed, best 2.00 ms
+search: exhaustive, space 4, best 2.00 ms
 trace: 10 events spanning 500.0 us
+
+counters
+metric                  value   share
+-------------------------------------
+static evals                4
+timed candidates            3
+sims executed               2   66.7%
+sims memoized               1   33.3%
+cache hit rate          33.3%
+family forks                0
+family members              0
+retries                     0
+quarantined                 1
+fuel consumed             900
+sim cycles               1200
+stall cycles              400   33.3%
+  memory                  300   75.0%
+  sfu                       0    0.0%
+  arithmetic              100   25.0%
+  other                     0    0.0%
+convergence samples         2
+sims to optimum             2   66.7%
+unique sims to optimum      2  100.0%
 
 convergence
 sims  unique     best  pruned
 -----------------------------
    1       1  4.00 ms       0
    2       2  2.00 ms       0
-optimum reached after 2 sims (2 unique)
 
 phases
 phase         spans      wall   share
@@ -294,10 +322,75 @@ candidate     time
         0  4.00 ms
         1  2.00 ms
 
-failures and reuse
-quarantined: 1 (sim-fuel-exhausted 1)
-retry rounds: 0 (0 re-attempts)
-cache: 1 hits, 0 misses, 0 store hits
+failures and decodes
+quarantine kinds: sim-fuel-exhausted 1
+retry rounds: 0
 ";
     assert_eq!(got, want);
+}
+
+/// The convergence curve counts simulations the way `sims_executed`
+/// does — one per execution, so a forked family counts once — on every
+/// paper app under the three one-shot strategies, at one and two
+/// workers.
+#[test]
+fn the_curve_counts_the_simulations_sims_executed_counts() {
+    let spec = MachineSpec::geforce_8800_gtx();
+    let apps: [Box<dyn App>; 4] = [
+        Box::new(MatMul::new(256)),
+        Box::new(Cp::new(512, 64, 16)),
+        Box::new(Sad::test_problem()),
+        Box::new(MriFhd::new(8192, 1024)),
+    ];
+    for app in &apps {
+        let (app, space) = (app.as_ref(), app.space());
+        for jobs in [1, 2] {
+            let engine = || EvalEngine::with_jobs(jobs);
+            let source = SpaceSource::full(app);
+            let runs = [
+                ExhaustiveSearch.run_source(&engine(), &source, &spec),
+                PrunedSearch::default().run_source(&engine(), &source, &spec),
+                BranchAndBound.run_space(&engine(), &space, &AppInstantiator(app), &spec),
+            ];
+            for r in runs {
+                let at = format!("{} {} at jobs {jobs}", app.name(), r.strategy);
+                let curve = &r.metrics.convergence;
+                let last = curve.samples.last().unwrap_or_else(|| panic!("{at}: no curve"));
+                assert_eq!(last.unique_sims, r.stats.unique_sims as u64, "{at}");
+                let to_optimum = curve.unique_to_optimum().expect("a best time");
+                assert!(to_optimum <= last.unique_sims, "{at}: {to_optimum} to the optimum");
+            }
+        }
+    }
+}
+
+/// `trace report` prints the run's counters as the deterministic rows
+/// of the `--profile` table, read back from the trace's own
+/// `engine.metrics` record.
+#[test]
+fn trace_report_counters_are_the_profile_table_of_the_run() {
+    let spec = MachineSpec::geforce_8800_gtx();
+    let cands = MriFhd::new(8192, 1024).candidates();
+    let sink = Arc::new(EventSink::new());
+    let engine = EvalEngine::with_jobs(2).with_sink(Arc::clone(&sink));
+    let report = ExhaustiveSearch.run_with(&engine, &cands, &spec);
+    assert!(report.stats.family_forks > 0, "the MRI space forks families");
+    let recs = parse_jsonl(&sink.drain().to_jsonl()).expect("the trace parses");
+    let text = format_summary(&summarize(&recs, 5).expect("the metrics record parses"));
+    let counters = text
+        .split("\n\n")
+        .find_map(|section| section.strip_prefix("counters\n"))
+        .expect("a counters section");
+    let deterministic =
+        EngineMetrics { runtime: RuntimeMetrics::default(), ..report.metrics.clone() };
+    assert_eq!(format!("{counters}\n"), profile_table(&deterministic));
+    // Those are the leading rows of the full `--profile` table, cell
+    // for cell (padding aside).
+    let cells = |t: &str| -> Vec<Vec<String>> {
+        t.lines().map(|l| l.split_whitespace().map(str::to_string).collect()).collect()
+    };
+    let full = cells(&profile_table(&report.metrics));
+    let rows = cells(counters);
+    assert!(full.len() > rows.len(), "the live run carries runtime rows");
+    assert_eq!(rows[2..], full[2..rows.len()]);
 }
