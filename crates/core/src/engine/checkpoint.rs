@@ -231,52 +231,46 @@ pub struct Checkpointer {
 }
 
 impl Checkpointer {
-    /// Create a checkpoint for the run `meta` in `dir`, which must not
-    /// exist yet or be empty.
-    ///
-    /// # Errors
-    ///
-    /// A message naming `dir` when it already holds a checkpoint (which
-    /// must be continued with `--resume`), holds other files (which are
-    /// left untouched), is a file, or cannot be created or written.
-    pub fn create(dir: impl Into<PathBuf>, meta: CheckpointMeta) -> Result<Self, String> {
-        let dir = dir.into();
-        not_a_file(&dir)?;
-        if dir.join(RUN_FILE).exists() {
-            return Err(format!(
-                "{}: a checkpoint already exists there; continue it with --resume {0}, or \
-                 remove it to start over",
-                dir.display()
-            ));
-        }
-        if fs::read_dir(&dir).is_ok_and(|mut entries| entries.next().is_some()) {
-            return Err(format!(
-                "{}: directory is not empty and holds no checkpoint ({RUN_FILE}); refusing to \
-                 write a checkpoint into it",
-                dir.display()
-            ));
-        }
-        let cannot = |e: io::Error| format!("cannot create checkpoint {}: {e}", dir.display());
-        fs::create_dir_all(&dir).map_err(cannot)?;
-        write_run_file(&dir, &meta).map_err(cannot)?;
-        let store = ResultStore::open(&dir).map_err(cannot)?;
-        Ok(Self::open(dir, meta, store))
-    }
-
-    /// Reopen the checkpoint in `dir` to continue the run `meta`. Its
-    /// schema, key scheme and meta are checked before its results are
-    /// loaded; damaged result records are dropped (and simulated again),
-    /// as [`ResultStore::open`] drops them.
+    /// Open the checkpoint of the run `meta` in `dir`: continue it when
+    /// `dir` holds one (its `run.json`), and create it there otherwise.
+    /// A continued checkpoint's schema, key scheme and meta are checked
+    /// before its results are loaded; damaged result records are dropped
+    /// (and simulated again), as [`ResultStore::open`] drops them.
     ///
     /// # Errors
     ///
     /// A message naming the path when `dir` is a file (the layout of
-    /// earlier builds), `run.json` is unreadable or malformed, the
-    /// checkpoint was written under another schema or key scheme (none
-    /// of its results could be served), or it belongs to another run.
-    pub fn resume(dir: impl Into<PathBuf>, meta: CheckpointMeta) -> Result<Self, String> {
+    /// earlier builds); when `run.json` is unreadable or malformed, was
+    /// written under another schema or key scheme (none of its results
+    /// could be served), or belongs to another run; when `dir` holds
+    /// other files but no checkpoint (they are left untouched); or when
+    /// it cannot be created or written.
+    pub fn open(dir: impl Into<PathBuf>, meta: CheckpointMeta) -> Result<Self, String> {
         let dir = dir.into();
         not_a_file(&dir)?;
+        let store = if dir.join(RUN_FILE).exists() {
+            Self::check_run_file(&dir, &meta)?;
+            ResultStore::open(&dir)
+                .map_err(|e| format!("cannot open checkpoint results in {}: {e}", dir.display()))?
+        } else {
+            if fs::read_dir(&dir).is_ok_and(|mut entries| entries.next().is_some()) {
+                return Err(format!(
+                    "{}: directory is not empty and holds no checkpoint ({RUN_FILE}); refusing \
+                     to write a checkpoint into it",
+                    dir.display()
+                ));
+            }
+            let cannot = |e: io::Error| format!("cannot create checkpoint {}: {e}", dir.display());
+            fs::create_dir_all(&dir).map_err(cannot)?;
+            write_run_file(&dir, &meta).map_err(cannot)?;
+            ResultStore::open(&dir).map_err(cannot)?
+        };
+        Ok(Self { dir, meta, store, stop_after: None, progress: Mutex::default() })
+    }
+
+    /// Check that the `run.json` in `dir` is this build's and names the
+    /// run `meta`.
+    fn check_run_file(dir: &Path, meta: &CheckpointMeta) -> Result<(), String> {
         let path = dir.join(RUN_FILE);
         let text = fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -301,20 +295,14 @@ impl Checkpointer {
         }
         let recorded =
             doc.get("meta").and_then(CheckpointMeta::from_json).ok_or_else(|| bad("meta"))?;
-        if recorded != meta {
+        if recorded != *meta {
             return Err(format!(
                 "{}: checkpoint belongs to a different run (app/strategy/settings/grid/space \
                  mismatch); refusing to replay it",
                 dir.display()
             ));
         }
-        let store = ResultStore::open(&dir)
-            .map_err(|e| format!("cannot open checkpoint results in {}: {e}", dir.display()))?;
-        Ok(Self::open(dir, meta, store))
-    }
-
-    fn open(dir: PathBuf, meta: CheckpointMeta, store: ResultStore) -> Self {
-        Self { dir, meta, store, stop_after: None, progress: Mutex::default() }
+        Ok(())
     }
 
     /// Deterministic SIGKILL stand-in: exactly `n` work units are
@@ -454,7 +442,7 @@ mod tests {
     #[test]
     fn checkpoint_write_load_round_trips() {
         let dir = tmpdir("roundtrip");
-        let ck = Checkpointer::create(&dir, meta()).unwrap();
+        let ck = Checkpointer::open(&dir, meta()).unwrap();
         assert!(ck.admit());
         ck.record([(42, &report(1))]);
         assert!(ck.admit());
@@ -462,7 +450,7 @@ mod tests {
         assert_eq!(ck.units_done(), 2);
         drop(ck);
 
-        let loaded = Checkpointer::resume(&dir, meta()).unwrap();
+        let loaded = Checkpointer::open(&dir, meta()).unwrap();
         assert_eq!(loaded.meta(), &meta());
         assert_eq!(loaded.store().records_loaded(), 2);
         assert_eq!(loaded.store().get(42), Some(report(1)));
@@ -474,14 +462,14 @@ mod tests {
     #[test]
     fn a_checkpoint_keyed_under_another_scheme_is_refused_naming_both() {
         let dir = tmpdir("scheme");
-        drop(Checkpointer::create(&dir, meta()).unwrap());
+        drop(Checkpointer::open(&dir, meta()).unwrap());
         let run = dir.join(RUN_FILE);
         let current = fs::read_to_string(&run).unwrap();
         let stamp = format!(r#""key_scheme":{KEY_SCHEME}"#);
         assert!(current.contains(&stamp), "{current}");
         let later = KEY_SCHEME + 1;
         fs::write(&run, current.replace(&stamp, &format!(r#""key_scheme":{later}"#))).unwrap();
-        let err = Checkpointer::resume(&dir, meta()).unwrap_err();
+        let err = Checkpointer::open(&dir, meta()).unwrap_err();
         assert!(err.contains(&format!("key scheme {later}")), "{err}");
         assert!(err.contains(&format!("scheme {KEY_SCHEME}")), "{err}");
         fs::remove_dir_all(&dir).unwrap();
@@ -490,7 +478,7 @@ mod tests {
     #[test]
     fn each_recorded_unit_is_flushed_at_once() {
         let dir = tmpdir("flush");
-        let ck = Checkpointer::create(&dir, meta()).unwrap();
+        let ck = Checkpointer::open(&dir, meta()).unwrap();
         ck.record([(1, &report(1)), (2, &report(2))]);
         assert_eq!(store::verify(&dir).unwrap().records, 2, "the unit's results are on disk");
         ck.record([(3, &report(3))]);
@@ -501,7 +489,7 @@ mod tests {
     #[test]
     fn stop_after_admits_exactly_n_units() {
         let dir = tmpdir("stop");
-        let ck = Checkpointer::create(&dir, meta()).unwrap().with_stop_after(5);
+        let ck = Checkpointer::open(&dir, meta()).unwrap().with_stop_after(5);
         for _ in 0..4 {
             assert!(ck.admit());
         }
@@ -516,7 +504,7 @@ mod tests {
     #[test]
     fn a_failed_flush_is_noted_once_and_the_results_stay_served() {
         let dir = tmpdir("unflushable");
-        let ck = Checkpointer::create(&dir, meta()).unwrap();
+        let ck = Checkpointer::open(&dir, meta()).unwrap();
         fs::remove_dir_all(&dir).unwrap();
         ck.record([(1, &report(1))]);
         assert!(ck.progress.lock().unwrap().flush_failed);
@@ -528,20 +516,22 @@ mod tests {
     #[test]
     fn resume_rejects_damage_with_the_path_in_the_message() {
         let dir = tmpdir("damaged");
-        drop(Checkpointer::create(&dir, meta()).unwrap());
+        drop(Checkpointer::open(&dir, meta()).unwrap());
         let run = dir.join(RUN_FILE);
         fs::write(&run, "{ not json").unwrap();
-        let err = Checkpointer::resume(&dir, meta()).unwrap_err();
+        let err = Checkpointer::open(&dir, meta()).unwrap_err();
         assert!(err.contains(&run.display().to_string()), "message names the path: {err}");
-        let missing = Checkpointer::resume(dir.join("missing"), meta()).unwrap_err();
-        assert!(missing.contains("cannot read"), "{missing}");
+        fs::remove_file(&run).unwrap();
+        fs::create_dir(&run).unwrap();
+        let unreadable = Checkpointer::open(&dir, meta()).unwrap_err();
+        assert!(unreadable.starts_with(&format!("cannot read {}", run.display())), "{unreadable}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn a_damaged_result_is_dropped_and_the_rest_restored() {
         let dir = tmpdir("torn");
-        let ck = Checkpointer::create(&dir, meta()).unwrap();
+        let ck = Checkpointer::open(&dir, meta()).unwrap();
         // One shard, so the tear hits the last record written.
         for k in 0..4u64 {
             ck.store().put(k * 4, &report(k));
@@ -552,7 +542,7 @@ mod tests {
         let bytes = fs::read(&seg).unwrap();
         fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
 
-        let ck = Checkpointer::resume(&dir, meta()).unwrap();
+        let ck = Checkpointer::open(&dir, meta()).unwrap();
         assert_eq!(ck.store().records_dropped(), 1);
         assert_eq!(ck.store().records_loaded(), 3);
         for k in 0..3u64 {

@@ -132,8 +132,11 @@ impl RuntimeMetrics {
         (self.worker_busy_us as f64 / (wall * self.jobs) as f64).min(1.0)
     }
 
-    fn to_json(self) -> Json {
-        Json::obj([
+    /// The section as event fields: what the manifest stores under
+    /// `metrics.runtime` and the runtime-scope `engine.runtime` trace
+    /// record carries.
+    pub(crate) fn fields(self) -> Vec<(&'static str, Json)> {
+        vec![
             ("jobs", Json::from(self.jobs)),
             ("static_wall_us", Json::from(self.static_wall_us)),
             ("timing_wall_us", Json::from(self.timing_wall_us)),
@@ -144,10 +147,13 @@ impl RuntimeMetrics {
             ("cache_lookup_hist", self.cache_lookup_hist.to_json()),
             ("store_io_hist", self.store_io_hist.to_json()),
             ("decode_hist", self.decode_hist.to_json()),
-        ])
+        ]
     }
 
-    fn from_json(j: &Json) -> Result<Self, String> {
+    /// Parse [`RuntimeMetrics::fields`] (a manifest's `metrics.runtime`
+    /// or an `engine.runtime` record's fields); the derived
+    /// `worker_utilization` is recomputed, not read.
+    pub(crate) fn from_json(j: &Json) -> Result<Self, String> {
         let u = |k: &str| {
             j.get(k).and_then(Json::as_u64).ok_or_else(|| format!("runtime: missing `{k}`"))
         };
@@ -259,7 +265,7 @@ impl EngineMetrics {
     /// The full snapshot, runtime section nested under `"runtime"`.
     pub fn to_json(&self) -> Json {
         let mut pairs = self.deterministic_fields();
-        pairs.push(("runtime", self.runtime.to_json()));
+        pairs.push(("runtime", Json::obj(self.runtime.fields())));
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 

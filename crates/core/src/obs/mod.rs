@@ -21,9 +21,11 @@
 //!   in-tree [`json`] support (the workspace is offline; no serde).
 //! * Time-resolved telemetry rides on the same split: the
 //!   [`ConvergenceCurve`] recorded by the engine is deterministic and
-//!   travels inside [`EngineMetrics`]; per-phase spans, worker lanes,
-//!   and latency [`Histogram`]s are runtime data reconstructed by
-//!   [`timeline`] or exported to Perfetto via [`chrome_trace`].
+//!   travels inside [`EngineMetrics`]; per-phase wall time, worker
+//!   utilization and latency [`Histogram`]s are runtime data, snapshot
+//!   once per search into the `engine.runtime` record that [`timeline`]
+//!   renders, while span and pool-item events feed the Perfetto lanes
+//!   of [`chrome_trace`].
 
 pub mod chrome;
 pub mod convergence;
@@ -41,6 +43,4 @@ pub use json::Json;
 pub use manifest::{BestSummary, MachineSummary, RunManifest, StoreSummary, MANIFEST_SCHEMA};
 pub use metrics::{EngineMetrics, Histogram, RuntimeMetrics, HIST_BUCKETS};
 pub use sink::{EventSink, LatencyLane, Phase, Trace};
-pub use timeline::{
-    format_summary, parse_jsonl, summarize, PhaseSpan, Rec, Timeline, TraceSummary, WorkerLane,
-};
+pub use timeline::{format_summary, parse_jsonl, summarize, Rec, TraceSummary};

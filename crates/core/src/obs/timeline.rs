@@ -1,7 +1,8 @@
 //! Offline trace analysis: parse a `--trace-out` JSONL file back into
-//! records, reconstruct the run's timeline (phase wall spans, per-worker
-//! busy/idle), and render the human-readable summary behind
-//! `gpu-autotune trace report`.
+//! records and render the human-readable summary behind
+//! `gpu-autotune trace report`. The run's counters and runtime figures
+//! are its own `engine.metrics` and `engine.runtime` records, printed
+//! as the `--profile` table; nothing here recomputes them.
 //!
 //! Everything here works on [`Rec`] — an owned mirror of [`Event`]
 //! (whose `name` is a `&'static str` and so cannot be rebuilt from a
@@ -13,7 +14,7 @@
 
 use super::event::{Event, TRACE_SCHEMA};
 use super::json::{self, Json};
-use super::metrics::EngineMetrics;
+use super::metrics::{EngineMetrics, RuntimeMetrics};
 
 /// One parsed trace record: an owned [`Event`].
 #[derive(Debug, Clone, PartialEq)]
@@ -113,122 +114,28 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Rec>, String> {
         .collect()
 }
 
-/// Aggregated wall time of one span name (e.g. `phase.timing`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseSpan {
-    /// Span name.
-    pub name: String,
-    /// Completed begin/end pairs.
-    pub spans: u64,
-    /// Summed wall time, µs.
-    pub wall_us: u64,
-}
-
-/// One worker thread's busy accounting, from `pool.item` records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerLane {
-    /// Thread tag.
-    pub thread: u64,
-    /// Items executed.
-    pub items: u64,
-    /// Summed item wall time, µs.
-    pub busy_us: u64,
-}
-
-/// The run's reconstructed timeline.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Timeline {
-    /// Wall span of the whole trace (first to last timestamp), µs.
-    pub span_us: u64,
-    /// Aggregated spans in first-begin order (outermost first).
-    pub phases: Vec<PhaseSpan>,
-    /// Worker lanes ordered by thread tag.
-    pub workers: Vec<WorkerLane>,
-}
-
-impl Timeline {
-    /// Reconstruct phase spans and worker lanes from parsed records.
-    /// `begin`/`end` records pair up per name (nested re-entry folds
-    /// into one aggregate); `pool.item` records, stamped at item end
-    /// with their wall time, populate the worker lanes.
-    pub fn from_records(recs: &[Rec]) -> Self {
-        let lo = recs.iter().map(|r| r.ts_us).min().unwrap_or(0);
-        let hi = recs.iter().map(|r| r.ts_us).max().unwrap_or(0);
-        let mut phases: Vec<(String, Vec<u64>, u64, u64)> = Vec::new(); // name, open stack, spans, wall
-        let mut workers: Vec<WorkerLane> = Vec::new();
-        for r in recs {
-            match r.kind.as_str() {
-                "begin" => {
-                    match phases.iter_mut().find(|(n, ..)| *n == r.name) {
-                        Some((_, open, ..)) => open.push(r.ts_us),
-                        None => phases.push((r.name.clone(), vec![r.ts_us], 0, 0)),
-                    };
-                }
-                "end" => {
-                    if let Some((_, open, spans, wall)) =
-                        phases.iter_mut().find(|(n, ..)| *n == r.name)
-                    {
-                        if let Some(begin) = open.pop() {
-                            *spans += 1;
-                            *wall += r.ts_us.saturating_sub(begin);
-                        }
-                    }
-                }
-                _ if r.name == "pool.item" => {
-                    let wall = r.field_u64("wall_us").unwrap_or(0);
-                    match workers.iter_mut().find(|w| w.thread == r.thread) {
-                        Some(w) => {
-                            w.items += 1;
-                            w.busy_us += wall;
-                        }
-                        None => {
-                            workers.push(WorkerLane { thread: r.thread, items: 1, busy_us: wall })
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        workers.sort_by_key(|w| w.thread);
-        Self {
-            span_us: hi - lo,
-            phases: phases
-                .into_iter()
-                .map(|(name, _, spans, wall_us)| PhaseSpan { name, spans, wall_us })
-                .collect(),
-            workers,
-        }
-    }
-
-    /// Fraction of `workers × span` spent busy, clamped to `[0, 1]`.
-    /// Zero without workers or span.
-    pub fn utilization(&self) -> f64 {
-        if self.workers.is_empty() || self.span_us == 0 {
-            return 0.0;
-        }
-        let busy: u64 = self.workers.iter().map(|w| w.busy_us).sum();
-        (busy as f64 / (self.span_us * self.workers.len() as u64) as f64).min(1.0)
-    }
-}
-
-/// Everything `trace report` prints, as data. The run's counters and
-/// convergence curve are its own `engine.metrics` record; the rest are
-/// facts only the trace holds.
+/// Everything `trace report` prints, as data. The run's counters,
+/// convergence curve and runtime figures are its own `engine.metrics`
+/// and `engine.runtime` records; the rest are facts only the trace
+/// holds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
     /// Total records.
     pub events: u64,
+    /// Wall span of the whole trace (first to last timestamp), µs.
+    pub span_us: u64,
+    /// `search.round` records: one per proposal batch.
+    pub rounds: u64,
     /// Strategy named by the `search` begin record.
     pub strategy: Option<String>,
     /// Space size named by the `search` begin record.
     pub space: Option<u64>,
     /// Best time from the last `search` end record.
     pub best_time_ms: Option<f64>,
-    /// The last `engine.metrics` counter record, parsed; its runtime
-    /// section is empty.
+    /// The last `engine.metrics` counter record, parsed, with the last
+    /// `engine.runtime` record as its runtime section (empty when the
+    /// trace holds no such record, as traces of earlier builds do not).
     pub metrics: Option<EngineMetrics>,
-    /// Reconstructed timeline.
-    pub timeline: Timeline,
     /// Top-k slowest timed candidates, `(candidate, time_ms)`, slowest
     /// first.
     pub slowest: Vec<(u64, f64)>,
@@ -250,15 +157,14 @@ pub struct TraceSummary {
 /// # Errors
 ///
 /// The last `engine.metrics` counter record is not a complete
-/// deterministic metrics section ([`EngineMetrics::from_deterministic_json`]).
+/// deterministic metrics section ([`EngineMetrics::from_deterministic_json`]),
+/// or the last `engine.runtime` record is not a complete runtime section.
 pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
-    let mut s = TraceSummary {
-        events: recs.len() as u64,
-        timeline: Timeline::from_records(recs),
-        ..Default::default()
-    };
+    let lo = recs.iter().map(|r| r.ts_us).min().unwrap_or(0);
+    let hi = recs.iter().map(|r| r.ts_us).max().unwrap_or(0);
+    let mut s = TraceSummary { events: recs.len() as u64, span_us: hi - lo, ..Default::default() };
     let mut timed: Vec<(u64, f64)> = Vec::new();
-    let mut metrics: Option<&Rec> = None;
+    let (mut metrics, mut runtime): (Option<&Rec>, Option<&Rec>) = (None, None);
     for r in recs {
         match (r.kind.as_str(), r.name.as_str()) {
             ("begin", "search") => {
@@ -278,6 +184,7 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
                     None => s.quarantine_by_kind.push((kind, 1)),
                 }
             }
+            ("point", "search.round") => s.rounds += 1,
             ("point", "retry.round") => s.retry_rounds += 1,
             ("point", "decode.done") => {
                 s.decodes += 1;
@@ -285,14 +192,21 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
                 s.decode_arena_bytes += r.field_u64("arena_bytes").unwrap_or(0);
             }
             ("counter", "engine.metrics") => metrics = Some(r),
+            ("counter", "engine.runtime") => runtime = Some(r),
             _ => {}
         }
     }
+    let runtime = runtime
+        .map(|r| {
+            RuntimeMetrics::from_json(&r.fields)
+                .map_err(|e| format!("engine.runtime (seq {}): {e}", r.seq))
+        })
+        .transpose()?
+        .unwrap_or_default();
     if let Some(r) = metrics {
-        s.metrics = Some(
-            EngineMetrics::from_deterministic_json(&r.fields)
-                .map_err(|e| format!("engine.metrics (seq {}): {e}", r.seq))?,
-        );
+        let m = EngineMetrics::from_deterministic_json(&r.fields)
+            .map_err(|e| format!("engine.metrics (seq {}): {e}", r.seq))?;
+        s.metrics = Some(EngineMetrics { runtime, ..m });
     }
     // Slowest first; candidate index breaks ties deterministically.
     timed.sort_by(|a, b| {
@@ -304,8 +218,8 @@ pub fn summarize(recs: &[Rec], top_k: usize) -> Result<TraceSummary, String> {
     Ok(s)
 }
 
-/// Render a [`TraceSummary`] as the `trace report` text. The counters
-/// are the `--profile` table of the run's `engine.metrics` record.
+/// Render a [`TraceSummary`] as the `trace report` text. Its profile
+/// section is the run's `--profile` table, from the run's own records.
 pub fn format_summary(s: &TraceSummary) -> String {
     use crate::report::{fmt_ms, fmt_us, profile_table, table_aligned};
     let header = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
@@ -316,10 +230,15 @@ pub fn format_summary(s: &TraceSummary) -> String {
         s.space.map(|n| n.to_string()).unwrap_or_else(|| "?".into()),
         s.best_time_ms.map(fmt_ms).unwrap_or_else(|| "-".into()),
     ));
-    out.push_str(&format!("trace: {} events spanning {}\n", s.events, fmt_us(s.timeline.span_us)));
+    out.push_str(&format!(
+        "trace: {} events spanning {}, {} search rounds\n",
+        s.events,
+        fmt_us(s.span_us),
+        s.rounds
+    ));
 
     if let Some(m) = &s.metrics {
-        out.push_str("\ncounters\n");
+        out.push_str("\nprofile\n");
         out.push_str(&profile_table(m));
         if !m.convergence.is_empty() {
             out.push_str("\nconvergence\n");
@@ -334,39 +253,6 @@ pub fn format_summary(s: &TraceSummary) -> String {
             }
             out.push_str(&table_aligned(&rows, &[true, true, true, true]));
         }
-    }
-
-    if !s.timeline.phases.is_empty() {
-        out.push_str("\nphases\n");
-        let mut rows = vec![header(&["phase", "spans", "wall", "share"])];
-        for p in &s.timeline.phases {
-            let share = if s.timeline.span_us == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}%", 100.0 * p.wall_us as f64 / s.timeline.span_us as f64)
-            };
-            rows.push(vec![p.name.clone(), p.spans.to_string(), fmt_us(p.wall_us), share]);
-        }
-        out.push_str(&table_aligned(&rows, &[false, true, true, true]));
-    }
-
-    if !s.timeline.workers.is_empty() {
-        out.push_str("\nworkers\n");
-        let mut rows = vec![header(&["thread", "items", "busy", "utilization"])];
-        for w in &s.timeline.workers {
-            let util = if s.timeline.span_us == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}%", 100.0 * (w.busy_us as f64 / s.timeline.span_us as f64).min(1.0))
-            };
-            rows.push(vec![w.thread.to_string(), w.items.to_string(), fmt_us(w.busy_us), util]);
-        }
-        out.push_str(&table_aligned(&rows, &[true, true, true, true]));
-        out.push_str(&format!(
-            "overall: {} worker threads, {:.1}% utilized over the trace span\n",
-            s.timeline.workers.len(),
-            100.0 * s.timeline.utilization()
-        ));
     }
 
     if !s.slowest.is_empty() {
@@ -453,43 +339,34 @@ mod tests {
     }
 
     #[test]
-    fn timeline_pairs_spans_and_lanes_workers() {
-        let rec = |ts, thread, kind: &str, name: &str, fields: Json| Rec {
-            seq: ts,
-            ts_us: ts,
-            thread,
-            scope: "search".into(),
-            kind: kind.into(),
-            name: name.into(),
-            fields,
-        };
-        let recs = vec![
-            rec(0, 0, "begin", "search", Json::Obj(Vec::new())),
-            rec(10, 0, "begin", "phase.timing", Json::Obj(Vec::new())),
-            rec(40, 1, "point", "pool.item", Json::obj([("wall_us", Json::from(25u64))])),
-            rec(50, 2, "point", "pool.item", Json::obj([("wall_us", Json::from(30u64))])),
-            rec(60, 1, "point", "pool.item", Json::obj([("wall_us", Json::from(10u64))])),
-            rec(90, 0, "end", "phase.timing", Json::Obj(Vec::new())),
-            rec(100, 0, "end", "search", Json::Obj(Vec::new())),
-        ];
-        let t = Timeline::from_records(&recs);
-        assert_eq!(t.span_us, 100);
-        assert_eq!(
-            t.phases,
-            vec![
-                PhaseSpan { name: "search".into(), spans: 1, wall_us: 100 },
-                PhaseSpan { name: "phase.timing".into(), spans: 1, wall_us: 80 },
-            ]
-        );
-        assert_eq!(
-            t.workers,
-            vec![
-                WorkerLane { thread: 1, items: 2, busy_us: 35 },
-                WorkerLane { thread: 2, items: 1, busy_us: 30 },
-            ]
-        );
-        // 65 busy µs over 2 workers × 100 µs.
-        assert!((t.utilization() - 0.325).abs() < 1e-12);
-        assert_eq!(Timeline::from_records(&[]).utilization(), 0.0);
+    fn summaries_reject_an_incomplete_runtime_record() {
+        let sink = EventSink::new();
+        let metrics = EngineMetrics::default().deterministic_fields();
+        let runtime = RuntimeMetrics { jobs: 2, timing_wall_us: 90, ..Default::default() };
+        sink.search(EventKind::Counter, "engine.metrics", metrics.clone());
+        let recs = parse_jsonl(&sink.drain().to_jsonl()).unwrap();
+        let s = summarize(&recs, 5).unwrap();
+        assert_eq!(s.metrics.unwrap().runtime, RuntimeMetrics::default(), "no record, no rows");
+
+        sink.runtime(EventKind::Counter, "engine.runtime", runtime.fields());
+        sink.search(EventKind::Counter, "engine.metrics", metrics.clone());
+        let recs = parse_jsonl(&sink.drain().to_jsonl()).unwrap();
+        assert_eq!(summarize(&recs, 5).unwrap().metrics.unwrap().runtime, runtime);
+
+        let mut fields = runtime.fields();
+        fields.retain(|(k, _)| *k != "worker_busy_us");
+        sink.runtime(EventKind::Counter, "engine.runtime", fields);
+        sink.search(EventKind::Counter, "engine.metrics", metrics.clone());
+        let recs = parse_jsonl(&sink.drain().to_jsonl()).unwrap();
+        let err = summarize(&recs, 5).unwrap_err();
+        assert_eq!(err, "engine.runtime (seq 3): runtime: missing `worker_busy_us`");
+
+        let mut fields = runtime.fields();
+        fields.retain(|(k, _)| *k != "decode_hist");
+        fields.push(("decode_hist", Json::Arr(vec![Json::from(1u64)])));
+        sink.runtime(EventKind::Counter, "engine.runtime", fields);
+        let recs = parse_jsonl(&sink.drain().to_jsonl()).unwrap();
+        let err = summarize(&recs, 5).unwrap_err();
+        assert_eq!(err, "engine.runtime (seq 5): histogram: expected 24 buckets, got 1");
     }
 }

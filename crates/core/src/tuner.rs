@@ -261,6 +261,9 @@ fn finish_report(
         EngineMetrics::from_stats(&stats).with_convergence(engine.convergence().curve());
     if let Some(sink) = engine.sink() {
         report.metrics.runtime = sink.runtime_metrics(engine.config.jobs);
+        // Runtime scope: the canonical trace stays identical at any
+        // `--jobs`, and `trace report` prints the `--profile` table.
+        sink.runtime(EventKind::Counter, "engine.runtime", report.metrics.runtime.fields());
     }
     engine.emit(EventKind::Counter, "engine.metrics", report.metrics.deterministic_fields());
     engine.emit(

@@ -75,21 +75,21 @@ grep -q "nesting deeper than" "$tracedir/deep.err" || {
 }
 
 echo "==> trace report smoke (trace report on the exported JSONL)"
-# The offline analyzer must reconstruct the run's time-resolved story
-# from the trace file alone: the run's counters, convergence table,
-# phase breakdown, and worker utilization.
+# The offline analyzer must tell the run's story from the trace file
+# alone: its --profile table, runtime rows included, and convergence.
 report=$(cargo run --release -q -- trace report "$tracedir/trace.jsonl")
 echo "$report" | head -n 1
-for section in "counters" "sims to optimum" "convergence" "phases" "workers"; do
+for section in "profile" "sims to optimum" "worker utilization" "convergence"; do
     echo "$report" | grep -q "$section" || {
         echo "trace report smoke: missing \`$section\` section" >&2
         exit 1
     }
 done
 
-echo "==> family-accounting smoke (tune mri --profile, trace report)"
+echo "==> family-accounting smoke (tune mri/cp --profile, trace report)"
 # MRI-FHD forks 25 families: the curve counts each forked run once, as
-# `sims executed` does, and `trace report` prints the run's own counters.
+# `sims executed` does, and `trace report` prints the run's own
+# --profile table, byte for byte, runtime rows included.
 cargo run --release -q -- tune mri --strategy exhaustive --jobs 2 --profile \
     --trace-out "$tracedir/mri.jsonl" > "$tracedir/mri_profile.txt"
 row() { grep -E "^$1 +[0-9]" "$2" | awk '{ print $NF ~ /%$/ ? $(NF-1) : $NF }'; }
@@ -107,6 +107,24 @@ if [ "$memoized" != 150 ] || [ "$reported" != "$memoized" ]; then
     echo "family-accounting smoke: trace report says $reported sims memoized, the profile $memoized" >&2
     exit 1
 fi
+# The table under `profile:` in tune's output, and under `profile` in
+# trace report's.
+table() { awk -v head="$1" '$0 == head { on = 1; next } on && $0 == "" { exit } on' "$2"; }
+cargo run --release -q -- tune cp --strategy bnb --jobs 2 --profile \
+    --trace-out "$tracedir/cp_bnb.jsonl" > "$tracedir/cp_bnb_profile.txt"
+cargo run --release -q -- trace report "$tracedir/cp_bnb.jsonl" > "$tracedir/cp_bnb_report.txt"
+for run in mri cp_bnb; do
+    table "profile:" "$tracedir/${run}_profile.txt" > "$tracedir/${run}_profile_table.txt"
+    table "profile" "$tracedir/${run}_report.txt" > "$tracedir/${run}_report_table.txt"
+    grep -q "^worker utilization" "$tracedir/${run}_profile_table.txt" || {
+        echo "family-accounting smoke: the $run profile has no worker utilization row" >&2
+        exit 1
+    }
+    diff -u "$tracedir/${run}_profile_table.txt" "$tracedir/${run}_report_table.txt" || {
+        echo "family-accounting smoke: trace report's table is not the $run --profile table" >&2
+        exit 1
+    }
+done
 
 echo "==> chrome trace smoke (tune sad --trace-format chrome)"
 # The Chrome exporter must emit a trace_event document Perfetto can
@@ -242,9 +260,10 @@ diff -u "$tracedir/mri_cold_lines.txt" "$tracedir/mri_warm_lines.txt" || {
     exit 1
 }
 
-echo "==> resume smoke (tune sad/cp --checkpoint/--stop-after-units, --resume)"
-# An interrupted run (exit 130, no stdout report) resumed from its
-# checkpoint must print a report byte-identical to an uninterrupted run.
+echo "==> resume smoke (tune sad/cp --checkpoint/--stop-after-units, rerun)"
+# An interrupted run (exit 130, no stdout report) rerun with the same
+# --checkpoint resumes, and must print a report byte-identical to an
+# uninterrupted run.
 # The checkpoint is a directory whose results the result store's own
 # verifier reads back intact, and a completed run removes it.
 cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
@@ -280,7 +299,7 @@ echo "$verify" | grep -q " 0 ignored " && echo "$verify" | grep -q " 0 dropped,"
     exit 1
 }
 cargo run --release -q -- tune sad --strategy exhaustive --jobs 2 \
-    --resume "$tracedir/sad.ck" > "$tracedir/resumed.txt" 2> /dev/null
+    --checkpoint "$tracedir/sad.ck" > "$tracedir/resumed.txt" 2> /dev/null
 diff -u "$tracedir/uninterrupted.txt" "$tracedir/resumed.txt" || {
     echo "resume smoke: resumed report differs from the uninterrupted run" >&2
     exit 1
@@ -306,7 +325,7 @@ if [ -s "$tracedir/anneal_interrupted.txt" ]; then
     echo "resume smoke: interrupted anneal run must not print a stdout report" >&2
     exit 1
 fi
-cargo run --release -q -- "${anneal[@]}" --resume "$tracedir/anneal.ck" \
+cargo run --release -q -- "${anneal[@]}" --checkpoint "$tracedir/anneal.ck" \
     > "$tracedir/anneal_resumed.txt" 2> /dev/null
 diff -u "$tracedir/anneal_uninterrupted.txt" "$tracedir/anneal_resumed.txt" || {
     echo "resume smoke: resumed anneal report differs from the uninterrupted run" >&2

@@ -32,16 +32,16 @@
 //!     --metrics-out <path>                  write the run manifest as JSON
 //!     --profile                             print the profile summary table
 //!     --store-dir <dir>                     persistent result store (crash-safe)
-//!     --checkpoint <dir>                    checkpoint into a new directory (any strategy)
-//!     --resume <dir>                        resume an interrupted checkpointed run
+//!     --checkpoint <dir>                    checkpoint into <dir> (any strategy); an
+//!                                           interrupted run's checkpoint is resumed
 //!     --stop-after-units N                  deterministic stop for testing resume
 //! gpu-autotune store verify <dir>           audit a result store's segments
 //! gpu-autotune parse <file.gik>             analyse a textual kernel
 //! gpu-autotune validate <t.jsonl> <m.json>  check trace/manifest files parse
 //! gpu-autotune trace <app> <index> [N]      trace one thread of one config
 //!     --grid default|fine                   which declared grid the index is in
-//! gpu-autotune trace report <t.jsonl>       analyse a recorded trace:
-//!                                           counters, convergence, phases
+//! gpu-autotune trace report <t.jsonl>       analyse a recorded trace: the
+//!                                           run's --profile table, convergence
 //! ```
 
 use std::path::Path;
@@ -88,8 +88,7 @@ commands:
              [--filter axis=value]... [--sample N] [--sample-seed S]
              [--trace-out <path>] [--trace-format jsonl|chrome]
              [--metrics-out <path>] [--profile]
-             [--store-dir <dir>] [--checkpoint <dir>] [--resume <dir>]
-             [--stop-after-units N]
+             [--store-dir <dir>] [--checkpoint <dir>] [--stop-after-units N]
   store verify <dir>          audit a persistent result store: segments,
                               records, and corrupt records dropped
   parse <file>                parse a textual kernel and print its analyses
@@ -100,8 +99,8 @@ commands:
                               trace the first N instructions (default 20) of
                               one thread of a configuration, on real data
   trace report <file.jsonl>   analyse a recorded --trace-out trace: the run's
-                              counters, convergence table, phase breakdown,
-                              worker utilization, slowest candidates, failures
+                              --profile table, convergence table, slowest
+                              candidates, failures
   occupancy <regs> <smem>     the occupancy-calculator table for a kernel
                               using <regs> registers/thread and <smem> B/block
 
@@ -287,7 +286,6 @@ struct TuneFlags {
     metrics_out: Option<String>,
     profile: bool,
     checkpoint: Option<String>,
-    resume: Option<String>,
     stop_after: Option<usize>,
 }
 
@@ -297,25 +295,13 @@ impl TuneFlags {
             max_sims: args.number("--max-sims", "a number")?,
             deadline_ms: args.positive("--deadline-ms", "a positive number")?,
         };
-        let resume = args.text("--resume", "a checkpoint directory")?;
-        // A resumed run keeps checkpointing into the checkpoint it
-        // resumes: its results are the ones being replayed.
         let checkpoint = args.text("--checkpoint", "a directory")?;
-        if let (Some(dir), Some(from)) = (&checkpoint, &resume) {
-            if Path::new(dir) != Path::new(from) {
-                return Err(format!(
-                    "--checkpoint {dir}: a resumed run keeps checkpointing into --resume \
-                     {from}; drop --checkpoint"
-                ));
-            }
-        }
-        let checkpoint = checkpoint.or_else(|| resume.clone());
         if let Some(dir) = &checkpoint {
             writable_parent(dir)?;
         }
         let stop_after = args.positive("--stop-after-units", "a number >= 1")?;
         if stop_after.is_some() && checkpoint.is_none() {
-            return Err("--stop-after-units requires --checkpoint or --resume".to_string());
+            return Err("--stop-after-units requires --checkpoint".to_string());
         }
         let mut flags = TuneFlags {
             strategy: args.text("--strategy", "a value")?.unwrap_or_else(|| "pareto".into()),
@@ -338,7 +324,6 @@ impl TuneFlags {
             metrics_out: args.output("--metrics-out")?,
             profile: args.switch("--profile"),
             checkpoint,
-            resume,
             stop_after,
             // Last, so the store is opened only after every other flag is read.
             engine: args.engine_flags()?,
@@ -453,26 +438,20 @@ fn cmd_tune(args: &[String]) -> ExitCode {
     );
     let checkpointer = match &flags.checkpoint {
         Some(dir) => {
-            let opened = match &flags.resume {
-                Some(_) => Checkpointer::resume(dir, meta),
-                None => Checkpointer::create(dir, meta),
-            };
-            let mut ck = match opened {
+            let mut ck = match Checkpointer::open(dir, meta) {
                 Ok(ck) => ck,
                 Err(e) => {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }
             };
-            if flags.resume.is_some() {
-                let st = ck.store();
-                eprintln!(
-                    "resume {dir}: {} results restored, {} ignored (other key scheme), {} dropped",
-                    st.records_loaded(),
-                    st.records_ignored(),
-                    st.records_dropped(),
-                );
-            }
+            let st = ck.store();
+            eprintln!(
+                "checkpoint {dir}: {} results restored, {} ignored (other key scheme), {} dropped",
+                st.records_loaded(),
+                st.records_ignored(),
+                st.records_dropped(),
+            );
             if let Some(n) = flags.stop_after {
                 ck = ck.with_stop_after(n);
             }
@@ -511,7 +490,7 @@ fn cmd_tune(args: &[String]) -> ExitCode {
                 Ok(()) => {
                     eprintln!(
                         "interrupted after {} units: checkpoint -> {}; continue with \
-                         --resume {1}",
+                         --checkpoint {1}",
                         ck.units_done(),
                         ck.dir().display(),
                     );
@@ -707,10 +686,10 @@ fn cmd_parse(args: &[String]) -> ExitCode {
     }
 }
 
-/// `trace report <file.jsonl>`: the run's counters (its `engine.metrics`
-/// record as the `--profile` table), convergence table, per-phase wall
-/// breakdown, worker utilization, slowest candidates, and the
-/// quarantine/retry digest — entirely from the trace file.
+/// `trace report <file.jsonl>`: the run's `--profile` table (its
+/// `engine.metrics` and `engine.runtime` records), convergence table,
+/// slowest candidates, and the quarantine/retry digest — entirely from
+/// the trace file.
 fn cmd_trace_report(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         eprintln!("trace report needs: <trace.jsonl>");

@@ -145,14 +145,20 @@ fn resume_refuses_a_different_search() {
     let ck = path.to_str().expect("temp path is UTF-8");
     let refusal = "checkpoint belongs to a different run";
     interrupt(&SEARCH, ck);
-    assert_fails(&["tune", "cp", "--strategy", "random", "--seed", "2", "--resume", ck], refusal);
+    assert_fails(
+        &["tune", "cp", "--strategy", "random", "--seed", "2", "--checkpoint", ck],
+        refusal,
+    );
     let anneal = ["tune", "cp", "--strategy", "anneal"];
     interrupt(&[&anneal[..], &["--budget", "12", "--seed", "1"]].concat(), ck);
     for other in [["--budget", "13", "--seed", "1"], ["--budget", "12", "--seed", "2"]] {
-        assert_fails(&[&anneal[..], &other, &["--resume", ck]].concat(), refusal);
+        assert_fails(&[&anneal[..], &other, &["--checkpoint", ck]].concat(), refusal);
     }
     interrupt(&["tune", "cp", "--strategy", "pareto"], ck);
-    assert_fails(&["tune", "cp", "--strategy", "pareto", "--no-screen", "--resume", ck], refusal);
+    assert_fails(
+        &["tune", "cp", "--strategy", "pareto", "--no-screen", "--checkpoint", ck],
+        refusal,
+    );
     let _ = fs::remove_dir_all(&path);
 }
 
@@ -168,7 +174,7 @@ fn resume_refuses_a_checkpoint_keyed_under_another_scheme() {
     assert!(text.contains(&stamp), "{text}");
     fs::write(&run, text.replace(&stamp, r#""key_scheme":1"#)).expect("rewritable");
     assert_fails(
-        &[&SEARCH[..], &["--resume", ck]].concat(),
+        &[&SEARCH[..], &["--checkpoint", ck]].concat(),
         &format!("keyed under key scheme 1, this build keys under scheme {scheme}"),
     );
     let _ = fs::remove_dir_all(&path);
@@ -180,8 +186,8 @@ fn resume_refuses_a_checkpoint_file_from_an_earlier_build() {
     let ck = path.to_str().expect("temp path is UTF-8");
     fs::write(&path, r#"{"schema":2,"key_scheme":2,"meta":{},"units_done":1,"results":[]}"#)
         .expect("write an old-format checkpoint");
-    assert_fails(&[&SEARCH[..], &["--resume", ck]].concat(), ck);
-    assert_fails(&[&SEARCH[..], &["--resume", ck]].concat(), "checkpoints are now directories");
+    assert_fails(&[&SEARCH[..], &["--checkpoint", ck]].concat(), ck);
+    assert_fails(&[&SEARCH[..], &["--checkpoint", ck]].concat(), "checkpoints are now directories");
     let _ = fs::remove_file(&path);
 }
 
@@ -201,33 +207,26 @@ fn checkpoint_refuses_a_directory_holding_other_files_and_leaves_them() {
 }
 
 #[test]
-fn checkpoint_refuses_an_existing_checkpoint_and_points_to_resume() {
+fn checkpoint_refuses_another_runs_checkpoint_and_leaves_it() {
     let path = ck_dir("exists");
     let ck = path.to_str().expect("temp path is UTF-8");
     interrupt(&SEARCH, ck);
     let before = listing(&path);
-    assert_fails(&[&SEARCH[..], &["--checkpoint", ck]].concat(), &format!("--resume {ck}"));
+    let other = ["tune", "cp", "--strategy", "random", "--seed", "2", "--checkpoint", ck];
+    assert_fails(&other, &format!("{ck}: checkpoint belongs to a different run"));
     assert_eq!(listing(&path), before, "the refused run touched the checkpoint");
     let _ = fs::remove_dir_all(&path);
 }
 
 #[test]
-fn a_checkpoint_is_never_redirected_or_shared_with_the_store() {
-    let from = ck_dir("redirect-from");
-    let to = ck_dir("redirect-to");
-    let (a, b) = (from.to_str().expect("UTF-8"), to.to_str().expect("UTF-8"));
-    interrupt(&SEARCH, a);
+fn a_checkpoint_is_never_shared_with_the_store() {
+    let path = ck_dir("shared");
+    let ck = path.to_str().expect("UTF-8");
     assert_fails(
-        &[&SEARCH[..], &["--resume", a, "--checkpoint", b]].concat(),
-        "a resumed run keeps checkpointing into",
-    );
-    assert!(!to.exists(), "the refused redirect created its target");
-    let _ = fs::remove_dir_all(&from);
-    assert_fails(
-        &[&SEARCH[..], &["--checkpoint", b, "--store-dir", b]].concat(),
+        &[&SEARCH[..], &["--checkpoint", ck, "--store-dir", ck]].concat(),
         "must not be the --store-dir directory",
     );
-    let _ = fs::remove_dir_all(&to);
+    let _ = fs::remove_dir_all(&path);
 }
 
 #[test]
@@ -236,12 +235,12 @@ fn a_completed_run_removes_only_its_own_checkpoint() {
     let ck = path.to_str().expect("temp path is UTF-8");
     interrupt(&SEARCH, ck);
     assert!(listing(&path).iter().any(|f| f.ends_with(".seg")), "results were recorded");
-    assert_succeeds(&[&SEARCH[..], &["--resume", ck]].concat());
+    assert_succeeds(&[&SEARCH[..], &["--checkpoint", ck]].concat());
     assert!(!path.exists(), "an emptied checkpoint directory is removed");
 
     interrupt(&SEARCH, ck);
     fs::write(path.join("notes.txt"), "keep me").expect("write");
-    assert_succeeds(&[&SEARCH[..], &["--resume", ck]].concat());
+    assert_succeeds(&[&SEARCH[..], &["--checkpoint", ck]].concat());
     assert_eq!(listing(&path), ["notes.txt"], "only the checkpoint's own files are removed");
     let _ = fs::remove_dir_all(&path);
 }
@@ -259,7 +258,7 @@ fn bnb_guards_still_hold() {
 fn stop_after_units_requires_checkpointing() {
     assert_fails(
         &["tune", "cp", "--stop-after-units", "5"],
-        "--stop-after-units requires --checkpoint or --resume",
+        "--stop-after-units requires --checkpoint",
     );
 }
 

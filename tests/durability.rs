@@ -216,7 +216,7 @@ fn killed_and_resumed_runs_are_byte_identical_at_any_worker_count() {
             // discarded and only the checkpoint file survives).
             let stop_at = 4usize;
             let ck = Arc::new(
-                Checkpointer::create(&ck_path, meta.clone())
+                Checkpointer::open(&ck_path, meta.clone())
                     .expect("create the checkpoint")
                     .with_stop_after(stop_at),
             );
@@ -234,7 +234,7 @@ fn killed_and_resumed_runs_are_byte_identical_at_any_worker_count() {
             // the rest run live, and the final report must be
             // indistinguishable from never having been interrupted.
             let resume_ck =
-                Arc::new(Checkpointer::resume(&ck_path, meta.clone()).expect("checkpoint loads"));
+                Arc::new(Checkpointer::open(&ck_path, meta.clone()).expect("checkpoint loads"));
             assert_eq!(resume_ck.meta(), &meta);
             assert!(!resume_ck.store().is_empty(), "{strategy}: some results were checkpointed");
             let (resumed, res_trace) = run(&|e| e.with_checkpoint(Arc::clone(&resume_ck)));
@@ -271,13 +271,13 @@ fn resume_replays_injected_faults_identically() {
     let ref_trace = sink.drain();
 
     let ck =
-        Arc::new(Checkpointer::create(&ck_path, meta.clone()).expect("create").with_stop_after(10));
+        Arc::new(Checkpointer::open(&ck_path, meta.clone()).expect("create").with_stop_after(10));
     let engine = EvalEngine::new(with_faults(2)).with_checkpoint(Arc::clone(&ck));
     let _partial = ExhaustiveSearch.run_with(&engine, &Sad::test_problem().candidates(), &g80());
     ck.store().sync().expect("publish");
     drop((engine, ck));
 
-    let loaded = Arc::new(Checkpointer::resume(&ck_path, meta).expect("loads"));
+    let loaded = Arc::new(Checkpointer::open(&ck_path, meta).expect("loads"));
     let sink = Arc::new(EventSink::new());
     let engine =
         EvalEngine::new(with_faults(2)).with_sink(Arc::clone(&sink)).with_checkpoint(loaded);
@@ -297,7 +297,7 @@ fn a_checkpointed_run_spawns_the_workers_of_a_plain_run() {
     let dir = scratch("dispatch");
     let meta = CheckpointMeta::new("sad", "exhaustive", None, &Sad::test_problem().space());
     let (plain, _) = run_sad(2, |e| e);
-    let ck = Arc::new(Checkpointer::create(dir.join("ck"), meta).expect("create"));
+    let ck = Arc::new(Checkpointer::open(dir.join("ck"), meta).expect("create"));
     let (checkpointed, _) = run_sad(2, |e| e.with_checkpoint(Arc::clone(&ck)));
     assert_reports_match(&checkpointed, &plain);
     let spawned = plain.metrics.runtime.workers_spawned;
@@ -315,7 +315,7 @@ fn stop_after_runs_exactly_that_many_units_and_resumes_identically() {
     for jobs in [1usize, 2, 8] {
         let (reference, ref_trace) = run_sad(jobs, |e| e);
         let ck = Arc::new(
-            Checkpointer::create(&ck_path, meta.clone()).expect("create").with_stop_after(5),
+            Checkpointer::open(&ck_path, meta.clone()).expect("create").with_stop_after(5),
         );
         let _partial = run_sad(jobs, |e| e.with_checkpoint(Arc::clone(&ck)));
         assert!(ck.should_stop(), "jobs = {jobs}");
@@ -324,7 +324,7 @@ fn stop_after_runs_exactly_that_many_units_and_resumes_identically() {
         ck.store().sync().expect("publish the checkpoint");
         drop(ck);
 
-        let resumed_ck = Arc::new(Checkpointer::resume(&ck_path, meta.clone()).expect("loads"));
+        let resumed_ck = Arc::new(Checkpointer::open(&ck_path, meta.clone()).expect("loads"));
         let (resumed, res_trace) = run_sad(jobs, |e| e.with_checkpoint(Arc::clone(&resumed_ck)));
         assert_reports_match(&resumed, &reference);
         assert_eq!(res_trace.canonical_text(), ref_trace.canonical_text(), "jobs = {jobs}");

@@ -13,8 +13,9 @@
 //!   trace export is well-formed, and `trace report` renders a known
 //!   trace exactly.
 //! * **One count per fact** — the curve's `unique_sims` counts what
-//!   `sims_executed` counts, and `trace report` prints the counters of
-//!   the run's own `engine.metrics` record.
+//!   `sims_executed` counts, and `trace report` prints the run's own
+//!   `--profile` table from its `engine.metrics` and `engine.runtime`
+//!   records.
 
 use std::sync::Arc;
 
@@ -24,8 +25,8 @@ use gpu_autotune::kernels::{
 };
 use gpu_autotune::optspace::engine::{EngineConfig, FaultPlan};
 use gpu_autotune::optspace::obs::{
-    chrome_trace, format_summary, json, parse_jsonl, summarize, EngineMetrics, EventSink,
-    RunManifest, RuntimeMetrics, Scope, Trace, TRACE_SCHEMA,
+    chrome_trace, format_summary, json, parse_jsonl, summarize, EventSink, RunManifest, Scope,
+    Trace, TRACE_SCHEMA,
 };
 use gpu_autotune::optspace::report::profile_table;
 use gpu_autotune::optspace::tuner::{
@@ -259,62 +260,59 @@ fn chrome_trace_export_is_well_formed() {
 fn trace_report_renders_a_known_trace_exactly() {
     let jsonl = r#"
 {"schema":1,"seq":0,"ts_us":0,"thread":0,"scope":"search","kind":"begin","name":"search","fields":{"strategy":"exhaustive","space":4}}
-{"schema":1,"seq":1,"ts_us":100,"thread":0,"scope":"search","kind":"begin","name":"phase.timing","fields":{}}
-{"schema":1,"seq":2,"ts_us":200,"thread":0,"scope":"search","kind":"point","name":"sim.done","fields":{"candidate":0,"unique":0,"time_ms":4.0}}
-{"schema":1,"seq":3,"ts_us":300,"thread":0,"scope":"search","kind":"point","name":"sim.done","fields":{"candidate":1,"unique":1,"time_ms":2.0}}
-{"schema":1,"seq":4,"ts_us":350,"thread":1,"scope":"runtime","kind":"point","name":"pool.item","fields":{"phase":"timing","index":0,"wall_us":200}}
-{"schema":1,"seq":5,"ts_us":360,"thread":0,"scope":"search","kind":"point","name":"cache.hit","fields":{"candidate":2,"unique":0}}
-{"schema":1,"seq":6,"ts_us":370,"thread":0,"scope":"search","kind":"point","name":"quarantine","fields":{"kind":"sim-fuel-exhausted"}}
-{"schema":1,"seq":7,"ts_us":400,"thread":0,"scope":"search","kind":"counter","name":"engine.metrics","fields":{"static_evals":4,"timed":3,"sims_executed":2,"sims_memoized":1,"cache_hit_rate":0.3333333333333333,"family_forks":0,"family_members":0,"retries":0,"quarantined":1,"injected_faults":0,"budget_truncated":false,"fuel_consumed":900,"sim_cycles":1200,"stall_mem_cycles":300,"stall_sfu_cycles":0,"stall_arith_cycles":100,"stall_other_cycles":0,"bound_pruned_subspaces":0,"bound_pruned_points":0,"store_hits":0,"store_records_dropped":0,"convergence":[{"sims":1,"unique_sims":1,"best_time_ms":4.0,"bound_pruned_points":0},{"sims":2,"unique_sims":2,"best_time_ms":2.0,"bound_pruned_points":0}]}}
-{"schema":1,"seq":8,"ts_us":450,"thread":0,"scope":"search","kind":"end","name":"phase.timing","fields":{}}
-{"schema":1,"seq":9,"ts_us":500,"thread":0,"scope":"search","kind":"end","name":"search","fields":{"best":1,"best_time_ms":2.0,"timed":2}}
+{"schema":1,"seq":1,"ts_us":50,"thread":0,"scope":"search","kind":"point","name":"search.round","fields":{"round":0,"batch":4}}
+{"schema":1,"seq":2,"ts_us":100,"thread":0,"scope":"search","kind":"begin","name":"phase.timing","fields":{}}
+{"schema":1,"seq":3,"ts_us":200,"thread":0,"scope":"search","kind":"point","name":"sim.done","fields":{"candidate":0,"unique":0,"time_ms":4.0}}
+{"schema":1,"seq":4,"ts_us":300,"thread":0,"scope":"search","kind":"point","name":"sim.done","fields":{"candidate":1,"unique":1,"time_ms":2.0}}
+{"schema":1,"seq":5,"ts_us":350,"thread":1,"scope":"runtime","kind":"point","name":"pool.item","fields":{"phase":"timing","index":0,"wall_us":200}}
+{"schema":1,"seq":6,"ts_us":360,"thread":0,"scope":"search","kind":"point","name":"cache.hit","fields":{"candidate":2,"unique":0}}
+{"schema":1,"seq":7,"ts_us":370,"thread":0,"scope":"search","kind":"point","name":"quarantine","fields":{"kind":"sim-fuel-exhausted"}}
+{"schema":1,"seq":8,"ts_us":390,"thread":0,"scope":"runtime","kind":"counter","name":"engine.runtime","fields":{"jobs":2,"static_wall_us":100,"timing_wall_us":350,"worker_busy_us":200,"workers_spawned":2,"worker_utilization":0.2222222222222222,"sim_duration_hist":[0,0,0,0,0,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"cache_lookup_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"store_io_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"decode_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}
+{"schema":1,"seq":9,"ts_us":400,"thread":0,"scope":"search","kind":"counter","name":"engine.metrics","fields":{"static_evals":4,"timed":3,"sims_executed":2,"sims_memoized":1,"cache_hit_rate":0.3333333333333333,"family_forks":0,"family_members":0,"retries":0,"quarantined":1,"injected_faults":0,"budget_truncated":false,"fuel_consumed":900,"sim_cycles":1200,"stall_mem_cycles":300,"stall_sfu_cycles":0,"stall_arith_cycles":100,"stall_other_cycles":0,"bound_pruned_subspaces":0,"bound_pruned_points":0,"store_hits":0,"store_records_dropped":0,"convergence":[{"sims":1,"unique_sims":1,"best_time_ms":4.0,"bound_pruned_points":0},{"sims":2,"unique_sims":2,"best_time_ms":2.0,"bound_pruned_points":0}]}}
+{"schema":1,"seq":10,"ts_us":450,"thread":0,"scope":"search","kind":"end","name":"phase.timing","fields":{}}
+{"schema":1,"seq":11,"ts_us":500,"thread":0,"scope":"search","kind":"end","name":"search","fields":{"best":1,"best_time_ms":2.0,"timed":2}}
 "#;
     let recs = parse_jsonl(jsonl).expect("hand-built trace parses");
-    let got = format_summary(&summarize(&recs, 5).expect("the convergence curve parses"));
+    let got = format_summary(&summarize(&recs, 5).expect("the metrics records parse"));
     let want = "\
 search: exhaustive, space 4, best 2.00 ms
-trace: 10 events spanning 500.0 us
+trace: 12 events spanning 500.0 us, 1 search rounds
 
-counters
-metric                  value   share
--------------------------------------
-static evals                4
-timed candidates            3
-sims executed               2   66.7%
-sims memoized               1   33.3%
-cache hit rate          33.3%
-family forks                0
-family members              0
-retries                     0
-quarantined                 1
-fuel consumed             900
-sim cycles               1200
-stall cycles              400   33.3%
-  memory                  300   75.0%
-  sfu                       0    0.0%
-  arithmetic              100   25.0%
-  other                     0    0.0%
-convergence samples         2
-sims to optimum             2   66.7%
-unique sims to optimum      2  100.0%
+profile
+metric                                        value   share
+-----------------------------------------------------------
+static evals                                      4
+timed candidates                                  3
+sims executed                                     2   66.7%
+sims memoized                                     1   33.3%
+cache hit rate                                33.3%
+family forks                                      0
+family members                                    0
+retries                                           0
+quarantined                                       1
+fuel consumed                                   900
+sim cycles                                     1200
+stall cycles                                    400   33.3%
+  memory                                        300   75.0%
+  sfu                                             0    0.0%
+  arithmetic                                    100   25.0%
+  other                                           0    0.0%
+convergence samples                               2
+sims to optimum                                   2   66.7%
+unique sims to optimum                            2  100.0%
+jobs                                              2
+static wall                                100.0 us   22.2%
+timing wall                                350.0 us   77.8%
+worker busy                                200.0 us
+worker utilization                            22.2%
+workers spawned                                   2
+sim latency             p50 256.0 us / p95 256.0 us
 
 convergence
 sims  unique     best  pruned
 -----------------------------
    1       1  4.00 ms       0
    2       2  2.00 ms       0
-
-phases
-phase         spans      wall   share
--------------------------------------
-search            1  500.0 us  100.0%
-phase.timing      1  350.0 us   70.0%
-
-workers
-thread  items      busy  utilization
-------------------------------------
-     1      1  200.0 us        40.0%
-overall: 1 worker threads, 40.0% utilized over the trace span
 
 slowest candidates
 candidate     time
@@ -364,9 +362,20 @@ fn the_curve_counts_the_simulations_sims_executed_counts() {
     }
 }
 
-/// `trace report` prints the run's counters as the deterministic rows
-/// of the `--profile` table, read back from the trace's own
-/// `engine.metrics` record.
+/// `trace report` over the run's trace, parsed back from its JSONL,
+/// prints the run's `--profile` table verbatim, runtime rows included,
+/// and no utilization figure of its own.
+fn assert_trace_report_prints_the_profile(sink: &EventSink, report: &SearchReport) {
+    let recs = parse_jsonl(&sink.drain().to_jsonl()).expect("the trace parses");
+    let text = format_summary(&summarize(&recs, 5).expect("the metrics records parse"));
+    let table = profile_table(&report.metrics);
+    assert!(table.contains("worker utilization"), "the live run carries runtime rows");
+    assert!(text.contains(&format!("\nprofile\n{table}\n")), "not the run's profile:\n{text}");
+    assert_eq!(text.matches("utilization").count(), 1, "one utilization figure:\n{text}");
+}
+
+/// `trace report` prints the run's `--profile` table, read back from
+/// the trace's own `engine.metrics` and `engine.runtime` records.
 #[test]
 fn trace_report_counters_are_the_profile_table_of_the_run() {
     let spec = MachineSpec::geforce_8800_gtx();
@@ -375,22 +384,18 @@ fn trace_report_counters_are_the_profile_table_of_the_run() {
     let engine = EvalEngine::with_jobs(2).with_sink(Arc::clone(&sink));
     let report = ExhaustiveSearch.run_with(&engine, &cands, &spec);
     assert!(report.stats.family_forks > 0, "the MRI space forks families");
-    let recs = parse_jsonl(&sink.drain().to_jsonl()).expect("the trace parses");
-    let text = format_summary(&summarize(&recs, 5).expect("the metrics record parses"));
-    let counters = text
-        .split("\n\n")
-        .find_map(|section| section.strip_prefix("counters\n"))
-        .expect("a counters section");
-    let deterministic =
-        EngineMetrics { runtime: RuntimeMetrics::default(), ..report.metrics.clone() };
-    assert_eq!(format!("{counters}\n"), profile_table(&deterministic));
-    // Those are the leading rows of the full `--profile` table, cell
-    // for cell (padding aside).
-    let cells = |t: &str| -> Vec<Vec<String>> {
-        t.lines().map(|l| l.split_whitespace().map(str::to_string).collect()).collect()
-    };
-    let full = cells(&profile_table(&report.metrics));
-    let rows = cells(counters);
-    assert!(full.len() > rows.len(), "the live run carries runtime rows");
-    assert_eq!(rows[2..], full[2..rows.len()]);
+    assert_trace_report_prints_the_profile(&sink, &report);
+}
+
+/// The same holds for branch-and-bound, whose many small batches each
+/// start the pool afresh.
+#[test]
+fn trace_report_prints_the_profile_of_a_bnb_run() {
+    let spec = MachineSpec::geforce_8800_gtx();
+    let app = Cp::new(512, 64, 16);
+    let sink = Arc::new(EventSink::new());
+    let engine = EvalEngine::with_jobs(2).with_sink(Arc::clone(&sink));
+    let report = BranchAndBound.run_space(&engine, &app.space(), &AppInstantiator(&app), &spec);
+    assert!(report.stats.bound_pruned_subspaces > 0, "the bound pruned");
+    assert_trace_report_prints_the_profile(&sink, &report);
 }
