@@ -67,15 +67,7 @@ impl Occupancy {
     /// paper's "invalid executable" case — or when the block shape itself
     /// violates Table 2.
     pub fn compute(spec: &MachineSpec, usage: &ResourceUsage) -> Result<Self, LaunchError> {
-        if usage.threads_per_block == 0 {
-            return Err(LaunchError::EmptyBlock);
-        }
-        if usage.threads_per_block > spec.max_threads_per_block {
-            return Err(LaunchError::BlockTooLarge {
-                threads: usage.threads_per_block,
-                limit: spec.max_threads_per_block,
-            });
-        }
+        spec.check_block(usage.threads_per_block)?;
         if usage.regs_per_block() > spec.registers_per_sm {
             return Err(LaunchError::RegistersExhausted {
                 required: usage.regs_per_block(),

@@ -177,6 +177,26 @@ impl MachineSpec {
         self.global_bandwidth_bytes_per_sec / self.clock_hz
     }
 
+    /// Check a thread-block size against Table 2: a block must hold at
+    /// least one thread and at most [`Self::max_threads_per_block`].
+    ///
+    /// # Errors
+    ///
+    /// [`LaunchError::EmptyBlock`] or [`LaunchError::BlockTooLarge`],
+    /// in that order.
+    pub fn check_block(&self, threads_per_block: u32) -> Result<(), LaunchError> {
+        if threads_per_block == 0 {
+            return Err(LaunchError::EmptyBlock);
+        }
+        if threads_per_block > self.max_threads_per_block {
+            return Err(LaunchError::BlockTooLarge {
+                threads: threads_per_block,
+                limit: self.max_threads_per_block,
+            });
+        }
+        Ok(())
+    }
+
     /// Compute how many blocks of the given kernel fit on one SM.
     ///
     /// This is the `-cubin`-derived calculation of section 2.2. See

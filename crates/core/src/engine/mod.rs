@@ -62,7 +62,7 @@ use gpu_sim::decode::{DecodedArena, DecodedProgram};
 use gpu_sim::timing::TimingReport;
 
 use crate::candidate::{Candidate, Evaluated};
-use crate::metrics::MetricsOptions;
+use crate::metrics::{check_launch, MetricsOptions};
 use crate::obs::{ConvergenceRecorder, EventKind, EventSink, Json, LatencyLane, Phase};
 use crate::space::CandidateSource;
 
@@ -111,6 +111,10 @@ pub struct MetricsEval {
 
 impl StaticEval for MetricsEval {
     fn evaluate(&self, candidate: &Candidate, spec: &MachineSpec) -> Result<Evaluated, EvalError> {
+        // An unlaunchable configuration is the paper's "invalid
+        // executable" whatever its kernel: the verdict the engine
+        // reaches from the launch alone, before any kernel exists.
+        check_launch(&candidate.launch, spec)?;
         if self.verify {
             let findings = gpu_ir::verify::verify(&candidate.kernel);
             if !findings.is_empty() {
@@ -479,7 +483,10 @@ impl EvalEngine {
     /// view that instantiates points on demand — workers call
     /// [`CandidateSource::get`], so for a lazy source kernel generation
     /// and the pass pipelines run inside the pool and the full space is
-    /// never materialized up front.
+    /// never materialized up front. A candidate whose
+    /// [`CandidateSource::launch`] fails [`check_launch`] is an invalid
+    /// executable without being generated, whatever `eval` would say
+    /// of its kernel.
     ///
     /// `None` entries are the paper's "invalid executable" cases
     /// (resource-exceeded) *and* candidates quarantined by any other
@@ -499,7 +506,7 @@ impl EvalEngine {
         let mut results: Vec<Result<Evaluated, EvalError>> = pool::run_indexed(
             self.config.jobs,
             source.len(),
-            |i| eval.evaluate(&source.get(i), spec),
+            |i| evaluate_one(eval, source, i, spec),
             self.observer(),
             "static",
         )
@@ -530,7 +537,7 @@ impl EvalEngine {
             let redo = pool::run_indexed(
                 self.config.jobs,
                 retry.len(),
-                |k| eval.evaluate(&source.get(retry[k]), spec),
+                |k| evaluate_one(eval, source, retry[k], spec),
                 self.observer(),
                 "static",
             );
@@ -1055,6 +1062,21 @@ impl EvalEngine {
         );
         quarantine.push(q);
     }
+}
+
+/// Static evaluation of candidate `index` of `source`: a launch the
+/// source knows and [`check_launch`] refuses settles the verdict before
+/// the kernel is generated.
+fn evaluate_one(
+    eval: &dyn StaticEval,
+    source: &dyn CandidateSource,
+    index: usize,
+    spec: &MachineSpec,
+) -> Result<Evaluated, EvalError> {
+    if let Some(launch) = source.launch(index) {
+        check_launch(&launch, spec)?;
+    }
+    eval.evaluate(&source.get(index), spec)
 }
 
 /// A stored (or checkpointed) result, served only if a fresh simulation

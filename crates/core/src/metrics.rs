@@ -109,31 +109,47 @@ pub struct KernelProfile {
     pub mix: InstrMix,
 }
 
+/// Whether `launch` can run on `spec` at all, from its geometry alone:
+/// a grid of at least one block, and a block Table 2 admits. This is
+/// every [`LaunchError`] that needs no kernel, in the order
+/// [`profile_kernel`] reports them, so a search can classify such a
+/// configuration as an invalid executable before generating it.
+///
+/// # Errors
+///
+/// [`LaunchError::EmptyGrid`], [`LaunchError::EmptyBlock`] or
+/// [`LaunchError::BlockTooLarge`], in that order.
+pub fn check_launch(launch: &Launch, spec: &MachineSpec) -> Result<(), LaunchError> {
+    // A zero-extent grid dimension runs no thread at all, and the
+    // occupancy arithmetic never sees the grid, so it is rejected here.
+    if launch.grid.is_empty() {
+        return Err(LaunchError::EmptyGrid);
+    }
+    spec.check_block(launch.threads_per_block())
+}
+
 /// Statically profile `kernel` under `launch` on `spec`.
 ///
 /// # Errors
 ///
-/// Returns the occupancy [`LaunchError`] for configurations that cannot
-/// execute (the paper's "invalid executable", e.g. prefetching pushing
-/// register usage past the file size).
+/// Returns the [`check_launch`] or occupancy [`LaunchError`] for
+/// configurations that cannot execute (the paper's "invalid
+/// executable", e.g. prefetching pushing register usage past the file
+/// size).
 pub fn profile_kernel(
     kernel: &Kernel,
     launch: &Launch,
     spec: &MachineSpec,
 ) -> Result<KernelProfile, LaunchError> {
-    // A zero-extent grid dimension runs no thread at all; the block side
-    // of the same degeneracy falls out of the occupancy arithmetic as
-    // `EmptyBlock` (zero threads per block), but the grid never reaches
-    // it, so reject it here.
-    if launch.grid.is_empty() {
-        return Err(LaunchError::EmptyGrid);
-    }
-    let counts = dynamic_counts(kernel);
+    check_launch(launch, spec)?;
+    // The occupancy verdict needs only the register count, so a kernel
+    // that exhausts registers or shared memory skips the counting passes.
     let pressure = register_pressure(kernel);
-    let mix = instruction_mix(kernel);
     let usage =
         ResourceUsage::new(launch.threads_per_block(), pressure.regs_per_thread, kernel.smem_bytes);
     let occupancy = spec.occupancy(&usage)?;
+    let counts = dynamic_counts(kernel);
+    let mix = instruction_mix(kernel);
     Ok(KernelProfile {
         profile: StaticProfile {
             instr: counts.instrs,
@@ -267,5 +283,27 @@ mod tests {
         let launch = Launch::new(Dim::new_1d(4), Dim::new_1d(512));
         let err = profile_kernel(&k, &launch, &MachineSpec::geforce_8800_gtx()).unwrap_err();
         assert!(matches!(err, LaunchError::RegistersExhausted { .. }));
+    }
+
+    #[test]
+    fn check_launch_is_the_geometry_half_of_profile_kernel() {
+        let spec = MachineSpec::geforce_8800_gtx();
+        let k = KernelBuilder::new("k").finish();
+        let cases = [
+            (Dim::new_2d(4, 0), Dim::new_1d(0), Err(LaunchError::EmptyGrid)),
+            (Dim::new_1d(4), Dim::new_2d(32, 0), Err(LaunchError::EmptyBlock)),
+            (
+                Dim::new_1d(4),
+                Dim::new_2d(32, 32),
+                Err(LaunchError::BlockTooLarge { threads: 1024, limit: 512 }),
+            ),
+            (Dim::new_1d(4), Dim::new_2d(16, 32), Ok(())),
+        ];
+        for (grid, block, want) in cases {
+            let launch = Launch::new(grid, block);
+            assert_eq!(check_launch(&launch, &spec), want, "{grid} blocks of {block}");
+            let profiled = profile_kernel(&k, &launch, &spec).map(|_| ());
+            assert_eq!(profiled, want, "{grid} blocks of {block}");
+        }
     }
 }

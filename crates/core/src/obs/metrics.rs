@@ -80,15 +80,16 @@ impl Histogram {
         Json::Arr(self.buckets.iter().map(|&n| Json::from(n)).collect())
     }
 
-    /// Parse [`Histogram::to_json`] output.
+    /// Parse [`Histogram::to_json`] output. The error says what is
+    /// wrong; the caller names the histogram.
     pub fn from_json(j: &Json) -> Result<Self, String> {
-        let arr = j.as_arr().ok_or("histogram: expected an array")?;
+        let arr = j.as_arr().ok_or("expected an array")?;
         if arr.len() != HIST_BUCKETS {
-            return Err(format!("histogram: expected {HIST_BUCKETS} buckets, got {}", arr.len()));
+            return Err(format!("expected {HIST_BUCKETS} buckets, got {}", arr.len()));
         }
         let mut h = Self::default();
         for (slot, j) in h.buckets.iter_mut().zip(arr.iter()) {
-            *slot = j.as_u64().ok_or("histogram: non-integer bucket count")?;
+            *slot = j.as_u64().ok_or("non-integer bucket count")?;
         }
         Ok(h)
     }
@@ -158,7 +159,8 @@ impl RuntimeMetrics {
             j.get(k).and_then(Json::as_u64).ok_or_else(|| format!("runtime: missing `{k}`"))
         };
         let hist = |k: &str| {
-            Histogram::from_json(j.get(k).ok_or_else(|| format!("runtime: missing `{k}`"))?)
+            let h = j.get(k).ok_or_else(|| format!("runtime: missing `{k}`"))?;
+            Histogram::from_json(h).map_err(|e| format!("runtime: {k}: {e}"))
         };
         Ok(Self {
             jobs: u("jobs")?,

@@ -367,6 +367,6 @@ mod tests {
         sink.runtime(EventKind::Counter, "engine.runtime", fields);
         let recs = parse_jsonl(&sink.drain().to_jsonl()).unwrap();
         let err = summarize(&recs, 5).unwrap_err();
-        assert_eq!(err, "engine.runtime (seq 5): histogram: expected 24 buckets, got 1");
+        assert_eq!(err, "engine.runtime (seq 5): runtime: decode_hist: expected 24 buckets, got 1");
     }
 }

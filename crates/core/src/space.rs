@@ -35,6 +35,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
+use gpu_ir::Launch;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -903,7 +904,8 @@ impl SelectionRecord {
 ///
 /// The contract that makes eager and lazy reports byte-identical:
 /// `get(i)` must return the same candidate every time it is called
-/// for a given `i`, and `label(i)` must equal `get(i).label`.
+/// for a given `i`, `label(i)` must equal `get(i).label`, and
+/// `launch(i)`, when it is `Some`, must equal `get(i).launch`.
 pub trait CandidateSource: Sync {
     /// Number of candidates (the search's `space_size`).
     fn len(&self) -> usize;
@@ -919,6 +921,16 @@ pub trait CandidateSource: Sync {
     /// Candidate `index`: borrowed from an eager slice, or built on
     /// the calling (worker) thread for a lazy source.
     fn get(&self, index: usize) -> Cow<'_, Candidate>;
+
+    /// The launch geometry of candidate `index` without generating its
+    /// kernel, when the source can tell; static evaluation then
+    /// classifies an unlaunchable candidate as an invalid executable
+    /// without calling [`CandidateSource::get`]. The default, `None`,
+    /// means "unknown": every candidate is generated and evaluated.
+    fn launch(&self, index: usize) -> Option<Launch> {
+        let _ = index;
+        None
+    }
 
     /// The search's index for candidate `index`: what trace events and
     /// quarantine records name it by. A view over part of a larger
@@ -941,6 +953,10 @@ impl CandidateSource for [Candidate] {
     fn get(&self, index: usize) -> Cow<'_, Candidate> {
         Cow::Borrowed(&self[index])
     }
+
+    fn launch(&self, index: usize) -> Option<Launch> {
+        Some(self[index].launch)
+    }
 }
 
 // `[Candidate]` is unsized, so it cannot itself coerce to a
@@ -958,6 +974,10 @@ impl CandidateSource for &[Candidate] {
     fn get(&self, index: usize) -> Cow<'_, Candidate> {
         Cow::Borrowed(&self[index])
     }
+
+    fn launch(&self, index: usize) -> Option<Launch> {
+        Some(self[index].launch)
+    }
 }
 
 impl CandidateSource for Vec<Candidate> {
@@ -972,6 +992,10 @@ impl CandidateSource for Vec<Candidate> {
     fn get(&self, index: usize) -> Cow<'_, Candidate> {
         Cow::Borrowed(&self[index])
     }
+
+    fn launch(&self, index: usize) -> Option<Launch> {
+        Some(self[index].launch)
+    }
 }
 
 /// Point-to-candidate instantiation, as a capability a subspace search
@@ -984,6 +1008,14 @@ impl CandidateSource for Vec<Candidate> {
 pub trait Instantiator: Sync {
     /// Build the candidate for a (fully bound) point.
     fn instantiate(&self, point: &Point) -> Candidate;
+
+    /// The launch geometry of `point`'s candidate without generating
+    /// its kernel (see [`CandidateSource::launch`]). When `Some`, it
+    /// must equal `instantiate(point).launch`; the default is `None`.
+    fn launch(&self, point: &Point) -> Option<Launch> {
+        let _ = point;
+        None
+    }
 
     /// Adjust an arbitrary grid assignment to one the generator can
     /// build. Bound probes evaluate per-axis-optimistic corners that
@@ -1028,6 +1060,10 @@ impl CandidateSource for PointBatch<'_> {
 
     fn get(&self, index: usize) -> Cow<'_, Candidate> {
         Cow::Owned(self.inst.instantiate(&self.points[index]))
+    }
+
+    fn launch(&self, index: usize) -> Option<Launch> {
+        self.inst.launch(&self.points[index])
     }
 }
 

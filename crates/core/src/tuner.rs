@@ -40,6 +40,7 @@ use std::borrow::Cow;
 use std::collections::BinaryHeap;
 
 use gpu_arch::MachineSpec;
+use gpu_ir::Launch;
 use gpu_sim::timing::TimingReport;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -512,6 +513,10 @@ impl CandidateSource for Subset<'_> {
         self.source.get(self.indices[index])
     }
 
+    fn launch(&self, index: usize) -> Option<Launch> {
+        self.source.launch(self.indices[index])
+    }
+
     fn ordinal(&self, index: usize) -> usize {
         self.source.ordinal(self.indices[index])
     }
@@ -545,26 +550,11 @@ pub struct PrunedSearch {
     pub screen_bandwidth: bool,
     /// Metric variant.
     pub options: MetricsOptions,
-    /// Cluster resolution (section 5.2): when set, normalized metrics
-    /// are rounded to this grid before the Pareto step, so
-    /// configurations with "identical or nearly identical metrics" —
-    /// the Figure 6(b) clusters — survive dominance *together*, as they
-    /// do in the paper's selected sets.
-    pub metric_resolution: Option<f64>,
-    /// With clustering active, simulate only one representative per
-    /// cluster ("it may be sufficient to randomly select a single
-    /// configuration from that cluster", section 5.2).
-    pub cluster_sample: bool,
 }
 
 impl Default for PrunedSearch {
     fn default() -> Self {
-        Self {
-            screen_bandwidth: true,
-            options: MetricsOptions::default(),
-            metric_resolution: None,
-            cluster_sample: false,
-        }
+        Self { screen_bandwidth: true, options: MetricsOptions::default() }
     }
 }
 
@@ -597,38 +587,9 @@ impl SearchStrategy for PrunedSearch {
                 screened
             }
         };
-        let mut points: Vec<crate::pareto::Point> =
+        let points: Vec<crate::pareto::Point> =
             eligible.iter().map(|(_, e)| e.metrics.point()).collect();
-        if let Some(res) = self.metric_resolution {
-            // Normalise per axis, then snap to the resolution grid.
-            let mx = points.iter().map(|p| p.x).fold(0.0f64, f64::max);
-            let my = points.iter().map(|p| p.y).fold(0.0f64, f64::max);
-            for p in &mut points {
-                if mx > 0.0 {
-                    p.x = (p.x / mx / res).round() * res;
-                }
-                if my > 0.0 {
-                    p.y = (p.y / my / res).round() * res;
-                }
-            }
-        }
-        let mut selected: Vec<usize> = pareto_indices(&points);
-
-        if self.cluster_sample && self.metric_resolution.is_some() {
-            // One representative per rounded coordinate (the first in
-            // enumeration order — deterministic).
-            let mut seen: Vec<(u64, u64)> = Vec::new();
-            selected.retain(|&k| {
-                let key = (points[k].x.to_bits(), points[k].y.to_bits());
-                if seen.contains(&key) {
-                    false
-                } else {
-                    seen.push(key);
-                    true
-                }
-            });
-        }
-        selected.into_iter().map(|k| eligible[k].0).collect()
+        pareto_indices(&points).into_iter().map(|k| eligible[k].0).collect()
     }
 }
 
@@ -768,6 +729,10 @@ impl CandidateSource for SpaceGrid<'_> {
 
     fn get(&self, index: usize) -> Cow<'_, Candidate> {
         Cow::Owned(self.inst.instantiate(&self.point(index)))
+    }
+
+    fn launch(&self, index: usize) -> Option<Launch> {
+        self.inst.launch(&self.point(index))
     }
 }
 
@@ -1174,87 +1139,5 @@ mod debug_dump {
                 println!("{}", event.canonical_line());
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod cluster_tests {
-    use super::*;
-    use gpu_ir::build::KernelBuilder;
-    use gpu_ir::{Dim, Kernel, Launch};
-
-    /// A space with deliberate clusters: the `inv` knob splits work
-    /// across invocations (metrics near-identical within a cluster), the
-    /// `work` knob changes efficiency between clusters.
-    fn clustered_space() -> Vec<Candidate> {
-        fn kernel(work: u32, trips: u32) -> Kernel {
-            let mut b = KernelBuilder::new("c");
-            let p = b.param(0);
-            let acc = b.mov(0.0f32);
-            b.repeat(trips, |b| {
-                let x = b.ld_global(p, 0);
-                for _ in 0..work {
-                    b.fmad_acc(x, 1.0f32, acc);
-                }
-            });
-            b.st_global(p, 0, acc);
-            b.finish()
-        }
-        let mut out = Vec::new();
-        for work in [1u32, 2, 4] {
-            for inv in [1u32, 2, 4, 8] {
-                let total_trips = 64;
-                out.push(
-                    Candidate::new(
-                        format!("w{work}/inv{inv}"),
-                        kernel(work, total_trips / inv),
-                        Launch::new(Dim::new_1d(256), Dim::new_1d(128)),
-                    )
-                    .with_invocations(inv),
-                );
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn clustering_retains_whole_clusters_and_sampling_thins_them() {
-        let spec = MachineSpec::geforce_8800_gtx();
-        let space = clustered_space();
-
-        let exact = PrunedSearch::default().run(&space, &spec);
-        let clustered =
-            PrunedSearch { metric_resolution: Some(0.02), ..Default::default() }.run(&space, &spec);
-        let sampled = PrunedSearch {
-            metric_resolution: Some(0.02),
-            cluster_sample: true,
-            ..Default::default()
-        }
-        .run(&space, &spec);
-
-        // Clustering keeps more configurations than exact dominance
-        // (the near-identical invocation variants survive together)...
-        assert!(
-            clustered.evaluated_count() > exact.evaluated_count(),
-            "clustered {} !> exact {}",
-            clustered.evaluated_count(),
-            exact.evaluated_count()
-        );
-        // ...and sampling collapses each cluster to one representative.
-        assert!(sampled.evaluated_count() < clustered.evaluated_count());
-
-        // The sampled search must land within the cluster's small
-        // spread of the true optimum.
-        let truth = ExhaustiveSearch.run(&space, &spec).best_time_ms().unwrap();
-        let got = sampled.best_time_ms().unwrap();
-        assert!(got / truth < 1.10, "sampled best {got} more than 10% off optimum {truth}");
-
-        // The invocation clusters are exactly what the memo cache
-        // collapses: the exhaustive run times 12 configurations out of
-        // only 3 unique simulations (work variants), families included.
-        let ex = ExhaustiveSearch.run(&space, &spec);
-        assert_eq!(ex.stats.timed, 12);
-        assert_eq!(ex.stats.unique_sims, 3);
-        assert_eq!(ex.stats.cache_hits, 9);
     }
 }

@@ -11,6 +11,7 @@
 
 use std::borrow::Cow;
 
+use gpu_ir::Launch;
 use optspace::candidate::Candidate;
 use optspace::space::{CandidateSource, Instantiator, Point, Space, Value};
 
@@ -30,6 +31,18 @@ pub trait App: Sync {
     /// Generate the candidate for one point of [`App::space`]. The
     /// candidate's label must equal `point.to_string()`.
     fn instantiate(&self, point: &Point) -> Candidate;
+
+    /// The launch geometry of `point`'s candidate, from its
+    /// configuration alone: when `Some`, it must equal
+    /// `instantiate(point).launch`. Static evaluation then settles an
+    /// unlaunchable point (e.g. a block past Table 2's thread limit)
+    /// without generating its kernel. The default, `None`, leaves every
+    /// point to be generated, so wrappers that implement only the
+    /// required methods keep working unchanged.
+    fn launch(&self, point: &Point) -> Option<Launch> {
+        let _ = point;
+        None
+    }
 
     /// Every configuration of the space as a [`Candidate`], in
     /// enumeration order — the eager view, equivalent point-for-point to
@@ -57,6 +70,10 @@ pub struct AppInstantiator<'a>(pub &'a dyn App);
 impl Instantiator for AppInstantiator<'_> {
     fn instantiate(&self, point: &Point) -> Candidate {
         self.0.instantiate(point)
+    }
+
+    fn launch(&self, point: &Point) -> Option<Launch> {
+        self.0.launch(point)
     }
 
     fn legalize(&self, space: &Space, values: &mut [Value]) {
@@ -108,6 +125,10 @@ impl CandidateSource for SpaceSource<'_> {
 
     fn get(&self, index: usize) -> Cow<'_, Candidate> {
         Cow::Owned(self.app.instantiate(&self.points[index]))
+    }
+
+    fn launch(&self, index: usize) -> Option<Launch> {
+        self.app.launch(&self.points[index])
     }
 }
 

@@ -274,6 +274,10 @@ impl App for Cp {
     fn instantiate(&self, point: &Point) -> Candidate {
         self.candidate(&Self::config_of(point))
     }
+
+    fn launch(&self, point: &Point) -> Option<Launch> {
+        Some(self.launch(&Self::config_of(point)))
+    }
 }
 
 #[cfg(test)]

@@ -501,6 +501,10 @@ impl App for MatMulFine {
     fn instantiate(&self, point: &Point) -> Candidate {
         self.candidate(&Self::config_of(point))
     }
+
+    fn launch(&self, point: &Point) -> Option<Launch> {
+        Some(self.launch(&Self::config_of(point)))
+    }
 }
 
 impl App for MatMul {
@@ -525,6 +529,10 @@ impl App for MatMul {
 
     fn instantiate(&self, point: &Point) -> Candidate {
         self.candidate(&Self::config_of(point))
+    }
+
+    fn launch(&self, point: &Point) -> Option<Launch> {
+        Some(self.launch(&Self::config_of(point)))
     }
 }
 

@@ -376,6 +376,10 @@ impl App for Sad {
         self.candidate(&Self::config_of(point))
     }
 
+    fn launch(&self, point: &Point) -> Option<Launch> {
+        Some(self.launch(&Self::config_of(point)))
+    }
+
     /// Snap `pos` to the largest declared factor dividing the position
     /// loop's trip count for the assignment's `tpb`. Bound probes visit
     /// optimistic corners outside the constrained space; an unsnapped

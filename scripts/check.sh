@@ -181,6 +181,32 @@ echo "$filtered" | grep -q "^best configuration: .*16x16" || {
     exit 1
 }
 
+echo "==> launch-first smoke (tune matmul --grid fine --filter tile=32)"
+# Every tile=32 point is a 1,024-thread block, past the G80's 512: the
+# launch alone makes it an invalid executable, so static evaluation of
+# all 20,480 must finish without generating a kernel (parent: 4.5 s).
+cargo run --release -q -- tune matmul --grid fine --filter tile=32 --strategy pareto \
+    --jobs 2 --profile > "$tracedir/tile32.txt"
+grep -q "selection: tile=32 -> 20480 of 102400 configurations" "$tracedir/tile32.txt" || {
+    echo "launch-first smoke: expected tile=32 to keep 20480 of 102400 points" >&2
+    exit 1
+}
+grep -Eq "^static evals +20480$" "$tracedir/tile32.txt" || {
+    echo "launch-first smoke: expected 20480 static evals" >&2
+    exit 1
+}
+grep -q "^no configuration could be timed$" "$tracedir/tile32.txt" || {
+    echo "launch-first smoke: expected no timed configuration" >&2
+    exit 1
+}
+awk '$1 == "static" && $2 == "wall" { found = 1; ok = ($4 == "us" || ($4 == "ms" && $3 < 1000)) }
+     END { exit !(found && ok) }' "$tracedir/tile32.txt" || {
+    echo "launch-first smoke: static wall not under 1,000 ms:" >&2
+    grep "^static wall" "$tracedir/tile32.txt" >&2
+    exit 1
+}
+grep "^static wall" "$tracedir/tile32.txt"
+
 echo "==> branch-and-bound smoke (tune cp --strategy bnb)"
 # Best-first search under the admissible bound must land on the same
 # optimum exhaustive evaluation finds on the CP space, and its profile
